@@ -169,7 +169,7 @@ def run_campaign(
     digest = outcome_digest(cluster, load=load, fleet=fleet)
     return CampaignResult(
         spec=spec,
-        outcome_hash=hash_digest(digest),
+        outcome_hash=hash_digest({k: v for k, v in digest.items() if k != "sim_steps"}),
         violations=list(suite.violations),
         digest=digest,
         finished_at=env.now,

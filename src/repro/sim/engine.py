@@ -1,23 +1,30 @@
 """Deterministic discrete-event simulation kernel.
 
-The kernel follows the classic event-list design: a priority queue of
-``(time, priority, sequence, event)`` entries drives a virtual clock, and
-*processes* are plain Python generators that ``yield`` events they want to
-wait for.  The design is intentionally close to SimPy's core so that the
-higher layers (disks, NICs, OSD daemons) read naturally, but it is
-self-contained: the reproduction must not depend on packages that are not
-installed in the evaluation environment.
+The kernel follows the classic event-list design: a virtual clock driven
+by two queues of ``(fn, arg)`` work items, and *processes* that are plain
+Python generators which ``yield`` events they want to wait for.  The
+design is intentionally close to SimPy's core so that the higher layers
+(disks, NICs, OSD daemons) read naturally, but it is self-contained: the
+reproduction must not depend on packages that are not installed in the
+evaluation environment.
+
+* **Urgent work** — triggered events, process starts and resumes,
+  interrupts — is always due *now* and always runs before any timed
+  entry due now, so it lives in a FIFO deque rather than the heap.
+* **Timed work** — timeouts and service-center departures — sits in a
+  heap of ``(when, seq, fn, arg)`` entries; ``seq`` is a global insertion
+  counter, so same-instant ties break by insertion order.
 
 Determinism matters here: every experiment in the paper is re-run and
-averaged, and our tests assert exact recovery timelines.  The kernel breaks
-time ties by insertion order, so a simulation with the same seed always
-produces the same trace.
+averaged, and our tests assert exact recovery timelines.  A simulation
+with the same seed always produces the same trace.
 """
 
 from __future__ import annotations
 
 import heapq
-from typing import Any, Callable, Generator, Iterable, List, Optional
+from collections import deque
+from typing import Any, Callable, Deque, Generator, Iterable, List, Optional, Tuple
 
 __all__ = [
     "Event",
@@ -28,12 +35,6 @@ __all__ = [
     "Interrupt",
     "Environment",
 ]
-
-# Scheduling priorities: URGENT events (resource releases) run before NORMAL
-# events scheduled for the same instant, which keeps queue hand-offs at a
-# single timestamp well defined.
-URGENT = 0
-NORMAL = 1
 
 
 class Interrupt(Exception):
@@ -57,6 +58,8 @@ class Event:
     simulation time), which is what makes ``yield store.get()`` style code
     race-free.
     """
+
+    __slots__ = ("env", "callbacks", "_value", "_ok")
 
     def __init__(self, env: "Environment"):
         self.env = env
@@ -91,7 +94,7 @@ class Event:
             raise RuntimeError("event already triggered")
         self._ok = True
         self._value = value
-        self.env._schedule_event(self, URGENT)
+        self.env._urgent.append((_process_event, self))
         return self
 
     def fail(self, exception: BaseException) -> "Event":
@@ -102,12 +105,36 @@ class Event:
             raise TypeError("fail() requires an exception instance")
         self._ok = False
         self._value = exception
-        self.env._schedule_event(self, URGENT)
+        self.env._urgent.append((_process_event, self))
         return self
+
+
+def _process_event(event: Event) -> None:
+    """Run a triggered event's callbacks, once."""
+    callbacks = event.callbacks
+    event.callbacks = None
+    if callbacks:
+        for callback in callbacks:
+            callback(event)
+    elif event._ok is False and isinstance(event, Process):
+        # A process died and nothing was waiting for it.  Silently
+        # dropping the exception would leave the simulation hung or
+        # subtly wrong, so surface it immediately (SimPy semantics).
+        raise event._value
+
+
+#: What every new process is resumed with: an event that has already
+#: fired with value None and belongs to no environment.  Shared, because
+#: a process only reads its outcome.
+_BOOTSTRAP = Event(None)  # type: ignore[arg-type]
+_BOOTSTRAP._ok = True
+_BOOTSTRAP.callbacks = None
 
 
 class Timeout(Event):
     """An event that triggers automatically after ``delay`` time units."""
+
+    __slots__ = ("delay",)
 
     def __init__(self, env: "Environment", delay: float, value: Any = None):
         if delay < 0:
@@ -116,7 +143,7 @@ class Timeout(Event):
         self.delay = delay
         self._ok = True
         self._value = value
-        env._schedule_event(self, NORMAL, delay)
+        env._schedule(env._now + delay, _process_event, self)
 
 
 class Process(Event):
@@ -127,6 +154,8 @@ class Process(Event):
     the exception).  This lets a parent do ``result = yield child``.
     """
 
+    __slots__ = ("_generator", "_waiting_on")
+
     def __init__(self, env: "Environment", generator: Generator):
         if not hasattr(generator, "send"):
             raise TypeError("Process requires a generator")
@@ -134,10 +163,7 @@ class Process(Event):
         self._generator = generator
         self._waiting_on: Optional[Event] = None
         # Kick off the generator at the current time.
-        bootstrap = Event(env)
-        bootstrap._ok = True
-        bootstrap.callbacks = None
-        env._schedule(env.now, URGENT, lambda: self._resume(bootstrap))
+        env._urgent.append((self._resume, _BOOTSTRAP))
 
     @property
     def is_alive(self) -> bool:
@@ -156,14 +182,12 @@ class Process(Event):
                     cb for cb in target.callbacks if getattr(cb, "__self__", None) is not self
                 ]
         self._waiting_on = None
-        self.env._schedule(
-            self.env.now, URGENT, lambda: self._throw(Interrupt(cause))
-        )
+        self.env._urgent.append((self._throw, Interrupt(cause)))
 
     # -- internal machinery -------------------------------------------------
 
     def _resume(self, event: Event) -> None:
-        if not self.is_alive:
+        if self._ok is not None:  # no longer alive
             return
         self._waiting_on = None
         try:
@@ -180,7 +204,7 @@ class Process(Event):
         self._wait_for(target)
 
     def _throw(self, exc: BaseException) -> None:
-        if not self.is_alive:
+        if self._ok is not None:  # no longer alive
             return
         try:
             target = self._generator.throw(exc)
@@ -200,9 +224,9 @@ class Process(Event):
             self._throw(RuntimeError("event belongs to a different environment"))
             return
         self._waiting_on = target
-        if target.processed:
+        if target.callbacks is None:
             # Already fired and its callback pass is done: resume now.
-            self.env._schedule(self.env.now, URGENT, lambda: self._resume(target))
+            self.env._urgent.append((self._resume, target))
         else:
             target.callbacks.append(self._resume)
 
@@ -213,6 +237,8 @@ class AllOf(Event):
     Fails fast with the first child failure.  The value is a list of child
     values in the order the children were given.
     """
+
+    __slots__ = ("_children", "_pending")
 
     def __init__(self, env: "Environment", events: Iterable[Event]):
         super().__init__(env)
@@ -241,6 +267,8 @@ class AllOf(Event):
 
 class AnyOf(Event):
     """Triggers when the first child event triggers (success or failure)."""
+
+    __slots__ = ("_children",)
 
     def __init__(self, env: "Environment", events: Iterable[Event]):
         super().__init__(env)
@@ -272,7 +300,10 @@ class Environment:
 
     def __init__(self, initial_time: float = 0.0):
         self._now = float(initial_time)
-        self._queue: List = []
+        #: Timed entries ``(when, seq, fn, arg)``, a heap.
+        self._queue: List[Tuple[float, int, Callable[[Any], None], Any]] = []
+        #: Work due now, ahead of every timed entry: ``(fn, arg)``, FIFO.
+        self._urgent: Deque[Tuple[Callable[[Any], None], Any]] = deque()
         self._seq = 0
         self._steps = 0
 
@@ -283,11 +314,11 @@ class Environment:
 
     @property
     def steps(self) -> int:
-        """Total events executed so far.
+        """Total queue entries executed so far, urgent and timed alike.
 
-        A determinism hook: two runs of the same seeded experiment must
-        agree on (now, steps) at every observation point, so the chaos
-        harness folds this counter into its outcome hash.
+        A cost counter for profiling, not a contract: a kernel or
+        service-center change that leaves every simulated time unchanged
+        may still change it, so outcome hashes leave it out.
         """
         return self._steps
 
@@ -311,59 +342,72 @@ class Environment:
     def any_of(self, events: Iterable[Event]) -> AnyOf:
         return AnyOf(self, events)
 
+    # The step loop is written out in both run methods: it is the hottest
+    # code in the simulator, and a method call per step costs more than
+    # the duplication.
+
     def run(self, until: Optional[float] = None) -> float:
         """Execute events until the queue drains or ``until`` is reached.
 
         Returns the simulation time at which execution stopped.
         """
-        while self._queue:
-            when = self._queue[0][0]
-            if until is not None and when > until:
-                self._now = until
-                return self._now
-            self._step()
+        urgent, queue = self._urgent, self._queue
+        popleft, heappop = urgent.popleft, heapq.heappop
+        while True:
+            if urgent:
+                # Urgent work is due now: it is past ``until`` only when
+                # ``until`` is already behind the clock.
+                if until is not None and self._now > until:
+                    self._now = until
+                    return until
+                fn, arg = popleft()
+            elif queue:
+                if until is not None and queue[0][0] > until:
+                    self._now = until
+                    return until
+                when, _seq, fn, arg = heappop(queue)
+                if when < self._now:
+                    raise RuntimeError("event scheduled in the past")
+                self._now = when
+            else:
+                break
+            self._steps += 1
+            fn(arg)
         if until is not None and until > self._now:
             self._now = until
         return self._now
 
     def run_until_process(self, process: Process) -> Any:
         """Run until ``process`` completes; return its value or re-raise."""
-        while not process.triggered:
-            if not self._queue:
+        urgent, queue = self._urgent, self._queue
+        popleft, heappop = urgent.popleft, heapq.heappop
+        while process._ok is None:
+            if urgent:
+                fn, arg = popleft()
+            elif queue:
+                when, _seq, fn, arg = heappop(queue)
+                if when < self._now:
+                    raise RuntimeError("event scheduled in the past")
+                self._now = when
+            else:
                 raise RuntimeError("deadlock: process never completed")
-            self._step()
+            self._steps += 1
+            fn(arg)
         # Drain the trigger's callback pass so resource state settles.
-        while self._queue and self._queue[0][0] == self._now:
-            self._step()
+        while urgent or (queue and queue[0][0] == self._now):
+            if urgent:
+                fn, arg = popleft()
+            else:
+                _when, _seq, fn, arg = heappop(queue)
+            self._steps += 1
+            fn(arg)
         if process._ok:
             return process._value
         raise process._value
 
     # -- internal scheduling ---------------------------------------------------
 
-    def _schedule(self, when: float, priority: int, callback: Callable[[], None]) -> None:
+    def _schedule(self, when: float, fn: Callable[[Any], None], arg: Any) -> None:
+        """Add a timed entry: ``fn(arg)`` runs at ``when``."""
         self._seq += 1
-        heapq.heappush(self._queue, (when, priority, self._seq, callback))
-
-    def _schedule_event(self, event: Event, priority: int, delay: float = 0.0) -> None:
-        self._schedule(self._now + delay, priority, lambda: self._process_event(event))
-
-    def _process_event(self, event: Event) -> None:
-        callbacks = event.callbacks
-        event.callbacks = None
-        if callbacks:
-            for callback in callbacks:
-                callback(event)
-        elif isinstance(event, Process) and event._ok is False:
-            # A process died and nothing was waiting for it.  Silently
-            # dropping the exception would leave the simulation hung or
-            # subtly wrong, so surface it immediately (SimPy semantics).
-            raise event._value
-
-    def _step(self) -> None:
-        when, _priority, _seq, callback = heapq.heappop(self._queue)
-        if when < self._now:
-            raise RuntimeError("event scheduled in the past")
-        self._now = when
-        self._steps += 1
-        callback()
+        heapq.heappush(self._queue, (when, self._seq, fn, arg))

@@ -18,9 +18,9 @@ Three building blocks cover everything the cluster model needs:
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Deque, Generator, List
+from typing import Any, Deque, List
 
-from .engine import Environment, Event
+from .engine import Environment, Event, _process_event
 
 __all__ = ["Resource", "ServiceCenter", "Store"]
 
@@ -77,42 +77,84 @@ class Resource:
 class ServiceCenter:
     """A FIFO service center with ``servers`` parallel servers.
 
-    ``request(service_time)`` returns a process event that completes when
-    the job has waited for a server and then been served.  Total busy time
-    is tracked so callers can compute utilisation.
+    ``request(service_time)`` returns an event that fires when the job has
+    waited for a server and then been served.  Total busy time is tracked
+    so callers can compute utilisation.
+
+    The queue is closed-form: a job costs one timed kernel entry, its
+    departure, and no process.  A job that finds a free server departs
+    at ``now + service_time``; a job that finds every server busy waits
+    in a FIFO and starts inside the departure that frees its server,
+    before that departure's waiters run.  The event order, same-instant
+    ties included, is the one a process per job (acquire a slot, hold it
+    for a timeout, release it) produces.
     """
 
     def __init__(self, env: Environment, servers: int = 1, name: str = ""):
+        if servers < 1:
+            raise ValueError(f"servers must be >= 1, got {servers}")
         self.env = env
         self.name = name
-        self._slots = Resource(env, servers)
+        self.servers = servers
         self.busy_time = 0.0
         self.jobs_served = 0
+        self._busy = 0
+        self._waiting: Deque[_Job] = deque()
 
     @property
     def queue_length(self) -> int:
-        return self._slots.queue_length
+        """Jobs waiting for a server (not counting those in service)."""
+        return len(self._waiting)
 
     def request(self, service_time: float) -> Event:
         """Submit a job; the returned event fires when service completes."""
         if service_time < 0:
             raise ValueError(f"negative service time: {service_time!r}")
-        return self.env.process(self._serve(service_time))
+        job = _Job(self.env, service_time)
+        if self._busy < self.servers:
+            self._busy += 1
+            # The departure is scheduled two same-instant urgent hops
+            # from now: that fixes its tie-break sequence among timed
+            # entries to the one a process per job gives it (bootstrap,
+            # then slot grant, then the timeout).
+            self.env._urgent.append((self._hop, job))
+        else:
+            self._waiting.append(job)
+        return job
 
-    def _serve(self, service_time: float) -> Generator:
-        yield self._slots.acquire()
-        try:
-            yield self.env.timeout(service_time)
-        finally:
-            self._slots.release()
-        self.busy_time += service_time
+    def _hop(self, job: "_Job") -> None:
+        self.env._urgent.append((self._start, job))
+
+    def _start(self, job: "_Job") -> None:
+        env = self.env
+        env._schedule(env._now + job.service_time, self._depart, job)
+
+    def _depart(self, job: "_Job") -> None:
+        if self._waiting:
+            # Hand the server straight to the oldest waiter.
+            self._start(self._waiting.popleft())
+        else:
+            self._busy -= 1
+        self.busy_time += job.service_time
         self.jobs_served += 1
+        job._ok = True
+        _process_event(job)
 
     def utilisation(self, elapsed: float) -> float:
         """Fraction of one server's time spent busy over ``elapsed``."""
         if elapsed <= 0:
             return 0.0
-        return self.busy_time / (elapsed * self._slots.capacity)
+        return self.busy_time / (elapsed * self.servers)
+
+
+class _Job(Event):
+    """One service-center job: the event its submitter waits on."""
+
+    __slots__ = ("service_time",)
+
+    def __init__(self, env: Environment, service_time: float):
+        super().__init__(env)
+        self.service_time = service_time
 
 
 class Store:

@@ -294,3 +294,38 @@ def test_unwaited_process_failure_surfaces():
     env.process(doomed())
     with pytest.raises(ValueError, match="orphan failure"):
         env.run()
+
+
+def test_events_carry_no_instance_dict():
+    env = Environment()
+
+    def proc():
+        yield env.timeout(1.0)
+
+    events = [env.event(), env.timeout(1.0), env.process(proc()),
+              env.all_of([]), env.any_of([env.timeout(2.0)])]
+    assert not any(hasattr(event, "__dict__") for event in events)
+
+
+def test_urgent_work_runs_before_a_timed_entry_due_at_the_same_instant():
+    env = Environment()
+    trace = []
+    gate = env.event()
+
+    def sleeper():
+        yield env.timeout(0.0)
+        trace.append("timeout")
+
+    def waiter():
+        yield gate
+        trace.append("gate")
+
+    env.process(sleeper())
+    env.process(waiter())
+    env.run(until=0.0)
+    assert trace == ["timeout"]
+    env.timeout(0.0).callbacks.append(lambda _event: trace.append("timed"))
+    gate.succeed()
+    env.run()
+    assert trace == ["timeout", "gate", "timed"]
+    assert env.steps == 7

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.sim import Environment, Resource, ServiceCenter, Store
+from repro.sim import Environment, Interrupt, Resource, ServiceCenter, Store
+from tests.sim_reference import ProcessServiceCenter
 
 
 # -- Resource -----------------------------------------------------------------
@@ -115,6 +116,85 @@ def test_service_center_utilisation_zero_elapsed():
     env = Environment()
     center = ServiceCenter(env)
     assert center.utilisation(0.0) == 0.0
+
+
+# -- ServiceCenter parity with the process-per-job reference ----------------------
+
+
+@pytest.mark.parametrize("center_cls", [ServiceCenter, ProcessServiceCenter])
+def test_service_center_busy_time_and_jobs_accrue_at_departure(center_cls):
+    env = Environment()
+    center = center_cls(env, servers=1)
+    center.request(4.0)
+    center.request(2.0)
+    env.run(until=3.0)
+    assert (center.busy_time, center.jobs_served) == (0.0, 0)
+    env.run(until=5.0)
+    assert (center.busy_time, center.jobs_served) == (4.0, 1)
+    env.run()
+    assert (env.now, center.busy_time, center.jobs_served) == (6.0, 6.0, 2)
+
+
+@pytest.mark.parametrize("center_cls", [ServiceCenter, ProcessServiceCenter])
+def test_service_center_queue_length_counts_waiting_jobs(center_cls):
+    env = Environment()
+    center = center_cls(env, servers=2)
+    for _ in range(5):
+        center.request(2.0)
+    lengths = []
+    for until in (1.0, 3.0, 5.0, 7.0):
+        env.run(until=until)
+        lengths.append(center.queue_length)
+    assert lengths == [3, 1, 0, 0]
+
+
+@pytest.mark.parametrize("servers", [0, -1])
+def test_service_center_needs_a_server(servers):
+    with pytest.raises(ValueError):
+        ServiceCenter(Environment(), servers=servers)
+
+
+@pytest.mark.parametrize("center_cls", [ServiceCenter, ProcessServiceCenter])
+def test_service_center_zero_service_time(center_cls):
+    env = Environment()
+    center = center_cls(env, servers=1)
+    done = []
+
+    def job(name):
+        yield center.request(0.0)
+        done.append((name, env.now))
+
+    env.process(job("a"))
+    env.process(job("b"))
+    env.run()
+    assert done == [("a", 0.0), ("b", 0.0)]
+    assert (center.busy_time, center.jobs_served, center.queue_length) == (0.0, 2, 0)
+
+
+@pytest.mark.parametrize("center_cls", [ServiceCenter, ProcessServiceCenter])
+def test_interrupt_detaches_a_waiter_from_a_service_event(center_cls):
+    env = Environment()
+    center = center_cls(env, servers=1)
+    trace = []
+
+    def client():
+        job = center.request(5.0)
+        try:
+            yield job
+            trace.append(("served", env.now))
+        except Interrupt as interrupt:
+            trace.append((interrupt.cause, env.now))
+        yield env.timeout(10.0)
+        trace.append(("done", env.now))
+
+    proc = env.process(client())
+    env.run(until=1.0)
+    proc.interrupt("cancel")
+    env.run()
+    # The job itself still runs to completion; the client is not resumed
+    # by its departure at t=5.
+    assert trace == [("cancel", 1.0), ("done", 11.0)]
+    assert (center.busy_time, center.jobs_served) == (5.0, 1)
 
 
 # -- Store -------------------------------------------------------------------------
