@@ -138,8 +138,9 @@ def scenario_flap(args):
         f"  markdowns {outcome.markdowns}, pins {outcome.pins}, "
         f"final health {outcome.health}"
     )
-    if outcome.flap_timeline is not None:
-        for offset, label in outcome.flap_timeline.annotations():
+    flap_timeline = outcome.flap_timeline()
+    if flap_timeline is not None:
+        for offset, label in flap_timeline.annotations():
             print(f"  t+{offset:7.1f}s  {label}")
     print(
         "  -> after mon_osd_markdown_count markdowns inside the period the"

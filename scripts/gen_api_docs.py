@@ -57,6 +57,7 @@ MODULES = [
     "repro.core.logbus",
     "repro.core.timeline",
     "repro.core.gray",
+    "repro.core.digest",
     "repro.core.wa",
     "repro.core.sweep",
     "repro.core.trace",

@@ -12,19 +12,20 @@ hash bit-for-bit (asserted by the replay CLI and tests).
 from __future__ import annotations
 
 import hashlib
-import json
 from dataclasses import asdict, dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
 from ..cluster.ceph import OVERWRITE_LEDGER_KEYS, CephCluster
-from ..cluster.client import ClientLoadGenerator, RadosClient
-from ..cluster.health import HealthStatus, check_health
+from ..cluster.client import ClientLoadGenerator
+from ..cluster.health import SETTLE_POLL, check_health, converged
 from ..cluster.recovery import CASCADE_STAT_KEYS, DELTA_STAT_KEYS, GEO_STAT_KEYS
 from ..core.controller import Controller
+from ..core.digest import canonical_json, prune_zero
 from ..core.fault_injector import FaultInjector, FaultToleranceError
 from ..sim.rng import substream_seed
 from ..tenancy.accounting import fleet_reports
 from ..tenancy.fleet import TenantFleet
+from ..tenancy.spec import LEGACY_TENANT_NAME, TenantFleetSpec
 from .campaign import CampaignSpec
 from .invariants import InvariantSuite, InvariantViolation, check_tenant_fairness
 from .sampler import sample_campaign
@@ -37,10 +38,6 @@ __all__ = [
     "run_campaign",
     "run_chaos",
 ]
-
-#: Sim-seconds between settle-phase polls of the convergence predicate.
-SETTLE_POLL = 25.0
-
 
 class CampaignInvalid(RuntimeError):
     """The schedule collided with live cluster state (not a failure).
@@ -85,30 +82,27 @@ def run_campaign(
 
     controller.coordinator.ingest_workload(spec.to_workload())
 
-    # Write-enabled campaigns run a mixed read-write client load through
-    # the whole fault schedule, so restores race live degraded writes —
-    # the arc the pg_log delta-recovery invariants exercise.  Read-only
-    # campaigns (write_interval == 0) construct none of this and stay
-    # byte-identical to the pre-write-path model.
-    load = None
-    load_proc = None
+    # Write-enabled campaigns run a mixed read-write client stream (the
+    # legacy-equivalent fleet) through the whole fault schedule, so
+    # restores race live degraded writes — the arc the pg_log
+    # delta-recovery invariants exercise.  Read-only campaigns
+    # (write_interval == 0) construct none of this.
+    load = fleet = fleet_proc = None
     if spec.write_interval > 0:
-        client = RadosClient(cluster, seeds=controller.seeds)
-        load = ClientLoadGenerator(
-            client,
-            interval=spec.write_interval,
+        writers = TenantFleet(
+            cluster,
+            TenantFleetSpec.legacy(
+                spec.write_interval, spec.write_fraction, spec.rmw_fraction
+            ),
             seeds=controller.seeds,
-            write_fraction=spec.write_fraction,
-            rmw_fraction=spec.rmw_fraction,
         )
-        load_proc = load.run_for(spec.write_duration)
+        load = writers.tenants[LEGACY_TENANT_NAME].load
+        fleet_proc = writers.run_for(spec.write_duration)
 
     # Tenant campaigns replace the single stream with a QoS-arbitrated
     # fleet and arm the fairness oracle: after settle, no reservation may
     # be starved and every SLO violation must be attributable to the
     # faulty portion of the run.
-    fleet = None
-    fleet_proc = None
     if spec.tenant_fleet is not None:
         fleet = TenantFleet(cluster, spec.tenant_fleet, seeds=controller.seeds)
         fleet_proc = fleet.run_for(spec.tenant_duration)
@@ -138,11 +132,9 @@ def run_campaign(
         step += 1
         suite.check_step(step)
 
-    if load_proc is not None:
+    if fleet_proc is not None:
         # Drain the client load (retries may outlive the fault window)
         # before judging convergence.
-        env.run_until_process(load_proc)
-    if fleet_proc is not None:
         env.run_until_process(fleet_proc)
 
     # Settle: poll until the cluster converges (or provably cannot, or
@@ -158,7 +150,7 @@ def run_campaign(
         env.run(until=min(env.now + SETTLE_POLL, deadline))
         step += 1
         suite.check_step(step)
-        if _quiescent(cluster):
+        if converged(cluster):
             break
         if _stalled(cluster, injector):
             break
@@ -175,35 +167,6 @@ def run_campaign(
         finished_at=env.now,
         steps=step,
     )
-
-
-def _quiescent(cluster: CephCluster) -> bool:
-    """Converged: every fault healed and health back to HEALTH_OK."""
-    if not all(osd.is_up() for osd in cluster.osds.values()):
-        return False
-    if cluster.monitor.out_osds:
-        return False
-    # A flap-dampening pin holds its OSD monitor-down even though the
-    # daemon itself is healthy again; converged means the pin expired
-    # and the OSD was marked back up.
-    if cluster.monitor.active_pins():
-        return False
-    if not cluster.recovery.idle:
-        return False
-    if cluster.scrub.config.enabled and not cluster.scrub.quiescent():
-        return False
-    # Byzantine lies outstanding (a stale-map gossip not yet rejected,
-    # or a data-plane lie scrub has not exposed) mean the run has not
-    # converged — keep settling until every lie is detected.
-    byz = getattr(cluster, "byzantine", None)
-    if byz is not None and not byz.quiescent():
-        return False
-    # Staleness with no down->up trigger (an OSD back within heartbeat
-    # grace never looked down to the monitor) is caught here: kick delta
-    # recovery for any dirty pg_log before judging health.
-    if cluster.recovery.kick_stale():
-        return False
-    return check_health(cluster).status == HealthStatus.OK
 
 
 def _stalled(cluster: CephCluster, injector: FaultInjector) -> bool:
@@ -229,19 +192,6 @@ def _stalled(cluster: CephCluster, injector: FaultInjector) -> bool:
 # -- the outcome hash (the replay contract) -----------------------------------
 
 
-def _prune_zero(payload: Dict[str, Any], keys) -> Dict[str, Any]:
-    """Drop keys whose value is exactly 0 (write-path counter pruning).
-
-    The write path added counters to stats that predate it; pruning them
-    at zero keeps read-only outcome digests byte-identical to the
-    pre-write-path model while write-enabled runs see every counter.
-    """
-    for key in keys:
-        if payload.get(key) == 0:
-            del payload[key]
-    return payload
-
-
 def outcome_digest(
     cluster: CephCluster,
     load: Optional[ClientLoadGenerator] = None,
@@ -261,7 +211,7 @@ def outcome_digest(
             }
             for osd in cluster.osds.values()
         },
-        "recovery": _prune_zero(
+        "recovery": prune_zero(
             asdict(cluster.recovery.stats),
             DELTA_STAT_KEYS + GEO_STAT_KEYS + CASCADE_STAT_KEYS,
         ),
@@ -271,7 +221,7 @@ def outcome_digest(
             "pins": cluster.monitor.pins_total,
             "active_pins": sorted(cluster.monitor.active_pins()),
         },
-        "ledger": _prune_zero(asdict(cluster.ledger), OVERWRITE_LEDGER_KEYS),
+        "ledger": prune_zero(asdict(cluster.ledger), OVERWRITE_LEDGER_KEYS),
         "corrupt_chunks": cluster.integrity.corrupted_chunk_count(),
         "logs": [
             [
@@ -312,35 +262,16 @@ def outcome_digest(
             "failed": writes.failures,
             "degraded": writes.degraded_count,
             "logical_bytes": writes.logical_bytes,
-            "samples": [
-                [s.object_name, s.issued_at, s.latency, s.kind, s.degraded,
-                 s.bytes_written, s.attempts]
-                for s in writes.samples
-            ],
+            "samples": writes.rows(),
         }
     if fleet is not None:
         tenants: Dict[str, Any] = {}
         for name in sorted(fleet.tenants):
-            runtime = fleet.tenants[name]
-            reads = runtime.load.stats
-            tenant_writes = runtime.load.write_stats
-            entry: Dict[str, Any] = {
-                "reads_ok": len(reads.samples),
-                "read_failures": reads.failures,
-                "samples": [
-                    [s.object_name, s.issued_at, s.latency, s.degraded,
-                     s.bytes_read, s.attempts, s.hedged]
-                    for s in reads.samples
-                ],
+            stream = fleet.tenants[name].load
+            tenants[name] = {
+                "reads_ok": len(stream.stats.samples),
+                **stream.digest_sections(),
             }
-            if tenant_writes.samples or tenant_writes.failures:
-                entry["write_failures"] = tenant_writes.failures
-                entry["write_samples"] = [
-                    [s.object_name, s.issued_at, s.latency, s.kind, s.degraded,
-                     s.bytes_written, s.attempts]
-                    for s in tenant_writes.samples
-                ]
-            tenants[name] = entry
         for report in fleet_reports(fleet):
             tenants[report.name]["slo_violations"] = [
                 list(window) for window in report.slo_violations
@@ -352,10 +283,7 @@ def outcome_digest(
 
 def hash_digest(digest: Dict[str, Any]) -> str:
     """SHA-256 over the canonical JSON form of an outcome digest."""
-    payload = json.dumps(
-        digest, sort_keys=True, separators=(",", ":"), ensure_ascii=True
-    )
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+    return hashlib.sha256(canonical_json(digest).encode("utf-8")).hexdigest()
 
 
 # -- bulk campaigns ------------------------------------------------------------

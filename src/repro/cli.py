@@ -178,7 +178,7 @@ def cmd_inject(args) -> int:
         print(f"read latency p50:  {stats.latency_percentile(50):9.4f} s")
         print(f"read latency p99:  {stats.latency_percentile(99):9.4f} s")
     writes = outcome.write_stats
-    if writes is not None and (writes.count or writes.failures):
+    if writes.count or writes.failures:
         print(f"client writes:     {writes.count} ok, {writes.failures} failed, "
               f"{writes.degraded_fraction * 100:.1f}% degraded")
         if writes.count:
@@ -195,8 +195,9 @@ def cmd_inject(args) -> int:
     if recovery.op_retries or recovery.ops_abandoned:
         print(f"recovery retries:  {recovery.op_retries} "
               f"({recovery.ops_abandoned} ops abandoned)")
-    if outcome.flap_timeline is not None:
-        for offset, label in outcome.flap_timeline.annotations():
+    flap_timeline = outcome.flap_timeline()
+    if flap_timeline is not None:
+        for offset, label in flap_timeline.annotations():
             print(f"  t+{offset:9.1f} s  {label}")
     print(f"final health:      {outcome.health}"
           + ("" if outcome.converged else " (NOT converged)"))

@@ -49,7 +49,7 @@ from __future__ import annotations
 
 import statistics
 from dataclasses import dataclass, field
-from typing import Dict, Generator, List, Optional, Set, Tuple
+from typing import Any, Dict, Generator, List, Optional, Set, Tuple
 
 from ..sim import Event
 from ..sim.rng import SeedSequence
@@ -67,6 +67,7 @@ __all__ = [
     "ClientOpStats",
     "RadosClient",
     "ClientLoadGenerator",
+    "ARRIVAL_KINDS",
     "WRITE_STAT_KEYS",
 ]
 
@@ -108,6 +109,14 @@ class ReadStats:
 
     def add(self, sample: ReadSample) -> None:
         self.samples.append(sample)
+
+    def rows(self) -> List[list]:
+        """The samples as outcome-digest rows (one list per read)."""
+        return [
+            [s.object_name, s.issued_at, s.latency, s.degraded,
+             s.bytes_read, s.attempts, s.hedged]
+            for s in self.samples
+        ]
 
     @property
     def count(self) -> int:
@@ -184,6 +193,14 @@ class WriteStats:
     def add(self, sample: WriteSample) -> None:
         self.samples.append(sample)
 
+    def rows(self) -> List[list]:
+        """The samples as outcome-digest rows (one list per write)."""
+        return [
+            [s.object_name, s.issued_at, s.latency, s.kind, s.degraded,
+             s.bytes_written, s.attempts]
+            for s in self.samples
+        ]
+
     @property
     def count(self) -> int:
         return len(self.samples)
@@ -244,6 +261,9 @@ class ClientOpStats:
     #: OSD actually hit ``mon_osd_full_ratio``.
     writes_paused: int = 0
 
+
+#: Arrival processes a load generator may run.
+ARRIVAL_KINDS = ("uniform", "poisson")
 
 #: ClientOpStats fields added with the write path — pruned from digests
 #: when zero so read-only runs hash identically to the prior model.
@@ -1044,6 +1064,10 @@ class ClientLoadGenerator:
     only when the respective fraction is positive, so a read-only
     generator consumes exactly the same RNG stream as before the write
     path existed (digest compatibility).
+
+    ``arrival`` is ``uniform`` (one op every ``interval``) or
+    ``poisson`` (exponential gaps of mean ``interval``).  The poisson
+    gap is drawn after the op draws, so uniform streams never see it.
     """
 
     def __init__(
@@ -1053,6 +1077,7 @@ class ClientLoadGenerator:
         seeds: Optional[SeedSequence] = None,
         write_fraction: float = 0.0,
         rmw_fraction: float = 0.5,
+        arrival: str = "uniform",
     ):
         if interval <= 0:
             raise ValueError("interval must be positive")
@@ -1060,14 +1085,31 @@ class ClientLoadGenerator:
             raise ValueError("write_fraction must be in [0, 1]")
         if not 0.0 <= rmw_fraction <= 1.0:
             raise ValueError("rmw_fraction must be in [0, 1]")
+        if arrival not in ARRIVAL_KINDS:
+            raise ValueError(f"unknown arrival {arrival!r}")
         self.client = client
         self.interval = interval
         self.write_fraction = write_fraction
         self.rmw_fraction = rmw_fraction
+        self.arrival = arrival
         self.rng = (seeds or SeedSequence(0)).stream("client-load")
         self.stats = ReadStats()
         self.write_stats = WriteStats()
-        self._running = False
+
+    def digest_sections(self) -> Dict[str, Any]:
+        """Failures and sample rows for an outcome digest.
+
+        The write keys appear only when the stream wrote (or tried to),
+        so read-only digests keep the read-only shape.
+        """
+        sections: Dict[str, Any] = {
+            "read_failures": self.stats.failures,
+            "samples": self.stats.rows(),
+        }
+        if self.write_stats.samples or self.write_stats.failures:
+            sections["write_failures"] = self.write_stats.failures
+            sections["write_samples"] = self.write_stats.rows()
+        return sections
 
     def run_for(self, duration: float) -> Event:
         """Start issuing reads for ``duration`` simulated seconds."""
@@ -1105,7 +1147,10 @@ class ClientLoadGenerator:
                     pending.append(env.process(self._one_write(name)))
             else:
                 pending.append(env.process(self._one_read(name)))
-            yield env.timeout(self.interval)
+            if self.arrival == "poisson":
+                yield env.timeout(self.rng.expovariate(1.0 / self.interval))
+            else:
+                yield env.timeout(self.interval)
         if pending:
             yield env.all_of(pending)
 

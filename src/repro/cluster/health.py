@@ -5,6 +5,10 @@ cluster state: down/out OSDs, degraded and undersized PGs, near-full
 devices.  The Coordinator does not depend on this — recovery completion
 is tracked from logs, as in the paper — but operators (and the examples)
 get the at-a-glance view a real cluster would print.
+
+:func:`converged` is the one settle predicate every experiment driver
+polls after its faults are restored: every fault healed, every
+background repair drained, and health back to HEALTH_OK.
 """
 
 from __future__ import annotations
@@ -15,7 +19,16 @@ from typing import List
 from .ceph import CephCluster
 from .scrub import ScrubPhase
 
-__all__ = ["HealthStatus", "HealthReport", "check_health"]
+__all__ = [
+    "HealthStatus",
+    "HealthReport",
+    "SETTLE_POLL",
+    "check_health",
+    "converged",
+]
+
+#: Sim-seconds between settle-phase polls of :func:`converged`.
+SETTLE_POLL = 25.0
 
 
 class HealthStatus:
@@ -185,3 +198,32 @@ def check_health(cluster: CephCluster) -> HealthReport:
         pgs_repairing=repairing,
         pgs_dirty_log=dirty_log,
     )
+
+
+def converged(cluster: CephCluster) -> bool:
+    """Every fault healed and health back to HEALTH_OK."""
+    if not all(osd.is_up() for osd in cluster.osds.values()):
+        return False
+    if cluster.monitor.out_osds:
+        return False
+    # A flap-dampening pin holds its OSD monitor-down even though the
+    # daemon itself is healthy again; converged means the pin expired
+    # and the OSD was marked back up.
+    if cluster.monitor.active_pins():
+        return False
+    if not cluster.recovery.idle:
+        return False
+    if cluster.scrub.config.enabled and not cluster.scrub.quiescent():
+        return False
+    # Byzantine lies outstanding (a stale-map gossip not yet rejected,
+    # or a data-plane lie scrub has not exposed) mean the run has not
+    # converged — keep settling until every lie is detected.
+    byz = getattr(cluster, "byzantine", None)
+    if byz is not None and not byz.quiescent():
+        return False
+    # Staleness with no down->up trigger (an OSD back within heartbeat
+    # grace never looked down to the monitor) is caught here: kick delta
+    # recovery for any dirty pg_log before judging health.
+    if cluster.recovery.kick_stale():
+        return False
+    return check_health(cluster).status == HealthStatus.OK

@@ -7,123 +7,27 @@ flaky networks, and flapping daemons cost while the cluster is neither
 healthy nor failed — and how much do the defenses (flap dampening, op
 timeouts, retry/backoff, hedged reads) buy back?
 
-:func:`run_gray_experiment` drives one cycle: ingest the workload, warm
-up, inject the gray (and/or crash) faults, run an open-loop client read
-load through the degraded window, restore, and settle until health
-converges.  The returned :class:`GrayOutcome` carries client latency
-samples, defense counters, monitor dampening counters, and a canonical
-:meth:`~GrayOutcome.digest` that is byte-identical across same-seed runs
-— the determinism contract the examples assert.
+:func:`run_gray_experiment` is a preset of the experiment cycle
+(:func:`~repro.tenancy.experiment.run_tenant_experiment`) with one
+open-loop client stream: the legacy-equivalent tenant fleet.  Its
+:class:`~repro.tenancy.experiment.TenantOutcome` carries the client's
+latency samples and defense counters, the monitor's dampening counters,
+the flap timeline, and a canonical digest that is byte-identical across
+same-seed runs — the determinism contract the examples assert.
 """
 
 from __future__ import annotations
 
-import json
-from dataclasses import asdict, dataclass
-from typing import Any, Dict, List, Optional, Sequence
+from typing import TYPE_CHECKING, Sequence
 
-from ..cluster.client import (
-    WRITE_STAT_KEYS,
-    ClientLoadGenerator,
-    ClientOpStats,
-    RadosClient,
-    ReadStats,
-    WriteStats,
-)
-from ..cluster.health import HealthStatus, check_health
-from ..cluster.recovery import (
-    CASCADE_STAT_KEYS,
-    DELTA_STAT_KEYS,
-    GEO_STAT_KEYS,
-    RecoveryStats,
-)
 from ..workload.generator import Workload
-from .controller import Controller
 from .fault_injector import FaultSpec
-from .logger import LogCollector
 from .profile import ExperimentProfile
-from .timeline import FlapTimeline, TimelineError, build_flap_timeline
 
-__all__ = ["GrayOutcome", "run_gray_experiment"]
+if TYPE_CHECKING:
+    from ..tenancy.experiment import TenantOutcome
 
-#: Sim-seconds between settle-phase polls of the convergence predicate.
-SETTLE_POLL = 25.0
-
-
-@dataclass
-class GrayOutcome:
-    """Everything one gray-failure experiment produced."""
-
-    read_stats: ReadStats
-    client_stats: ClientOpStats
-    recovery_stats: RecoveryStats
-    #: OSDs the injected faults made (intermittently) unavailable.
-    injected_osds: List[int]
-    #: OSDs whose devices were merely slowed (never counted as damage).
-    slowed_osds: List[int]
-    #: Monitor-side dampening counters over the whole run.
-    markdowns: int
-    pins: int
-    health: str
-    converged: bool
-    finished_at: float
-    collector: LogCollector
-    flap_timeline: Optional[FlapTimeline] = None
-    write_stats: Optional[WriteStats] = None
-
-    def digest(self) -> Dict[str, Any]:
-        """Canonical JSON-serialisable snapshot (the determinism contract).
-
-        Write-path keys appear only when the run actually wrote: the
-        new counters are pruned at zero and the write-sample section is
-        omitted entirely, so read-only digests stay byte-identical to
-        the pre-write-path model.  The geo and cascade recovery
-        counters get the same treatment (gray runs never exercise
-        cross-region repair or risk accounting, so they are always
-        zero here) — the same pruning the chaos engine's outcome
-        digest applies.
-        """
-        client = asdict(self.client_stats)
-        for key in WRITE_STAT_KEYS:
-            if client.get(key) == 0:
-                del client[key]
-        recovery = asdict(self.recovery_stats)
-        for key in DELTA_STAT_KEYS + GEO_STAT_KEYS + CASCADE_STAT_KEYS:
-            if recovery.get(key) == 0:
-                del recovery[key]
-        payload = {
-            "finished_at": self.finished_at,
-            "health": str(self.health),
-            "converged": self.converged,
-            "injected_osds": list(self.injected_osds),
-            "slowed_osds": list(self.slowed_osds),
-            "markdowns": self.markdowns,
-            "pins": self.pins,
-            "client": client,
-            "recovery": recovery,
-            "read_failures": self.read_stats.failures,
-            "samples": [
-                [s.object_name, s.issued_at, s.latency, s.degraded,
-                 s.bytes_read, s.attempts, s.hedged]
-                for s in self.read_stats.samples
-            ],
-        }
-        writes = self.write_stats
-        if writes is not None and (writes.samples or writes.failures):
-            payload["write_failures"] = writes.failures
-            payload["write_samples"] = [
-                [s.object_name, s.issued_at, s.latency, s.kind, s.degraded,
-                 s.bytes_written, s.attempts]
-                for s in writes.samples
-            ]
-        return payload
-
-    def digest_json(self) -> str:
-        """The digest as canonical JSON — byte-comparable across runs."""
-        return json.dumps(
-            self.digest(), sort_keys=True, separators=(",", ":"),
-            ensure_ascii=True,
-        )
+__all__ = ["run_gray_experiment"]
 
 
 def run_gray_experiment(
@@ -137,92 +41,21 @@ def run_gray_experiment(
     settle_time: float = 20_000.0,
     write_fraction: float = 0.0,
     rmw_fraction: float = 0.5,
-) -> GrayOutcome:
-    """Run one gray-failure cycle and return its outcome.
+) -> "TenantOutcome":
+    """Run one gray-failure cycle with a single client stream.
 
-    The client load runs open-loop for ``fault_duration`` seconds while
-    the faults are active, then every fault is restored and the cluster
-    given ``settle_time`` to converge (pins expire, flapped daemons are
-    marked back up, recovery drains).  Defenses are configured through
-    ``profile.ceph`` (``client_op_timeout``, ``client_hedge_delay``,
-    retry knobs); all of them default off.
-
-    ``write_fraction`` of client ops are writes (``rmw_fraction`` of
-    those partial-stripe RMWs, the rest full overwrites); at the default
-    0.0 the load is pure reads and the run is byte-identical to the
-    read-only model.
+    One op every ``load_interval`` seconds runs for ``fault_duration``
+    seconds while the faults are active; ``write_fraction`` of the ops
+    are writes (``rmw_fraction`` of those partial-stripe RMWs).
+    Defenses are configured through ``profile.ceph``
+    (``client_op_timeout``, ``client_hedge_delay``, retry knobs); all of
+    them default off.
     """
-    if fault_duration <= 0:
-        raise ValueError("fault_duration must be positive")
-    controller = Controller(profile, seed=seed)
-    env = controller.env
-    cluster = controller.cluster
-    coordinator = controller.coordinator
+    # The tenancy package imports the core stack: resolve it at call time.
+    from ..tenancy import TenantFleetSpec, run_tenant_experiment
 
-    coordinator.ingest_workload(workload)
-    client = RadosClient(cluster, seeds=controller.seeds)
-    load = ClientLoadGenerator(
-        client, interval=load_interval, seeds=controller.seeds,
-        write_fraction=write_fraction, rmw_fraction=rmw_fraction,
+    fleet = TenantFleetSpec.legacy(load_interval, write_fraction, rmw_fraction)
+    return run_tenant_experiment(
+        profile, workload, fleet, faults, seed=seed, warmup=warmup,
+        fault_duration=fault_duration, settle_time=settle_time,
     )
-
-    env.run(until=env.now + warmup)
-    injected: List[int] = []
-    for spec in faults:
-        injected.extend(controller.fault_injector.inject(spec))
-    slowed = sorted(controller.fault_injector.slowed_osds)
-
-    load_proc = load.run_for(fault_duration)
-    env.run(until=env.now + fault_duration)
-    controller.fault_injector.restore_all()
-    # Drain in-flight reads (their retries may outlive the fault window).
-    env.run_until_process(load_proc)
-
-    deadline = env.now + settle_time
-    converged = _converged(cluster)
-    while not converged and env.now < deadline:
-        env.run(until=min(env.now + SETTLE_POLL, deadline))
-        converged = _converged(cluster)
-
-    for logger in coordinator.loggers:
-        logger.flush()
-    coordinator.collector.collect()
-    flap_timeline: Optional[FlapTimeline] = None
-    try:
-        flap_timeline = build_flap_timeline(coordinator.collector)
-    except TimelineError:
-        pass
-
-    return GrayOutcome(
-        read_stats=load.stats,
-        client_stats=client.stats,
-        recovery_stats=cluster.recovery.stats,
-        injected_osds=sorted(injected),
-        slowed_osds=slowed,
-        markdowns=cluster.monitor.markdowns_total,
-        pins=cluster.monitor.pins_total,
-        health=str(check_health(cluster).status),
-        converged=converged,
-        finished_at=env.now,
-        collector=coordinator.collector,
-        flap_timeline=flap_timeline,
-        write_stats=load.write_stats,
-    )
-
-
-def _converged(cluster) -> bool:
-    """Same convergence bar as the chaos engine: everything healed."""
-    if not all(osd.is_up() for osd in cluster.osds.values()):
-        return False
-    if cluster.monitor.out_osds:
-        return False
-    if cluster.monitor.active_pins():
-        return False
-    if not cluster.recovery.idle:
-        return False
-    # Staleness with no down->up trigger (an OSD restored within the
-    # heartbeat grace never went down in the monitor's eyes) is caught
-    # here: kick delta recovery for any dirty pg_log before judging.
-    if cluster.recovery.kick_stale():
-        return False
-    return check_health(cluster).status == HealthStatus.OK

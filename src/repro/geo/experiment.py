@@ -3,8 +3,8 @@
 The generic :func:`~repro.core.experiment.run_experiment` returns an
 :class:`~repro.core.coordinator.ExperimentOutcome`, which deliberately
 does not keep the cluster alive.  Geo experiments need the WAN fabric's
-counters and egress ledger after the run, so this module owns its
-Controller and folds the geo-observable state into a
+counters and egress ledger after the run, so this module keeps the
+run's cluster and folds the geo-observable state into a
 :class:`GeoOutcome` with a canonical digest — the same replay contract
 the chaos engine uses, scoped to the stretch-cluster metrics.
 """
@@ -12,13 +12,14 @@ the chaos engine uses, scoped to the stretch-cluster metrics.
 from __future__ import annotations
 
 import hashlib
-import json
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..core.controller import Controller
+from ..core.digest import canonical_json
 from ..core.fault_injector import FaultSpec
 from ..core.profile import ExperimentProfile
+from ..tenancy.experiment import run_tenant_experiment
 from ..workload.generator import Workload
 
 __all__ = ["GeoOutcome", "run_stretch_experiment"]
@@ -51,30 +52,14 @@ class GeoOutcome:
         return self.cross_region_bytes_read + self.cross_region_bytes_written
 
     def to_dict(self) -> Dict[str, Any]:
-        return {
-            "profile_name": self.profile_name,
-            "num_regions": self.num_regions,
-            "locality_aware": self.locality_aware,
-            "total_recovery_time": self.total_recovery_time,
-            "objects_recovered": self.objects_recovered,
-            "cross_region_bytes_read": self.cross_region_bytes_read,
-            "cross_region_bytes_written": self.cross_region_bytes_written,
-            "cross_region_pulls": self.cross_region_pulls,
-            "cross_region_pushes": self.cross_region_pushes,
-            "wan_cross_region_bytes": self.wan_cross_region_bytes,
-            "wan_cross_region_transfers": self.wan_cross_region_transfers,
-            "wan_partition_refusals": self.wan_partition_refusals,
-            "egress_bytes_by_region": list(self.egress_bytes_by_region),
-            "egress_cost": self.egress_cost,
-        }
+        data = asdict(self)
+        data["egress_bytes_by_region"] = list(self.egress_bytes_by_region)
+        return data
 
     def digest(self) -> str:
         """SHA-256 over the canonical JSON form (same seed, same digest)."""
-        payload = json.dumps(
-            self.to_dict(), sort_keys=True, separators=(",", ":"),
-            ensure_ascii=True,
-        )
-        return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+        payload = canonical_json(self.to_dict()).encode("utf-8")
+        return hashlib.sha256(payload).hexdigest()
 
 
 def run_stretch_experiment(
@@ -95,29 +80,35 @@ def run_stretch_experiment(
     preference, which is the A/B the geo benchmark and the
     ``stretch_cluster`` example compare.
 
-    ``restore_after``, when set, restores every fault that many sim
-    seconds after injection and then settles until the cluster
-    converges — the shape region-level faults need, since a spread-wide
-    region outage leaves displaced PGs unplaceable until the region
-    returns.  ``None`` keeps the standard coordinator cycle (inject,
-    wait for full recovery), which suits permanent node/device faults.
+    ``restore_after``, when set, runs the experiment cycle
+    (:func:`~repro.tenancy.experiment.run_tenant_experiment`) with no
+    client load: ``settle_time`` is the warmup before the faults, every
+    fault is restored ``restore_after`` sim seconds after injection, and
+    ``max_sim_time`` is the budget to settle until the cluster converges
+    — the shape region-level faults need, since a spread-wide region
+    outage leaves displaced PGs unplaceable until the region returns.
+    ``None`` keeps the standard coordinator cycle (inject, wait for full
+    recovery), which suits permanent node/device faults.
     """
     if profile.num_regions <= 1:
         raise ValueError(
             "run_stretch_experiment needs a multi-region profile "
             f"(num_regions={profile.num_regions})"
         )
+    if restore_after is not None and restore_after <= 0:
+        raise ValueError("restore_after must be positive")
     profile = profile.with_overrides(
         ceph=replace(profile.ceph, recovery_locality_aware=locality_aware)
     )
-    controller = Controller(profile, seed=seed)
     if restore_after is None:
+        controller = Controller(profile, seed=seed)
         outcome = controller.run_experiment(
             workload,
             list(faults or []),
             settle_time=settle_time,
             max_sim_time=max_sim_time,
         )
+        cluster = controller.cluster
         stats = outcome.recovery_stats
         recovery_time = (
             outcome.timeline.total_recovery
@@ -125,17 +116,23 @@ def run_stretch_experiment(
             else 0.0
         )
     else:
-        _drive_with_restore(
-            controller, workload, list(faults or []),
-            settle_time, max_sim_time, restore_after,
+        cycle = run_tenant_experiment(
+            profile,
+            workload,
+            faults=list(faults or []),
+            seed=seed,
+            warmup=settle_time,
+            fault_duration=restore_after,
+            settle_time=max_sim_time,
         )
-        stats = controller.cluster.recovery.stats
+        cluster = cycle.cluster
+        stats = cycle.recovery_stats
         recovery_time = (
             stats.finished_at - stats.io_started_at
             if stats.io_started_at is not None and stats.finished_at is not None
             else 0.0
         )
-    wan = controller.cluster.topology.wan
+    wan = cluster.topology.wan
     assert wan is not None  # guaranteed by num_regions > 1
     egress: List[int] = list(wan.ledger.egress_bytes_by_region)
     while len(egress) < profile.num_regions:
@@ -156,58 +153,3 @@ def run_stretch_experiment(
         egress_bytes_by_region=tuple(egress),
         egress_cost=wan.ledger.total_cost,
     )
-
-
-#: Convergence poll step for the inject/restore drive (matches the
-#: chaos engine's settle cadence).
-_SETTLE_POLL = 25.0
-
-
-def _drive_with_restore(
-    controller: Controller,
-    workload: Workload,
-    faults: List[FaultSpec],
-    settle_time: float,
-    max_sim_time: float,
-    restore_after: float,
-) -> None:
-    """Inject, hold the fault window open, restore, settle to convergence.
-
-    The standard coordinator cycle waits for every victim to be marked
-    out and fully re-replicated, which never terminates for faults that
-    leave the cluster unplaceable (a region outage under a spread-wide
-    rule).  This drive instead restores after a fixed window and polls
-    until recovery goes idle — the chaos engine's convergence shape,
-    minus its invariant suite.
-    """
-    env = controller.env
-    cluster = controller.cluster
-    controller._used = True  # same single-use contract as run_experiment
-
-    def _drive():
-        controller.coordinator.ingest_workload(workload)
-        yield env.timeout(settle_time)
-        for spec in faults:
-            controller.fault_injector.inject(spec)
-        yield env.timeout(restore_after)
-        controller.fault_injector.restore_all()
-
-    env.run_until_process(env.process(_drive()))
-    deadline = env.now + max_sim_time
-    while env.now < deadline:
-        env.run(until=min(env.now + _SETTLE_POLL, deadline))
-        if _converged(cluster):
-            break
-
-
-def _converged(cluster) -> bool:
-    """Every daemon back up, nothing queued, no stale shard left behind."""
-    if not all(osd.is_up() for osd in cluster.osds.values()):
-        return False
-    if cluster.monitor.out_osds or cluster.monitor.active_pins():
-        return False
-    if not cluster.recovery.idle:
-        return False
-    if cluster.recovery.kick_stale():
-        return False
-    return True

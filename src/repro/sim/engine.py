@@ -349,17 +349,16 @@ class Environment:
     def run(self, until: Optional[float] = None) -> float:
         """Execute events until the queue drains or ``until`` is reached.
 
-        Returns the simulation time at which execution stopped.
+        Returns the simulation time at which execution stopped.  An
+        ``until`` behind the clock raises :class:`ValueError`: the clock
+        never runs backwards.
         """
+        if until is not None and until < self._now:
+            raise ValueError(f"until={until} is before now={self._now}")
         urgent, queue = self._urgent, self._queue
         popleft, heappop = urgent.popleft, heapq.heappop
         while True:
             if urgent:
-                # Urgent work is due now: it is past ``until`` only when
-                # ``until`` is already behind the clock.
-                if until is not None and self._now > until:
-                    self._now = until
-                    return until
                 fn, arg = popleft()
             elif queue:
                 if until is not None and queue[0][0] > until:

@@ -21,7 +21,7 @@ from .accounting import (
     windows_overlap,
 )
 from .experiment import TenantOutcome, run_tenant_experiment
-from .fleet import TenantFleet, TenantLoadGenerator, TenantRuntime, install_qos
+from .fleet import TenantFleet, TenantRuntime, install_qos
 from .mclock import MClockScheduler, QosClass, QosClassStats
 from .spec import (
     ARRIVAL_KINDS,
@@ -41,7 +41,6 @@ __all__ = [
     "SloSpec",
     "TenantFleet",
     "TenantFleetSpec",
-    "TenantLoadGenerator",
     "TenantOutcome",
     "TenantReport",
     "TenantRuntime",

@@ -1,27 +1,30 @@
-"""Tenant-fleet experiments: faults + a multi-tenant load, per-tenant bill.
+"""The experiment cycle: faults + an optional tenant fleet, one outcome.
 
-:func:`run_tenant_experiment` is the fleet generalisation of
-:func:`repro.core.gray.run_gray_experiment`: ingest, warm up, inject the
-faults, run every tenant's stream through the degraded window, restore,
-settle, then fold each tenant's samples into a
-:class:`~repro.tenancy.accounting.TenantReport`.
+:func:`run_tenant_experiment` is the one implementation of the cycle
+every fault experiment with a restore runs: ingest, warm up, inject the
+faults, run every tenant's stream through the fault window, restore,
+drain the load, settle until :func:`~repro.cluster.health.converged`,
+then collect the logs and fold each tenant's samples into a
+:class:`~repro.tenancy.accounting.TenantReport`.  The presets build on
+it: :func:`repro.core.gray.run_gray_experiment` is a legacy-equivalent
+fleet, and :func:`repro.geo.run_stretch_experiment`'s restore mode runs
+the cycle with no fleet at all.
 
 The outcome digest honours the seed-stability contract: a
 legacy-equivalent fleet (one default tenant, uniform arrivals, QoS off)
-produces a digest **byte-identical** to :class:`GrayOutcome`'s for the
-same profile/workload/faults/seed — the regression test pins this.  Any
-real fleet instead reports a ``tenants`` section (per-tenant samples and
+reports the single-client sections the pre-tenancy model did.  Any real
+fleet instead reports a ``tenants`` section (per-tenant samples and
 counters) plus, when QoS is on, the per-class scheduler totals.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import asdict, dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from ..cluster.client import WRITE_STAT_KEYS
-from ..cluster.health import check_health
+from ..cluster.ceph import CephCluster
+from ..cluster.client import WRITE_STAT_KEYS, ClientOpStats, ReadStats, WriteStats
+from ..cluster.health import SETTLE_POLL, check_health, converged
 from ..cluster.recovery import (
     CASCADE_STAT_KEYS,
     DELTA_STAT_KEYS,
@@ -29,14 +32,20 @@ from ..cluster.recovery import (
     RecoveryStats,
 )
 from ..core.controller import Controller
+from ..core.digest import canonical_json, prune_zero
 from ..core.fault_injector import FaultSpec
-from ..core.gray import SETTLE_POLL, _converged
 from ..core.logger import LogCollector
 from ..core.profile import ExperimentProfile
-from ..core.timeline import TenantSloTimeline, build_tenant_slo_timeline
+from ..core.timeline import (
+    FlapTimeline,
+    TenantSloTimeline,
+    TimelineError,
+    build_flap_timeline,
+    build_tenant_slo_timeline,
+)
 from ..workload.generator import Workload
 from .accounting import TenantReport, fleet_reports
-from .fleet import TenantFleet
+from .fleet import TenantFleet, TenantRuntime
 from .spec import TenantFleetSpec
 
 __all__ = ["TenantOutcome", "run_tenant_experiment"]
@@ -44,24 +53,55 @@ __all__ = ["TenantOutcome", "run_tenant_experiment"]
 
 @dataclass
 class TenantOutcome:
-    """Everything one tenant-fleet experiment produced."""
+    """Everything one experiment cycle produced."""
 
-    fleet_spec: TenantFleetSpec
-    fleet: TenantFleet
+    #: None when the cycle ran without client load.
+    fleet_spec: Optional[TenantFleetSpec]
+    fleet: Optional[TenantFleet]
     reports: List[TenantReport]
     recovery_stats: RecoveryStats
     injected_osds: List[int]
+    #: OSDs whose devices were merely slowed (never counted as damage).
     slowed_osds: List[int]
+    #: Monitor-side dampening counters over the whole run.
     markdowns: int
     pins: int
     health: str
     converged: bool
     finished_at: float
     collector: LogCollector
-    #: Fault-active window of the run: first injection to restore (None
-    #: when no fault was injected) — the attribution window SLO
-    #: violations are judged against.
+    cluster: CephCluster
+    #: First injection to the end of settle (None when no fault was
+    #: injected) — the attribution window SLO violations are judged
+    #: against.
     fault_window: Optional[Tuple[float, float]] = None
+
+    def _sole_tenant(self) -> TenantRuntime:
+        if self.fleet is None or len(self.fleet.tenants) != 1:
+            raise ValueError("single-client stats need a one-tenant fleet")
+        return next(iter(self.fleet.tenants.values()))
+
+    @property
+    def read_stats(self) -> ReadStats:
+        """The sole tenant's read samples (gray experiments)."""
+        return self._sole_tenant().load.stats
+
+    @property
+    def write_stats(self) -> WriteStats:
+        """The sole tenant's write samples (gray experiments)."""
+        return self._sole_tenant().load.write_stats
+
+    @property
+    def client_stats(self) -> ClientOpStats:
+        """The sole tenant's defense counters (gray experiments)."""
+        return self._sole_tenant().client.stats
+
+    def flap_timeline(self) -> Optional[FlapTimeline]:
+        """The flap-dampening story of the run, or None if nothing flapped."""
+        try:
+            return build_flap_timeline(self.collector)
+        except TimelineError:
+            return None
 
     def slo_timeline(self) -> TenantSloTimeline:
         """The per-tenant SLO-violation band (Figure-3 style)."""
@@ -75,14 +115,11 @@ class TenantOutcome:
     def digest(self) -> Dict[str, Any]:
         """Canonical JSON-serialisable snapshot (the determinism contract).
 
-        Legacy-equivalent fleets reproduce :class:`GrayOutcome`'s digest
-        byte-for-byte; real fleets replace the single-client sections
-        with a per-tenant map and (under QoS) the scheduler totals.
+        Legacy-equivalent fleets report the single client's counters and
+        samples; real fleets replace them with a per-tenant map and
+        (under QoS) the scheduler totals.  Counters of subsystems a run
+        never exercised are pruned at zero.
         """
-        recovery = asdict(self.recovery_stats)
-        for key in DELTA_STAT_KEYS + GEO_STAT_KEYS + CASCADE_STAT_KEYS:
-            if recovery.get(key) == 0:
-                del recovery[key]
         payload: Dict[str, Any] = {
             "finished_at": self.finished_at,
             "health": str(self.health),
@@ -91,11 +128,15 @@ class TenantOutcome:
             "slowed_osds": list(self.slowed_osds),
             "markdowns": self.markdowns,
             "pins": self.pins,
-            "recovery": recovery,
+            "recovery": prune_zero(
+                asdict(self.recovery_stats),
+                DELTA_STAT_KEYS + GEO_STAT_KEYS + CASCADE_STAT_KEYS,
+            ),
         }
+        if self.fleet is None:
+            return payload
         if self.fleet_spec.is_legacy_equivalent():
-            runtime = next(iter(self.fleet.tenants.values()))
-            payload.update(_legacy_client_sections(runtime))
+            payload.update(_client_sections(self._sole_tenant()))
             return payload
         payload["tenants"] = {
             runtime.spec.name: _tenant_section(runtime)
@@ -107,41 +148,20 @@ class TenantOutcome:
 
     def digest_json(self) -> str:
         """The digest as canonical JSON — byte-comparable across runs."""
-        return json.dumps(
-            self.digest(), sort_keys=True, separators=(",", ":"),
-            ensure_ascii=True,
-        )
+        return canonical_json(self.digest())
 
 
-def _legacy_client_sections(runtime) -> Dict[str, Any]:
-    """The exact single-client sections of :meth:`GrayOutcome.digest`."""
-    client = asdict(runtime.client.stats)
-    for key in WRITE_STAT_KEYS:
-        if client.get(key) == 0:
-            del client[key]
-    payload: Dict[str, Any] = {
-        "client": client,
-        "read_failures": runtime.load.stats.failures,
-        "samples": [
-            [s.object_name, s.issued_at, s.latency, s.degraded,
-             s.bytes_read, s.attempts, s.hedged]
-            for s in runtime.load.stats.samples
-        ],
+def _client_sections(runtime: TenantRuntime) -> Dict[str, Any]:
+    """One client's counters and samples (writes only when it wrote)."""
+    return {
+        "client": prune_zero(asdict(runtime.client.stats), WRITE_STAT_KEYS),
+        **runtime.load.digest_sections(),
     }
-    writes = runtime.load.write_stats
-    if writes.samples or writes.failures:
-        payload["write_failures"] = writes.failures
-        payload["write_samples"] = [
-            [s.object_name, s.issued_at, s.latency, s.kind, s.degraded,
-             s.bytes_written, s.attempts]
-            for s in writes.samples
-        ]
-    return payload
 
 
-def _tenant_section(runtime) -> Dict[str, Any]:
+def _tenant_section(runtime: TenantRuntime) -> Dict[str, Any]:
     """One tenant's digest entry (client counters + raw samples)."""
-    section = _legacy_client_sections(runtime)
+    section = _client_sections(runtime)
     writes = runtime.load.write_stats
     if writes.samples:
         section["stored_write_bytes"] = writes.stored_bytes
@@ -151,21 +171,27 @@ def _tenant_section(runtime) -> Dict[str, Any]:
 def run_tenant_experiment(
     profile: ExperimentProfile,
     workload: Workload,
-    fleet_spec: TenantFleetSpec,
+    fleet_spec: Optional[TenantFleetSpec] = None,
     faults: Sequence[FaultSpec] = (),
     seed: int = 0,
     warmup: float = 50.0,
     fault_duration: float = 600.0,
     settle_time: float = 20_000.0,
 ) -> TenantOutcome:
-    """Run one fleet cycle and return the per-tenant outcome.
+    """Run one cycle and return its outcome.
 
-    Mirrors :func:`~repro.core.gray.run_gray_experiment`: the fleet runs
-    open-loop for ``fault_duration`` seconds while the faults are
-    active, every fault is restored, and the cluster settles until
-    health converges.  With no ``faults`` the fleet simply runs against
-    a healthy cluster (the QoS-off/on baseline comparisons).
+    After ``warmup`` seconds the faults are injected and the fleet runs
+    open-loop for ``fault_duration`` seconds while they are active.
+    Then every fault is restored, the fleet's in-flight ops drain, and
+    the cluster gets up to ``settle_time`` seconds to converge.  With no
+    ``faults`` the fleet simply runs against a healthy cluster (the
+    QoS-off/on baseline comparisons); with no ``fleet_spec`` the cycle
+    runs without client load.
     """
+    if warmup < 0:
+        raise ValueError("warmup must be >= 0")
+    if settle_time < 0:
+        raise ValueError("settle_time must be >= 0")
     if fault_duration <= 0:
         raise ValueError("fault_duration must be positive")
     controller = Controller(profile, seed=seed)
@@ -174,7 +200,11 @@ def run_tenant_experiment(
     coordinator = controller.coordinator
 
     coordinator.ingest_workload(workload)
-    fleet = TenantFleet(cluster, fleet_spec, seeds=controller.seeds)
+    fleet = (
+        TenantFleet(cluster, fleet_spec, seeds=controller.seeds)
+        if fleet_spec is not None
+        else None
+    )
 
     env.run(until=env.now + warmup)
     injected: List[int] = []
@@ -183,17 +213,18 @@ def run_tenant_experiment(
         injected.extend(controller.fault_injector.inject(spec))
     slowed = sorted(controller.fault_injector.slowed_osds)
 
-    fleet_proc = fleet.run_for(fault_duration)
+    fleet_proc = fleet.run_for(fault_duration) if fleet is not None else None
     env.run(until=env.now + fault_duration)
     controller.fault_injector.restore_all()
-    # Drain every tenant's in-flight ops (retries may outlive the window).
-    env.run_until_process(fleet_proc)
+    if fleet_proc is not None:
+        # Drain every tenant's in-flight ops (retries may outlive the window).
+        env.run_until_process(fleet_proc)
 
     deadline = env.now + settle_time
-    converged = _converged(cluster)
-    while not converged and env.now < deadline:
+    settled = converged(cluster)
+    while not settled and env.now < deadline:
         env.run(until=min(env.now + SETTLE_POLL, deadline))
-        converged = _converged(cluster)
+        settled = converged(cluster)
 
     for logger in coordinator.loggers:
         logger.flush()
@@ -202,15 +233,16 @@ def run_tenant_experiment(
     return TenantOutcome(
         fleet_spec=fleet_spec,
         fleet=fleet,
-        reports=fleet_reports(fleet),
+        reports=fleet_reports(fleet) if fleet is not None else [],
         recovery_stats=cluster.recovery.stats,
         injected_osds=sorted(injected),
         slowed_osds=slowed,
         markdowns=cluster.monitor.markdowns_total,
         pins=cluster.monitor.pins_total,
         health=str(check_health(cluster).status),
-        converged=converged,
+        converged=settled,
         finished_at=env.now,
         collector=coordinator.collector,
+        cluster=cluster,
         fault_window=(fault_start, env.now) if fault_start is not None else None,
     )

@@ -1,13 +1,13 @@
 """The tenant fleet: seeded per-tenant load streams over one cluster.
 
-Replaces the single :class:`~repro.cluster.client.ClientLoadGenerator`
-stream with one :class:`TenantLoadGenerator` per tenant, each drawing
-from its own derived RNG substream (``seeds.derive("tenant-<name>")``)
-so adding, removing or re-ordering tenants never perturbs another
-tenant's op sequence.  The *legacy-equivalent* fleet (one default
-tenant, uniform arrivals, QoS off) instead consumes the root seed's
-``client-load``/``client-retry`` streams directly — byte-identical to
-the pre-tenancy model, which the seed-stability regression pins.
+Runs one :class:`~repro.cluster.client.ClientLoadGenerator` per tenant,
+each drawing from its own derived RNG substream
+(``seeds.derive("tenant-<name>")``) so adding, removing or re-ordering
+tenants never perturbs another tenant's op sequence.  The
+*legacy-equivalent* fleet (one default tenant, uniform arrivals, QoS
+off) instead consumes the root seed's ``client-load``/``client-retry``
+streams directly: it is the single client stream of gray experiments
+and ``--writes`` chaos campaigns.
 
 :func:`install_qos` attaches one read-side and one write-side
 :class:`~repro.tenancy.mclock.MClockScheduler` to every OSD; from then
@@ -18,7 +18,7 @@ mClock instead of the dedicated per-purpose service centers.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Generator, List, Optional
+from typing import Dict, List, Optional
 
 from ..cluster.ceph import CephCluster
 from ..cluster.client import ClientLoadGenerator, RadosClient
@@ -27,7 +27,7 @@ from ..sim.rng import SeedSequence
 from .mclock import MClockScheduler, QosClassStats
 from .spec import TenantFleetSpec, TenantSpec, tenant_class_name
 
-__all__ = ["TenantLoadGenerator", "TenantRuntime", "TenantFleet", "install_qos"]
+__all__ = ["TenantRuntime", "TenantFleet", "install_qos"]
 
 
 def install_qos(cluster: CephCluster, spec: TenantFleetSpec) -> None:
@@ -54,77 +54,13 @@ def install_qos(cluster: CephCluster, spec: TenantFleetSpec) -> None:
         )
 
 
-class TenantLoadGenerator(ClientLoadGenerator):
-    """One tenant's open-loop op stream.
-
-    Identical to :class:`~repro.cluster.client.ClientLoadGenerator`
-    under ``uniform`` arrivals — same RNG stream, same draw order — and
-    additionally supports ``poisson`` arrivals, whose exponential
-    inter-arrival draw happens *after* the op draws so the uniform
-    stream stays untouched (the digest-compatibility pattern).
-    """
-
-    def __init__(
-        self,
-        client: RadosClient,
-        interval: float,
-        seeds: Optional[SeedSequence] = None,
-        write_fraction: float = 0.0,
-        rmw_fraction: float = 0.5,
-        arrival: str = "uniform",
-    ):
-        super().__init__(
-            client,
-            interval,
-            seeds=seeds,
-            write_fraction=write_fraction,
-            rmw_fraction=rmw_fraction,
-        )
-        if arrival not in ("uniform", "poisson"):
-            raise ValueError(f"unknown arrival {arrival!r}")
-        self.arrival = arrival
-
-    def _run(self, duration: float) -> Generator:
-        env = self.client.cluster.env
-        names = self._object_names()
-        if not names:
-            raise RuntimeError("pool holds no objects to read")
-        deadline = env.now + duration
-        pending = []
-        while env.now < deadline:
-            name = self.rng.choice(names)
-            if (
-                self.write_fraction > 0.0
-                and self.rng.random() < self.write_fraction
-            ):
-                if (
-                    self.rmw_fraction > 0.0
-                    and self.rng.random() < self.rmw_fraction
-                ):
-                    shard = self.rng.randrange(self.client.cluster.pool.code.k)
-                    pending.append(env.process(self._one_rmw(name, shard)))
-                else:
-                    pending.append(env.process(self._one_write(name)))
-            else:
-                pending.append(env.process(self._one_read(name)))
-            if self.arrival == "poisson":
-                # Drawn after the op draws: uniform-arrival tenants never
-                # reach this call, so their stream matches the legacy
-                # generator draw-for-draw.
-                yield env.timeout(self.rng.expovariate(1.0 / self.interval))
-            else:
-                yield env.timeout(self.interval)
-        if pending:
-            yield env.all_of(pending)
-
-
 @dataclass
 class TenantRuntime:
     """One tenant's live pieces: spec, client, load stream."""
 
     spec: TenantSpec
     client: RadosClient
-    load: TenantLoadGenerator
+    load: ClientLoadGenerator
 
 
 class TenantFleet:
@@ -161,7 +97,7 @@ class TenantFleet:
                     tenant_class_name(tenant.name) if spec.qos_enabled else None
                 ),
             )
-            load = TenantLoadGenerator(
+            load = ClientLoadGenerator(
                 client,
                 interval=tenant.interval,
                 seeds=tenant_seeds,

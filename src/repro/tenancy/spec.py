@@ -21,6 +21,7 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass
 from typing import Any, Dict, Mapping, Optional, Tuple
 
+from ..cluster.client import ARRIVAL_KINDS
 from .mclock import QosClass
 
 __all__ = [
@@ -31,9 +32,6 @@ __all__ = [
     "LEGACY_TENANT_NAME",
     "tenant_class_name",
 ]
-
-#: Arrival processes a tenant may declare.
-ARRIVAL_KINDS = ("uniform", "poisson")
 
 #: The tenant name the legacy-equivalent single stream uses.
 LEGACY_TENANT_NAME = "default"

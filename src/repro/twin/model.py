@@ -37,7 +37,6 @@ DES and pins the error bounds.
 from __future__ import annotations
 
 import hashlib
-import json
 import math
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
@@ -47,6 +46,7 @@ from ..cluster.network import M5_NIC, NicSpec
 from ..cluster.objectstore import layout_object
 from ..cluster.osd import CephConfig, resolve_subchunk_read, sequential_ops
 from ..cluster.topology import FailureDomain
+from ..core.digest import canonical_json
 from ..core.fault_injector import FaultSpec
 from ..core.profile import ExperimentProfile
 from ..workload.generator import Workload
@@ -206,7 +206,7 @@ class TwinPrediction:
 
     def digest_json(self) -> str:
         """Canonical JSON for the determinism digest (sorted, compact)."""
-        return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
+        return canonical_json(self.to_dict())
 
     def digest(self) -> str:
         """SHA-256 of the canonical JSON: byte-stable across re-runs."""

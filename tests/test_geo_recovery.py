@@ -45,6 +45,13 @@ def test_single_region_profile_rejected():
         run_stretch_experiment(profile, WORKLOAD)
 
 
+@pytest.mark.parametrize("restore_after", [0.0, -5.0])
+def test_non_positive_restore_after_rejected(restore_after):
+    profile = stretch_profile("rs", "jerasure", {"k": 4, "m": 2})
+    with pytest.raises(ValueError, match="restore_after"):
+        run_stretch(profile, restore_after=restore_after)
+
+
 def test_outcome_digest_is_canonical_json_sha256():
     out = run_stretch(stretch_profile("rs", "jerasure", {"k": 4, "m": 2}))
     payload = json.dumps(

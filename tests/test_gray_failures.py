@@ -390,7 +390,7 @@ def test_gray_experiment_flap_produces_timeline_and_digest_is_stable():
 
     outcome = run()
     assert outcome.pins >= 1 and outcome.converged
-    timeline = outcome.flap_timeline
+    timeline = outcome.flap_timeline()
     assert timeline is not None
     assert timeline.markdowns_before_pin >= 3
     assert timeline.thrash_period >= 0

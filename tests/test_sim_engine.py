@@ -35,6 +35,17 @@ def test_run_until_past_all_events_advances_to_until():
     assert env.run(until=50.0) == 50.0
 
 
+def test_run_until_behind_the_clock_raises_and_keeps_time():
+    env = Environment()
+    env.timeout(5.0)
+    env.run(until=3.0)
+    with pytest.raises(ValueError, match="before now"):
+        env.run(until=1.0)
+    assert env.now == 3.0
+    assert env.run(until=3.0) == 3.0  # "until now" is not in the past
+    assert env.run() == 5.0
+
+
 def test_process_sequences_timeouts():
     env = Environment()
     trace = []

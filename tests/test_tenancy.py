@@ -1,10 +1,8 @@
 """Multi-tenant fleet: specs, accounting, seed stability, chaos wiring.
 
-The load-bearing test here is the seed-stability regression: a
-legacy-equivalent fleet (one default tenant, uniform arrivals, QoS off)
-must produce a digest **byte-identical** to the pre-tenancy
-single-client gray experiment at the same seed — adding the tenancy
-subsystem must not perturb a single RNG draw of the old path.
+The legacy-equivalent fleet (one default tenant, uniform arrivals, QoS
+off) is the single client stream of gray experiments; its digests are
+pinned in tests/test_cycle_pins.py.
 """
 
 from collections import namedtuple
@@ -208,27 +206,6 @@ def test_tenant_slo_timeline_reports_violators():
     assert timeline.annotations()
 
 
-# -- seed stability: the legacy fleet IS the old single-client path -------------
-
-
-def test_legacy_fleet_digest_matches_single_client_path():
-    """Byte-identical digests: tenancy must not perturb the legacy RNG."""
-    profile = small_profile()
-    workload = small_workload()
-    faults = [FaultSpec(level="slow_device", factor=16.0)]
-    gray = run_gray_experiment(
-        profile, workload, faults, seed=11, fault_duration=300.0,
-        load_interval=2.0, write_fraction=0.4, rmw_fraction=0.5,
-    )
-    tenant = run_tenant_experiment(
-        profile, workload,
-        TenantFleetSpec.legacy(interval=2.0, write_fraction=0.4,
-                               rmw_fraction=0.5),
-        faults=faults, seed=11, fault_duration=300.0,
-    )
-    assert tenant.digest_json() == gray.digest_json()
-
-
 # -- multi-tenant experiments ---------------------------------------------------
 
 
@@ -290,6 +267,24 @@ def test_tenant_experiment_rejects_bad_duration():
     with pytest.raises(ValueError, match="fault_duration"):
         run_tenant_experiment(
             small_profile(), small_workload(), qos_fleet(), fault_duration=0.0
+        )
+
+
+@pytest.mark.parametrize("name", ["warmup", "settle_time"])
+def test_cycle_rejects_negative_timing_before_building(monkeypatch, name):
+    def no_build(*_args, **_kwargs):
+        raise AssertionError("built a cluster for a rejected cycle")
+
+    monkeypatch.setattr("repro.tenancy.experiment.Controller", no_build)
+    with pytest.raises(ValueError, match=name):
+        run_tenant_experiment(
+            small_profile(), small_workload(), qos_fleet(), **{name: -1.0}
+        )
+    # The gray preset runs the same cycle: a negative warmup used to
+    # rewind the clock instead of failing.
+    with pytest.raises(ValueError, match=name):
+        run_gray_experiment(
+            small_profile(), small_workload(), [], **{name: -1.0}
         )
 
 
