@@ -13,6 +13,7 @@ from __future__ import annotations
 import importlib
 import inspect
 import pathlib
+import re
 import sys
 
 MODULES = [
@@ -92,6 +93,16 @@ MODULES = [
 ]
 
 
+#: A function's default repr carries its memory address, which changes
+#: on every run; the docs name the function by its qualified name.
+FUNCTION_REPR = re.compile(r"<function (\S+) at 0x[0-9a-f]+>")
+
+
+def stable(text: str) -> str:
+    """``text`` with every function repr replaced by its qualified name."""
+    return FUNCTION_REPR.sub(r"\1", text)
+
+
 def first_paragraph(doc: str) -> str:
     """The leading paragraph of a docstring, joined to one line."""
     if not doc:
@@ -102,7 +113,7 @@ def first_paragraph(doc: str) -> str:
 
 def signature_of(obj) -> str:
     try:
-        return str(inspect.signature(obj))
+        return stable(str(inspect.signature(obj)))
     except (TypeError, ValueError):
         return "(...)"
 
@@ -132,7 +143,7 @@ def render_member(name: str, obj) -> list:
         lines.append(first_paragraph(inspect.getdoc(obj)))
         lines.append("")
     else:
-        lines.append(f"#### `{name}` = `{obj!r}`" if not inspect.ismodule(obj) else "")
+        lines.append(f"#### `{name}` = `{stable(repr(obj))}`" if not inspect.ismodule(obj) else "")
         lines.append("")
     return lines
 

@@ -22,7 +22,7 @@ from ..sim.rng import SeedSequence
 from ..tenancy.spec import SloSpec, TenantFleetSpec, TenantSpec
 from .campaign import CampaignSpec, ScheduledAction
 
-__all__ = ["sample_campaign", "cascade_scenario"]
+__all__ = ["check_streams", "sample_campaign", "cascade_scenario"]
 
 KB = 1024
 MB = 1024 * 1024
@@ -98,6 +98,40 @@ def _tolerance(plugin: str, params: Tuple[Tuple[str, int], ...]) -> int:
     return values["m"]
 
 
+def check_streams(
+    writes: bool = False,
+    tenants: bool = False,
+    geo: bool = False,
+    byzantine: bool = False,
+    cascade: bool = False,
+) -> None:
+    """Raise ``ValueError`` unless the chosen chaos streams may combine.
+
+    The one statement of the stream rules: :func:`sample_campaign`
+    enforces them and ``ecfault chaos`` reports them before sampling.
+    """
+    if cascade and (writes or tenants or geo or byzantine):
+        raise ValueError(
+            "cascade campaigns are exclusive with writes/tenants/geo/"
+            "byzantine: cascade invariants must be judged in isolation"
+        )
+    if tenants and writes:
+        raise ValueError(
+            "tenants and writes are exclusive: the fleet replaces the "
+            "single client stream"
+        )
+    if geo and (writes or tenants):
+        raise ValueError(
+            "geo campaigns are read-only: exclusive with writes/tenants "
+            "so the cross-region-byte invariant stays exact"
+        )
+    if byzantine and (writes or tenants or geo):
+        raise ValueError(
+            "byzantine campaigns are read-only and single-region: "
+            "exclusive with writes/tenants/geo so containment is provable"
+        )
+
+
 def sample_campaign(
     seed: int,
     levels: Optional[Sequence[str]] = None,
@@ -159,26 +193,8 @@ def sample_campaign(
     no-avoidable-loss and priority-soundness invariants must be judged
     without racing writers or a second fault vocabulary.
     """
-    if cascade and (writes or tenants or geo or byzantine):
-        raise ValueError(
-            "cascade campaigns are exclusive with writes/tenants/geo/"
-            "byzantine: cascade invariants must be judged in isolation"
-        )
-    if tenants and writes:
-        raise ValueError(
-            "tenants and writes are exclusive: the fleet replaces the "
-            "single client stream"
-        )
-    if geo and (writes or tenants):
-        raise ValueError(
-            "geo campaigns are read-only: exclusive with writes/tenants "
-            "so the cross-region-byte invariant stays exact"
-        )
-    if byzantine and (writes or tenants or geo):
-        raise ValueError(
-            "byzantine campaigns are read-only and single-region: "
-            "exclusive with writes/tenants/geo so containment is provable"
-        )
+    check_streams(writes=writes, tenants=tenants, geo=geo,
+                  byzantine=byzantine, cascade=cascade)
     chosen = tuple(levels) if levels is not None else FAULT_LEVELS
     if not chosen:
         raise ValueError("levels must name at least one fault level")

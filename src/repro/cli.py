@@ -545,6 +545,7 @@ def cmd_wa(args) -> int:
 def cmd_chaos(args) -> int:
     from .chaos import run_chaos, save_artifact, shrink_campaign
     from .chaos.artifact import ReproArtifact
+    from .chaos.sampler import check_streams
 
     def progress(index, spec, result, error):
         if error is not None:
@@ -559,25 +560,11 @@ def cmd_chaos(args) -> int:
                   f"({spec.ec_plugin}, {len(spec.actions)} actions)",
                   file=sys.stderr)
 
-    if args.tenants and args.writes:
-        print("chaos: --tenants and --writes are exclusive (the fleet "
-              "replaces the single client stream)", file=sys.stderr)
-        return 2
-    if args.geo and (args.writes or args.tenants):
-        print("chaos: --geo campaigns are read-only (exclusive with "
-              "--writes/--tenants so the cross-region-byte invariant "
-              "stays exact)", file=sys.stderr)
-        return 2
-    if args.byzantine and (args.writes or args.tenants or args.geo):
-        print("chaos: --byzantine campaigns are read-only and "
-              "single-region (exclusive with --writes/--tenants/--geo "
-              "so containment is provable)", file=sys.stderr)
-        return 2
-    if args.cascade and (args.writes or args.tenants or args.geo
-                         or args.byzantine):
-        print("chaos: --cascade campaigns are exclusive with "
-              "--writes/--tenants/--geo/--byzantine (the cascade "
-              "invariants must be judged in isolation)", file=sys.stderr)
+    try:
+        check_streams(writes=args.writes, tenants=args.tenants, geo=args.geo,
+                      byzantine=args.byzantine, cascade=args.cascade)
+    except ValueError as exc:
+        print(f"chaos: {exc}", file=sys.stderr)
         return 2
     levels = tuple(args.levels.split(",")) if args.levels else None
     report = run_chaos(

@@ -5,27 +5,35 @@ to an ordered acting set of n OSDs, at most one per failure-domain
 bucket.  The map is a pure function of (pool, pg, osdmap epoch inputs),
 so recomputing after an OSD is marked *out* yields the stable remap
 behaviour Ceph shows: only shards on departed OSDs move.
+
+There is one placement algorithm, the region-spanning rule: a
+:class:`RegionRule` picks the regions a stripe spans and caps its shards
+per region, and a call with no rule places under
+``RegionRule(spread=1)`` — on a single-region topology, plain straw2
+over the failure domain.
 """
 
 from __future__ import annotations
 
 import hashlib
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import AbstractSet, Dict, List, Optional, Tuple
 
 from ..geo.rules import RegionRule
 from .topology import ClusterTopology, FailureDomain
 
 __all__ = ["CrushMap", "PlacementError"]
 
+#: The rule a placement without one runs under: one region per PG.
+_ONE_REGION = RegionRule(spread=1)
+
 
 class PlacementError(RuntimeError):
     """Raised when the cluster cannot satisfy a placement request."""
 
 
-def _draw(*parts) -> float:
-    """Deterministic uniform(0,1] draw from the hashed identifiers."""
-    key = ":".join(str(p) for p in parts).encode("utf-8")
-    digest = hashlib.blake2b(key, digest_size=8).digest()
+def _draw(key: str) -> float:
+    """Deterministic uniform(0,1] draw from a ``:``-joined identifier key."""
+    digest = hashlib.blake2b(key.encode("utf-8"), digest_size=8).digest()
     return (int.from_bytes(digest, "big") + 1) / 2.0**64
 
 
@@ -35,6 +43,10 @@ class CrushMap:
     def __init__(self, topology: ClusterTopology, seed: int = 0):
         self.topology = topology
         self.seed = seed
+        #: failure domain -> region -> the sorted bucket ids holding the
+        #: region's OSDs.  Built on first use: the topology never
+        #: changes after it is built.
+        self._region_buckets: Dict[str, Dict[int, List[int]]] = {}
 
     def place_pg(
         self,
@@ -42,77 +54,133 @@ class CrushMap:
         pg_id: int,
         width: int,
         failure_domain: str,
-        excluded_osds: Optional[Set[int]] = None,
+        excluded_osds: Optional[AbstractSet[int]] = None,
         region_rule: Optional[RegionRule] = None,
     ) -> List[int]:
         """Choose an ordered acting set of ``width`` OSDs for one PG.
 
-        Shard i of the PG lives on the i-th returned OSD.  At most one
-        shard lands per failure-domain bucket; OSDs in ``excluded_osds``
-        (down/out devices) are skipped, shifting only the affected shards
-        — the straw2 property that keeps remaps minimal.
+        Shard i of the PG lives on the i-th returned OSD.  Straw2 picks
+        ``rule.spread`` regions and deals them the shard slots (by the
+        rule's affinity, else in contiguous balanced blocks, mirroring a
+        CRUSH rule of the form `take region / chooseleaf host`); each
+        region's slots take its top-ranked ``failure_domain`` buckets,
+        at most one shard per bucket.  Without ``region_rule`` the call
+        places under ``RegionRule(spread=1)``.
 
-        With a ``region_rule`` the placement becomes region-spanning:
-        pick ``rule.spread`` regions straw2-style, assign shard slots to
-        them round-robin (so stripes stay balanced and no region exceeds
-        the rule's per-region cap), then place within each region under
-        ``failure_domain`` as usual.
+        The base assignment ignores ``excluded_osds`` (down/out devices)
+        and failed disks, so shards they do not touch keep their OSDs —
+        the straw2 property that keeps remaps minimal.  A displaced shard
+        retries its own bucket, then reserve buckets in its own region
+        (repair locality), then other regions in straw2 order — never
+        past the rule's per-region shard cap.
         """
         if failure_domain not in FailureDomain.ALL:
             raise ValueError(f"unknown failure domain {failure_domain!r}")
+        if region_rule is None:
+            rule = _ONE_REGION
+        elif failure_domain == FailureDomain.REGION:
+            raise ValueError("a region rule needs a sub-region failure domain")
+        else:
+            rule = region_rule
         excluded = excluded_osds or set()
-        if region_rule is not None:
-            if failure_domain == FailureDomain.REGION:
-                raise ValueError(
-                    "a region rule needs a sub-region failure domain"
-                )
-            return self._place_pg_geo(
-                pool_id, pg_id, width, failure_domain, excluded, region_rule
-            )
-        buckets = self.topology.buckets(failure_domain)
-        if width > len(buckets):
+        rule.validate_width(width)
+        region_buckets = self._buckets_by_region(failure_domain)
+        if rule.spread > len(region_buckets):
             raise PlacementError(
-                f"pool {pool_id} needs {width} {failure_domain} buckets, "
-                f"cluster has {len(buckets)}"
+                f"pool {pool_id} rule spans {rule.spread} regions, "
+                f"cluster has {len(region_buckets)}"
             )
-        # Straw2: every bucket computes an independent weighted draw per
-        # (pool, pg); the top-`width` buckets win, in draw order.  The base
-        # selection ignores exclusions so that shard positions unaffected
-        # by a failure keep their OSDs; excluded shards retry first within
-        # their bucket, then pull from the reserve buckets — this is what
-        # keeps CRUSH remaps minimal.
-        scored = sorted(
-            buckets,
-            key=lambda b: _draw(self.seed, pool_id, pg_id, failure_domain, b),
+        cap = rule.cap_for(width)
+        prefix = f"{self.seed}:{pool_id}:{pg_id}:"
+        scored_regions = sorted(
+            region_buckets,
+            key=lambda r: _draw(f"{prefix}region:{r}"),
             reverse=True,
         )
-        base, reserve = scored[:width], scored[width:]
-        reserve_iter = iter(reserve)
+        chosen = scored_regions[: rule.spread]
+        rankings = {
+            region: sorted(
+                buckets,
+                key=lambda b: _draw(f"{prefix}{failure_domain}:{b}"),
+                reverse=True,
+            )
+            for region, buckets in region_buckets.items()
+        }
+        # Base assignment: each region's shards take its ranking in order.
+        taken = dict.fromkeys(region_buckets, 0)
+        base: List[Tuple[int, int]] = []
+        for slot in rule.shard_slots(width):
+            region = chosen[slot]
+            ranking = rankings[region]
+            if taken[region] == len(ranking):
+                raise PlacementError(
+                    f"pool {pool_id} pg {pg_id}: region {region} has only "
+                    f"{len(ranking)} {failure_domain} buckets"
+                )
+            base.append((region, ranking[taken[region]]))
+            taken[region] += 1
+        used = set(base)
+        # Resolve OSDs.  A displaced shard spills to the first unused
+        # bucket with a live OSD: home region first, then straw2 order,
+        # skipping regions already at the cap.
         acting: List[int] = []
-        for bucket in base:
-            osd = self._choose_osd_in_bucket(pool_id, pg_id, bucket,
-                                             failure_domain, excluded)
-            while osd is None:
-                try:
-                    fallback = next(reserve_iter)
-                except StopIteration:
+        for shard, (home, bucket) in enumerate(base):
+            osd = self._choose_osd_in_bucket(
+                prefix, bucket, failure_domain, excluded
+            )
+            if osd is None:
+                taken[home] -= 1
+                spill = (
+                    (region, reserve)
+                    for region in [home] + [
+                        r for r in scored_regions if r != home
+                    ]
+                    if taken[region] < cap
+                    for reserve in rankings[region]
+                    if (region, reserve) not in used
+                )
+                for region, reserve in spill:
+                    osd = self._choose_osd_in_bucket(
+                        prefix, reserve, failure_domain, excluded
+                    )
+                    if osd is not None:
+                        used.add((region, reserve))
+                        taken[region] += 1
+                        break
+                else:
                     raise PlacementError(
-                        f"cannot place pg {pool_id}.{pg_id}: only "
-                        f"{len(acting)} of {width} shards placeable "
+                        f"cannot place pg {pool_id}.{pg_id}: shard {shard} "
+                        f"has no candidate under cap {cap} "
                         f"(excluded={sorted(excluded)})"
-                    ) from None
-                osd = self._choose_osd_in_bucket(pool_id, pg_id, fallback,
-                                                 failure_domain, excluded)
+                    )
             acting.append(osd)
         return acting
 
+    def _buckets_by_region(self, failure_domain: str) -> Dict[int, List[int]]:
+        """Region id -> sorted ``failure_domain`` buckets of its OSDs."""
+        cached = self._region_buckets.get(failure_domain)
+        if cached is None:
+            topo = self.topology
+            cached = {
+                region: sorted(
+                    {
+                        topo.bucket_of(osd, failure_domain)
+                        for osd in topo.osds_in_bucket(
+                            region, FailureDomain.REGION
+                        )
+                    }
+                )
+                for region in topo.buckets(FailureDomain.REGION)
+            }
+            self._region_buckets[failure_domain] = cached
+        return cached
+
     def _choose_osd_in_bucket(
         self,
-        pool_id: int,
-        pg_id: int,
+        prefix: str,
         bucket: int,
         failure_domain: str,
-        excluded: Set[int],
+        excluded: AbstractSet[int],
     ) -> Optional[int]:
         candidates = [
             osd
@@ -123,187 +191,6 @@ class CrushMap:
             return None
         return max(
             candidates,
-            key=lambda osd: _draw(self.seed, pool_id, pg_id, "osd", osd)
+            key=lambda osd: _draw(f"{prefix}osd:{osd}")
             * self.topology.osds[osd].weight,
         )
-
-    # -- region-spanning placement (stretch clusters) ----------------
-
-    def _place_pg_geo(
-        self,
-        pool_id: int,
-        pg_id: int,
-        width: int,
-        failure_domain: str,
-        excluded: Set[int],
-        rule: RegionRule,
-    ) -> List[int]:
-        """Region-spanning straw2 placement under a :class:`RegionRule`.
-
-        Like the flat path, the *base* bucket assignment ignores
-        exclusions so shards unaffected by a failure keep their OSDs;
-        displaced shards retry reserve buckets in their own region first
-        (repair locality), then spill to other regions in straw2 order
-        — never past the rule's per-region shard cap.
-        """
-        topo = self.topology
-        rule.validate_width(width)
-        regions = topo.buckets(FailureDomain.REGION)
-        if rule.spread > len(regions):
-            raise PlacementError(
-                f"pool {pool_id} rule spans {rule.spread} regions, "
-                f"cluster has {len(regions)}"
-            )
-        cap = rule.cap_for(width)
-        scored_regions = sorted(
-            regions,
-            key=lambda r: _draw(self.seed, pool_id, pg_id, "region", r),
-            reverse=True,
-        )
-        chosen = scored_regions[: rule.spread]
-        # Per-region bucket rankings under the sub-region failure domain.
-        rankings: Dict[int, List[int]] = {}
-        for region in regions:
-            region_osds = set(
-                topo.osds_in_bucket(region, FailureDomain.REGION)
-            )
-            buckets = sorted(
-                {
-                    topo.bucket_of(osd, failure_domain)
-                    for osd in region_osds
-                }
-            )
-            rankings[region] = sorted(
-                buckets,
-                key=lambda b: _draw(
-                    self.seed, pool_id, pg_id, failure_domain, b
-                ),
-                reverse=True,
-            )
-        # Base assignment: the rule's affinity maps each shard to a
-        # region slot when the code has sub-stripe locality to protect
-        # (LRC local groups stay whole inside one region); otherwise
-        # contiguous shard runs per region, mirroring a CRUSH rule of
-        # the form `take region / chooseleaf host` which emits each
-        # region's picks as a block.  Buckets are consumed in ranking
-        # order, at most one shard per bucket.
-        if rule.affinity is not None and len(rule.affinity) == width:
-            region_of_shard = [chosen[slot] for slot in rule.affinity]
-        else:
-            quota, extra = divmod(width, rule.spread)
-            region_of_shard = []
-            for index, region in enumerate(chosen):
-                region_of_shard.extend(
-                    [region] * (quota + (1 if index < extra else 0))
-                )
-        used_buckets: Set[Tuple[int, int]] = set()
-        cursors = {region: 0 for region in regions}
-        base: List[Tuple[int, int]] = []
-        counts = {region: 0 for region in regions}
-        for shard in range(width):
-            region = region_of_shard[shard]
-            ranking = rankings[region]
-            cursor = cursors[region]
-            if cursor >= len(ranking):
-                raise PlacementError(
-                    f"pool {pool_id} pg {pg_id}: region {region} has only "
-                    f"{len(ranking)} {failure_domain} buckets"
-                )
-            bucket = ranking[cursor]
-            cursors[region] = cursor + 1
-            used_buckets.add((region, bucket))
-            base.append((region, bucket))
-            counts[region] += 1
-        # Resolve OSDs, spilling displaced shards region-locally first.
-        acting: List[int] = []
-        for shard in range(width):
-            region, bucket = base[shard]
-            osd = self._choose_osd_in_bucket(
-                pool_id, pg_id, bucket, failure_domain, excluded
-            )
-            if osd is None:
-                counts[region] -= 1
-                region, osd = self._geo_fallback(
-                    pool_id,
-                    pg_id,
-                    failure_domain,
-                    excluded,
-                    region,
-                    scored_regions,
-                    rankings,
-                    used_buckets,
-                    counts,
-                    cap,
-                )
-                if osd is None:
-                    raise PlacementError(
-                        f"cannot place pg {pool_id}.{pg_id}: shard {shard} "
-                        f"has no candidate under cap {cap} "
-                        f"(excluded={sorted(excluded)})"
-                    )
-                counts[region] += 1
-            acting.append(osd)
-        return acting
-
-    def _geo_fallback(
-        self,
-        pool_id: int,
-        pg_id: int,
-        failure_domain: str,
-        excluded: Set[int],
-        home_region: int,
-        scored_regions: List[int],
-        rankings: Dict[int, List[int]],
-        used_buckets: Set[Tuple[int, int]],
-        counts: Dict[int, int],
-        cap: int,
-    ) -> Tuple[int, Optional[int]]:
-        """Find a replacement bucket: home region first, then straw2 order."""
-        order = [home_region] + [
-            r for r in scored_regions if r != home_region
-        ]
-        for region in order:
-            if counts[region] >= cap:
-                continue
-            for bucket in rankings[region]:
-                if (region, bucket) in used_buckets:
-                    continue
-                osd = self._choose_osd_in_bucket(
-                    pool_id, pg_id, bucket, failure_domain, excluded
-                )
-                if osd is not None:
-                    used_buckets.add((region, bucket))
-                    return region, osd
-        return home_region, None
-
-    def remap(
-        self,
-        pool_id: int,
-        pg_id: int,
-        width: int,
-        failure_domain: str,
-        out_osds: Iterable[int],
-        region_rule: Optional[RegionRule] = None,
-    ) -> Tuple[List[int], Dict[int, int]]:
-        """Recompute an acting set after OSDs leave the map.
-
-        Returns ``(new_acting, moved)`` where ``moved`` maps shard index
-        -> replacement OSD for every shard whose OSD changed.
-        """
-        before = self.place_pg(
-            pool_id, pg_id, width, failure_domain, region_rule=region_rule
-        )
-        after = self.place_pg(
-            pool_id,
-            pg_id,
-            width,
-            failure_domain,
-            excluded_osds=set(out_osds),
-            region_rule=region_rule,
-        )
-        moved = {
-            shard: after[shard]
-            for shard in range(width)
-            if after[shard] != before[shard]
-        }
-        return after, moved

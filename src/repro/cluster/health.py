@@ -14,7 +14,7 @@ background repair drained, and health back to HEALTH_OK.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List
+from typing import Dict, List
 
 from .ceph import CephCluster
 from .scrub import ScrubPhase
@@ -45,17 +45,6 @@ class HealthStatus:
     def severity(cls, status: str) -> int:
         """Numeric severity of a health status (raises on unknown)."""
         return cls.RANK[status]
-
-
-#: Devices at or beyond this usage ratio are "nearfull" (Ceph default).
-#: Kept as module constants for callers that want the defaults without a
-#: config; :func:`check_health` reads the live thresholds from
-#: ``cluster.config`` (the ``mon_osd_*_ratio`` family).
-NEARFULL_RATIO = 0.85
-#: ...beyond this one, new backfill targets stop landing on the OSD...
-BACKFILLFULL_RATIO = 0.90
-#: ...and beyond this one, "full" (client writes pause cluster-wide).
-FULL_RATIO = 0.95
 
 
 @dataclass(frozen=True)
@@ -134,18 +123,15 @@ def check_health(cluster: CephCluster) -> HealthReport:
         if up_shards < min_size:
             undersized += 1
 
-    config = cluster.config
-    nearfull = []
-    backfillfull = []
-    full = []
+    tiers: Dict[str, List[str]] = {
+        "ok": [], "nearfull": [], "backfillfull": [], "full": []
+    }
     for osd_id, osd in sorted(cluster.osds.items()):
-        usage = osd.disk.usage_ratio
-        if usage >= config.mon_osd_full_ratio:
-            full.append(osd.name)
-        elif usage >= config.mon_osd_backfillfull_ratio:
-            backfillfull.append(osd.name)
-        elif usage >= config.mon_osd_nearfull_ratio:
-            nearfull.append(osd.name)
+        tier = cluster.config.capacity_tier(osd.disk.usage_ratio)
+        tiers[tier].append(osd.name)
+    nearfull = tiers["nearfull"]
+    backfillfull = tiers["backfillfull"]
+    full = tiers["full"]
 
     inconsistent = cluster.scrub.pgs_in(ScrubPhase.INCONSISTENT)
     repairing = cluster.scrub.pgs_in(ScrubPhase.REPAIRING)
@@ -201,7 +187,14 @@ def check_health(cluster: CephCluster) -> HealthReport:
 
 
 def converged(cluster: CephCluster) -> bool:
-    """Every fault healed and health back to HEALTH_OK."""
+    """Every fault healed and health back to HEALTH_OK.
+
+    Not a pure predicate: before judging health it calls
+    ``cluster.recovery.kick_stale()``, which can queue delta recovery
+    for dirty pg_logs and requeue toofull PGs.  Calling it one more time
+    (or one poll earlier) can therefore change a run's outcome, so each
+    settle loop's check/poll order is part of its replay contract.
+    """
     if not all(osd.is_up() for osd in cluster.osds.values()):
         return False
     if cluster.monitor.out_osds:

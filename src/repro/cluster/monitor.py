@@ -284,16 +284,6 @@ class Monitor:
 
     # -- capacity backpressure --------------------------------------------------------
 
-    def _capacity_tier(self, osd: OsdDaemon) -> str:
-        usage = osd.disk.usage_ratio
-        if usage >= self.config.mon_osd_full_ratio:
-            return "full"
-        if usage >= self.config.mon_osd_backfillfull_ratio:
-            return "backfillfull"
-        if usage >= self.config.mon_osd_nearfull_ratio:
-            return "nearfull"
-        return "ok"
-
     def _check_capacity(self) -> None:
         """Per-OSD capacity tiers and the cluster-wide write pause.
 
@@ -307,7 +297,7 @@ class Monitor:
         any_full = False
         for osd_id in sorted(self.osds):
             osd = self.osds[osd_id]
-            tier = self._capacity_tier(osd)
+            tier = self.config.capacity_tier(osd.disk.usage_ratio)
             if tier == "full" and osd.is_up():
                 any_full = True
             previous = self.capacity_state.get(osd_id, "ok")

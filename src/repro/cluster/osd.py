@@ -164,6 +164,21 @@ class CephConfig:
                 f"unknown recovery priority {self.osd_recovery_priority!r}"
             )
 
+    def capacity_tier(self, usage_ratio: float) -> str:
+        """The capacity tier of an OSD whose disk is ``usage_ratio`` full.
+
+        One of ``ok``, ``nearfull``, ``backfillfull`` and ``full``: the
+        highest ``mon_osd_*_ratio`` reached.  The ratios are ordered, so
+        a ``full`` OSD is also past backfillfull.
+        """
+        if usage_ratio >= self.mon_osd_full_ratio:
+            return "full"
+        if usage_ratio >= self.mon_osd_backfillfull_ratio:
+            return "backfillfull"
+        if usage_ratio >= self.mon_osd_nearfull_ratio:
+            return "nearfull"
+        return "ok"
+
 
 @dataclass(frozen=True)
 class SubchunkReadProfile:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field, replace
-from typing import Dict, Iterable, List, Optional
+from typing import AbstractSet, Dict, Iterable, List, Optional
 
 from ..ec.base import ErasureCode
 from ..geo.rules import RegionRule
@@ -108,20 +108,30 @@ class Pool:
         self.region_rule = region_rule
         self.pgs: Dict[int, PlacementGroup] = {}
         for pg_id in range(pg_num):
-            acting = crush.place_pg(
-                pool_id, pg_id, code.n, failure_domain,
-                region_rule=region_rule,
-            )
             self.pgs[pg_id] = PlacementGroup(
                 pool_id,
                 pg_id,
-                acting,
+                self.place(pg_id),
                 log=PgLog(
                     code.n,
                     max_entries=pg_log_max_entries,
                     hard_limit=pg_log_hard_limit,
                 ),
             )
+
+    def place(
+        self, pg_id: int, excluded: AbstractSet[int] = frozenset()
+    ) -> List[int]:
+        """CRUSH's acting set for one PG with ``excluded`` OSDs left out.
+
+        The pool's one placement entry point: its width, failure domain
+        and region rule are the same for every PG, at build time and
+        when recovery picks backfill targets.
+        """
+        return self.crush.place_pg(
+            self.pool_id, pg_id, self.code.n, self.failure_domain,
+            excluded, self.region_rule,
+        )
 
     def pg_of(self, object_name: str) -> PlacementGroup:
         """Hash an object name to its placement group (stable)."""

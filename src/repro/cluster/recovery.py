@@ -509,11 +509,11 @@ class RecoveryManager:
 
     def _backfillfull_osds(self) -> Set[int]:
         """OSDs past the backfillfull ratio: not valid backfill targets."""
-        ratio = self.config.mon_osd_backfillfull_ratio
         return {
             osd_id
             for osd_id, osd in self.osds.items()
-            if osd.disk.usage_ratio >= ratio
+            if self.config.capacity_tier(osd.disk.usage_ratio)
+            in ("backfillfull", "full")
         }
 
     def _audit_abandon(self, pg: PlacementGroup) -> None:
@@ -534,14 +534,7 @@ class RecoveryManager:
             if osd.disk.headroom_bytes() < shard_bytes
         }
         try:
-            self.pool.crush.place_pg(
-                pg.pool_id,
-                pg.pg_id,
-                self.pool.code.n,
-                self.pool.failure_domain,
-                excluded_osds=self.out_osds | full,
-                region_rule=self.pool.region_rule,
-            )
+            self.pool.place(pg.pg_id, self.out_osds | full)
         except PlacementError:
             return
         self._abandoned_with_alternative[pg.pg_id] = self.env.now
@@ -554,28 +547,14 @@ class RecoveryManager:
         # rejection).  If that leaves too few buckets, fall back to
         # capacity-blind placement — the per-push headroom check is
         # still the last line of defense.
-        excluded = set(self.out_osds) | self._backfillfull_osds()
+        excluded = self.out_osds | self._backfillfull_osds()
         try:
             try:
-                new_acting = self.pool.crush.place_pg(
-                    pg.pool_id,
-                    pg.pg_id,
-                    self.pool.code.n,
-                    self.pool.failure_domain,
-                    excluded_osds=excluded,
-                    region_rule=self.pool.region_rule,
-                )
+                new_acting = self.pool.place(pg.pg_id, excluded)
             except PlacementError:
                 if excluded == self.out_osds:
                     raise
-                new_acting = self.pool.crush.place_pg(
-                    pg.pool_id,
-                    pg.pg_id,
-                    self.pool.code.n,
-                    self.pool.failure_domain,
-                    excluded_osds=self.out_osds,
-                    region_rule=self.pool.region_rule,
-                )
+                new_acting = self.pool.place(pg.pg_id, self.out_osds)
         except PlacementError:
             self.stats.pgs_unplaceable += 1
             self._abandoned_pgs.add(pg.pg_id)

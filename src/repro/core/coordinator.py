@@ -24,7 +24,7 @@ from ..cluster.scrub import ScrubStats
 from ..sim.rng import SeedSequence
 from ..workload.generator import Workload
 from ..workload.iostat import IostatCollector
-from .fault_injector import FaultInjector, FaultSpec
+from .fault_injector import CRASH_LEVELS, FaultInjector, FaultSpec
 from .logbus import LogBus
 from .logger import LogCollector, NodeLogger
 from .timeline import (
@@ -138,9 +138,10 @@ class Coordinator:
         # Phase 2: settle — heartbeats establish steady state.
         yield env.timeout(settle_time)
 
-        # Phase 3: fault injection.  Crash faults (node/device) take the
-        # victims down and are tracked through the monitor; corrupt
-        # faults leave every daemon up — only deep scrub will find them.
+        # Phase 3: fault injection.  Crash faults (node, device and
+        # correlated domain crashes) take the victims down and are
+        # tracked through the monitor; corrupt faults leave every
+        # daemon up — only deep scrub will find them.
         # Gray faults degrade without a guaranteed mark-out (a flapping
         # or partitioned OSD may never *stay* out), so the cycle does not
         # block on them.
@@ -152,7 +153,7 @@ class Coordinator:
             injected.extend(affected)
             if spec.level == "corrupt":
                 has_corrupt = True
-            elif spec.level in ("node", "device"):
+            elif spec.level in CRASH_LEVELS:
                 crash_victims.extend(affected)
         if has_corrupt and not self.cluster.scrub.config.enabled:
             raise ValueError(

@@ -76,6 +76,7 @@ __all__ = [
     "GEO_LEVELS",
     "BYZ_LEVELS",
     "CASCADE_LEVELS",
+    "CRASH_LEVELS",
 ]
 
 #: Gray-failure levels: the fault degrades service but kills nothing.
@@ -86,6 +87,11 @@ GEO_LEVELS = ("wan_partition", "region_outage")
 
 #: Correlated level: one event fails a whole failure-domain bucket.
 CASCADE_LEVELS = ("correlated_crash",)
+
+#: Crash levels: the victims stay down until the monitor marks them out
+#: and backfill re-replicates their shards.  Gray levels and corruption
+#: degrade service without a mark-out.
+CRASH_LEVELS = ("node", "device") + CASCADE_LEVELS
 
 #: The fault levels the injector understands.  Byzantine levels (OSDs
 #: that lie — see :mod:`repro.core.byzantine`) and the correlated level

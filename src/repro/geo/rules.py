@@ -62,6 +62,16 @@ class RegionRule:
             return balanced
         return self.max_shards_per_region
 
+    def shard_slots(self, width: int) -> Tuple[int, ...]:
+        """The region slot of each shard of a ``width``-wide stripe.
+
+        The affinity when set, else contiguous balanced blocks in slot
+        order, the first ``width % spread`` of them one shard longer.
+        """
+        if self.affinity is not None:
+            return self.affinity
+        return tuple(sorted(shard % self.spread for shard in range(width)))
+
     def validate_width(self, width: int) -> None:
         """Reject rules that cannot place a stripe of ``width`` at all."""
         if self.spread > width:

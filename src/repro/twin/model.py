@@ -47,7 +47,7 @@ from ..cluster.objectstore import layout_object
 from ..cluster.osd import CephConfig, resolve_subchunk_read, sequential_ops
 from ..cluster.topology import FailureDomain
 from ..core.digest import canonical_json
-from ..core.fault_injector import FaultSpec
+from ..core.fault_injector import CRASH_LEVELS, FaultSpec
 from ..core.profile import ExperimentProfile
 from ..workload.generator import Workload
 
@@ -60,14 +60,6 @@ __all__ = [
     "predict_tenant_slo_p99",
     "predict_overwrite_amplification",
 ]
-
-#: Fault levels that change the osdmap and trigger backfill.  Gray levels
-#: (slow_device, net_degrade, flap) and corruption degrade service but do
-#: not mark OSDs out, so — like the DES, whose timeline stays ``None`` —
-#: the twin predicts no recovery cycle for them.  ``correlated_crash``
-#: fails whole failure-domain buckets at once and rides the same
-#: machinery via bucket/host-equivalent conversion.
-_CRASH_LEVELS = ("node", "device", "correlated_crash")
 
 
 @dataclass(frozen=True)
@@ -542,7 +534,9 @@ class AnalyticalTwin:
             "failure_domain": profile.failure_domain,
         }
 
-        crash = [spec for spec in faults if spec.level in _CRASH_LEVELS]
+        # Like the DES, predict a recovery cycle only for crash levels;
+        # correlated crashes ride it via bucket/host-equivalent conversion.
+        crash = [spec for spec in faults if spec.level in CRASH_LEVELS]
         loss_dist = _loss_distribution(profile, crash)
         p_affected = sum(p for j, p in loss_dist if j >= 1)
         if not crash or p_affected <= 0:

@@ -413,6 +413,17 @@ def fill_to(osd, ratio):
     osd.disk.allocate(target - osd.disk.used_bytes)
 
 
+def test_capacity_tier_boundaries_are_inclusive():
+    config = CephConfig(mon_osd_nearfull_ratio=0.5,
+                        mon_osd_backfillfull_ratio=0.7,
+                        mon_osd_full_ratio=0.7)
+    assert config.capacity_tier(0.49) == "ok"
+    assert config.capacity_tier(0.5) == "nearfull"
+    # Equal ratios: the higher tier wins.
+    assert config.capacity_tier(0.7) == "full"
+    assert config.capacity_tier(1.0) == "full"
+
+
 def test_monitor_tracks_capacity_tiers():
     env, cluster = build_cluster()
     monitor = cluster.monitor

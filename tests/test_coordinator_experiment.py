@@ -137,3 +137,43 @@ def test_logs_flow_through_bus():
     assert collector.of_class("osdmap")
     # Bus topics were actually used.
     assert any(t.startswith("ecfault.logs.") for t in controller.coordinator.bus.topics())
+
+
+def rs42_profile():
+    """RS(4,2) on 8 hosts x 2 OSDs with the default 600 s down/out."""
+    return ExperimentProfile(
+        name="rs42", ec_plugin="jerasure", ec_params={"k": 4, "m": 2},
+        num_hosts=8, osds_per_host=2, pg_num=16,
+    )
+
+
+def test_correlated_crash_waits_for_recovery():
+    """A correlated domain crash is a crash level: the cycle waits for
+    mark-out and re-replication instead of returning at the settle."""
+    outcome = run_experiment(
+        rs42_profile(), Workload(num_objects=40, object_size=4 * MB),
+        [FaultSpec(level="correlated_crash", domain="host")], seed=1,
+    )
+    stats = outcome.recovery_stats
+    assert outcome.timeline is not None
+    assert stats.pgs_queued == 13
+    assert stats.pgs_recovered == 13
+    assert outcome.finished_at == pytest.approx(686.8, abs=0.05)
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "known defect: recovery may pick a down-but-not-out sibling OSD as "
+    "the new primary or push target"
+))
+def test_host_crash_recovers_when_siblings_go_out_on_different_ticks():
+    """The host's OSDs 12 and 13 are marked out at t=675 and t=680.  The
+    first recovery wave can land on OSD 13, down but not yet out; today
+    5 of 14 PGs are abandoned after 72 op retries and never requeued."""
+    outcome = run_experiment(
+        rs42_profile(), Workload(num_objects=40, object_size=4 * MB),
+        [FaultSpec(level="node")], seed=1,
+    )
+    stats = outcome.recovery_stats
+    assert stats.pgs_queued == 14
+    assert stats.pgs_abandoned == 0
+    assert stats.pgs_recovered == 14

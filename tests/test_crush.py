@@ -68,11 +68,9 @@ def test_remap_is_minimal(crush):
     """Only shards on departed OSDs move (straw2 stability)."""
     base = crush.place_pg(1, 7, 12, FailureDomain.HOST)
     out = {base[4]}
-    after, moved = crush.remap(1, 7, 12, FailureDomain.HOST, out)
-    assert set(moved) == {4}
-    for shard in range(12):
-        if shard != 4:
-            assert after[shard] == base[shard]
+    after = crush.place_pg(1, 7, 12, FailureDomain.HOST, excluded_osds=out)
+    moved = [shard for shard in range(12) if after[shard] != base[shard]]
+    assert moved == [4]
 
 
 def test_remap_within_host_prefers_sibling_osd(crush):
@@ -84,8 +82,9 @@ def test_remap_within_host_prefers_sibling_osd(crush):
         for o in crush.topology.hosts[crush.topology.osds[victim].host_id].osd_ids
         if o != victim
     ][0]
-    after, moved = crush.remap(1, 2, 10, FailureDomain.HOST, {victim})
-    assert moved.get(0) == sibling  # same bucket, other device
+    after = crush.place_pg(1, 2, 10, FailureDomain.HOST, excluded_osds={victim})
+    assert after[0] == sibling  # same bucket, other device
+    assert after[1:] == base[1:]
 
 
 def test_seed_changes_placement():
