@@ -332,8 +332,9 @@ def check_converged(cluster: CephCluster) -> List[InvariantViolation]:
 
     Called once after the settle phase.  Every fault was restored and
     every repair given time to drain, so the cluster must report clean
-    health: no down/out OSDs, recovery idle, scrub quiescent, and the
-    live health verdict back at HEALTH_OK (the ERR -> WARN -> OK arc).
+    health: no down/out OSDs (daemons up, none marked down by the
+    monitor), recovery idle, scrub quiescent, and the live health
+    verdict back at HEALTH_OK (the ERR -> WARN -> OK arc).
     """
     violations: List[InvariantViolation] = []
     now = cluster.env.now
@@ -342,6 +343,15 @@ def check_converged(cluster: CephCluster) -> List[InvariantViolation]:
         violations.append(
             InvariantViolation(
                 "health-convergence", f"OSDs still down after settle: {down}",
+                at_time=now,
+            )
+        )
+    if cluster.monitor.down_since:
+        violations.append(
+            InvariantViolation(
+                "health-convergence",
+                f"OSDs still marked down after settle: "
+                f"{sorted(cluster.monitor.down_since)}",
                 at_time=now,
             )
         )

@@ -197,7 +197,9 @@ def converged(cluster: CephCluster) -> bool:
     """
     if not all(osd.is_up() for osd in cluster.osds.values()):
         return False
-    if cluster.monitor.out_osds:
+    # Liveness as the monitor sees it, not only the daemons: a restored
+    # OSD stays marked down until its next heartbeat reaches the monitor.
+    if cluster.monitor.down_since or cluster.monitor.out_osds:
         return False
     # A flap-dampening pin holds its OSD monitor-down even though the
     # daemon itself is healthy again; converged means the pin expired

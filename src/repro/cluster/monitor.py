@@ -29,7 +29,7 @@ realistic.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Generator, List, Optional, Set
+from typing import Callable, Dict, List, Optional, Set
 
 from ..sim import Environment, Event
 from ..sim.rng import SeedSequence
@@ -92,79 +92,73 @@ class Monitor:
         self.write_paused = False
         self.write_pauses_total = 0
         self._resume_event: Optional[Event] = None
+        #: OSD ids in order: heartbeat timers start, and the capacity
+        #: scan walks them, in this order.
+        self._osd_ids: List[int] = sorted(osds)
         # Deterministic per-OSD heartbeat phase: a seeded draw per OSD in
         # id order, bounded by the interval so the first beat lands well
         # inside the grace window.  Same cluster, same phases, always.
         phase_rng = SeedSequence(0).stream("hb-phase")
         self._phase: Dict[int, float] = {
             osd_id: phase_rng.uniform(0.0, config.osd_heartbeat_interval)
-            for osd_id in sorted(osds)
+            for osd_id in self._osd_ids
         }
         # Consumed only while a lossy degradation is active, so healthy
         # runs never draw from it (baseline determinism).
         self._loss_rng = SeedSequence(0).stream("hb-loss")
-        self._heartbeat_procs = [
-            env.process(self._heartbeat_loop(osd_id)) for osd_id in sorted(osds)
-        ]
-        self._tick_proc = env.process(self._tick_loop())
+        # Fixed-period work runs as kernel timers, one heap entry per
+        # beat or tick: the first beat lands at the OSD's phase, the
+        # first tick one interval in.
+        for osd_id in self._osd_ids:
+            env.every(config.osd_heartbeat_interval, self._heartbeat,
+                      osd_id, delay=self._phase[osd_id])
+        env.every(config.mon_tick_interval, self._tick)
 
     # -- daemon-side heartbeats ---------------------------------------------------
 
-    def _heartbeat_loop(self, osd_id: int) -> Generator:
-        """Each OSD pings the monitor every heartbeat interval while up."""
-        phase = self._phase[osd_id]
-        if phase > 0.0:
-            yield self.env.timeout(phase)
-        while True:
-            osd = self.osds[osd_id]
-            if osd.is_up() and self._heartbeat_delivered(osd_id):
-                if (
-                    self.byzantine is not None
-                    and self.byzantine.gossiping_stale(osd_id)
-                ):
-                    # Epoch-mismatch rejection: the heartbeat carries an
-                    # osdmap epoch older than the monitor's.  The beat
-                    # still proves the daemon alive, but the monitor
-                    # rejects the stale gossip and pushes a fresh map —
-                    # which ends the lie (detection via the epoch path).
-                    claimed = self.byzantine.claimed_epoch(osd_id)
-                    self.byzantine.on_epoch_rejection(osd_id, self.env.now)
-                    self.log.emit(
-                        self.env.now, "mon",
-                        "stale osdmap epoch in heartbeat, "
-                        "rejecting gossip and pushing fresh map",
-                        osd=osd.name, claimed=claimed,
-                        epoch=self.osdmap_epoch,
-                    )
-                self.last_heartbeat[osd_id] = self.env.now
-                if self.is_pinned(osd_id):
-                    # Dampened: the monitor no longer believes this
-                    # OSD's heartbeats until the pin expires.
-                    pass
-                else:
-                    expired_pin = self.pinned_until.pop(osd_id, None)
-                    if expired_pin is not None:
-                        # A dampening pin ran out with the daemon healthy:
-                        # the rejoin is an osdmap event, not a silent one —
-                        # the timeline band and the chaos engine both key
-                        # off this transition.
-                        self.osdmap_epoch += 1
-                        self.log.emit(
-                            self.env.now, "mon",
-                            "flap pin expired, osd rejoining",
-                            osd=osd.name, epoch=self.osdmap_epoch,
-                        )
-                    if osd_id in self.down_since:
-                        del self.down_since[osd_id]
-                        self.log.emit(
-                            self.env.now, "mon", "osd boot: marking up",
-                            osd=osd.name,
-                        )
-                        for callback in self.on_up:
-                            callback({osd_id})
-                    if osd_id in self.out_osds:
-                        self._mark_in(osd_id)
-            yield self.env.timeout(self.config.osd_heartbeat_interval)
+    def _heartbeat(self, osd_id: int) -> None:
+        """One OSD's beat: each OSD pings the monitor every interval while up."""
+        osd = self.osds[osd_id]
+        if not (osd.is_up() and self._heartbeat_delivered(osd_id)):
+            return
+        if self.byzantine is not None and self.byzantine.gossiping_stale(osd_id):
+            # Epoch-mismatch rejection: the heartbeat carries an osdmap
+            # epoch older than the monitor's.  The beat still proves the
+            # daemon alive, but the monitor rejects the stale gossip and
+            # pushes a fresh map — which ends the lie (detection via the
+            # epoch path).
+            claimed = self.byzantine.claimed_epoch(osd_id)
+            self.byzantine.on_epoch_rejection(osd_id, self.env.now)
+            self.log.emit(
+                self.env.now, "mon",
+                "stale osdmap epoch in heartbeat, "
+                "rejecting gossip and pushing fresh map",
+                osd=osd.name, claimed=claimed, epoch=self.osdmap_epoch,
+            )
+        self.last_heartbeat[osd_id] = self.env.now
+        if self.is_pinned(osd_id):
+            # Dampened: the monitor no longer believes this OSD's
+            # heartbeats until the pin expires.
+            return
+        expired_pin = self.pinned_until.pop(osd_id, None)
+        if expired_pin is not None:
+            # A dampening pin ran out with the daemon healthy: the rejoin
+            # is an osdmap event, not a silent one — the timeline band
+            # and the chaos engine both key off this transition.
+            self.osdmap_epoch += 1
+            self.log.emit(
+                self.env.now, "mon", "flap pin expired, osd rejoining",
+                osd=osd.name, epoch=self.osdmap_epoch,
+            )
+        if osd_id in self.down_since:
+            del self.down_since[osd_id]
+            self.log.emit(
+                self.env.now, "mon", "osd boot: marking up", osd=osd.name,
+            )
+            for callback in self.on_up:
+                callback({osd_id})
+        if osd_id in self.out_osds:
+            self._mark_in(osd_id)
 
     def _heartbeat_delivered(self, osd_id: int) -> bool:
         """Did this beat cross the host's (possibly degraded) NIC?"""
@@ -199,15 +193,13 @@ class Monitor:
 
     # -- monitor tick: detection and the down->out interval -------------------------
 
-    def _tick_loop(self) -> Generator:
-        while True:
-            yield self.env.timeout(self.config.mon_tick_interval)
-            self._check_failures()
-            self._check_down_out()
-            # Capacity backpressure piggybacks on the same tick (no
-            # extra process, so the event interleaving of pre-cascade
-            # runs is untouched).
-            self._check_capacity()
+    def _tick(self, _arg: None = None) -> None:
+        self._check_failures()
+        self._check_down_out()
+        # Capacity backpressure piggybacks on the same tick (no extra
+        # timer, so the event interleaving of pre-cascade runs is
+        # untouched).
+        self._check_capacity()
 
     def _check_failures(self) -> None:
         now = self.env.now
@@ -295,9 +287,11 @@ class Monitor:
         """
         now = self.env.now
         any_full = False
-        for osd_id in sorted(self.osds):
+        capacity_tier = self.config.capacity_tier
+        for osd_id in self._osd_ids:
             osd = self.osds[osd_id]
-            tier = self.config.capacity_tier(osd.disk.usage_ratio)
+            usage = osd.disk.usage_ratio
+            tier = capacity_tier(usage)
             if tier == "full" and osd.is_up():
                 any_full = True
             previous = self.capacity_state.get(osd_id, "ok")
@@ -318,7 +312,7 @@ class Monitor:
                 self.log.emit(
                     now, "mon", f"{check}: osd capacity threshold crossed",
                     osd=osd.name,
-                    usage=round(osd.disk.usage_ratio, 4),
+                    usage=round(usage, 4),
                 )
         if any_full and not self.write_paused:
             self.write_paused = True

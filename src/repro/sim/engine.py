@@ -11,9 +11,13 @@ evaluation environment.
 * **Urgent work** — triggered events, process starts and resumes,
   interrupts — is always due *now* and always runs before any timed
   entry due now, so it lives in a FIFO deque rather than the heap.
-* **Timed work** — timeouts and service-center departures — sits in a
-  heap of ``(when, seq, fn, arg)`` entries; ``seq`` is a global insertion
-  counter, so same-instant ties break by insertion order.
+* **Timed work** — timeouts, service-center departures and periodic
+  timer calls — sits in a heap of ``(when, seq, fn, arg)`` entries;
+  ``seq`` is a global insertion counter, so same-instant ties break by
+  insertion order.
+* **Periodic timers** (:meth:`Environment.every`) are fixed-period work
+  such as heartbeats and monitor ticks: each call is one heap entry that
+  reschedules itself, with no process, timeout or generator.
 
 Determinism matters here: every experiment in the paper is re-run and
 averaged, and our tests assert exact recovery timelines.  A simulation
@@ -336,6 +340,38 @@ class Environment:
         """Launch ``generator`` as a process, returning its process event."""
         return Process(self, generator)
 
+    def every(
+        self,
+        period: float,
+        fn: Callable[[Any], None],
+        arg: Any = None,
+        delay: Optional[float] = None,
+    ) -> None:
+        """Call ``fn(arg)`` after ``delay``, then every ``period`` seconds.
+
+        ``delay`` defaults to ``period``; 0 makes the first call at once.
+        Each later call comes ``period`` after the previous call returns,
+        and each call is one timed entry: no process, timeout or
+        generator.  The event order, same-instant ties included, is the
+        one this process gives::
+
+            if delay > 0:
+                yield env.timeout(delay)
+            while True:
+                fn(arg)
+                yield env.timeout(period)
+
+        The timer starts through one urgent hop, as that process starts
+        through its bootstrap, so its first entry takes the same ``seq``.
+        """
+        if period <= 0:
+            raise ValueError(f"timer period must be positive: {period!r}")
+        if delay is None:
+            delay = period
+        elif delay < 0:
+            raise ValueError(f"negative timer delay: {delay!r}")
+        self._urgent.append((_start_timer, _Timer(self, period, fn, arg, delay)))
+
     def all_of(self, events: Iterable[Event]) -> AllOf:
         return AllOf(self, events)
 
@@ -410,3 +446,33 @@ class Environment:
         """Add a timed entry: ``fn(arg)`` runs at ``when``."""
         self._seq += 1
         heapq.heappush(self._queue, (when, self._seq, fn, arg))
+
+
+class _Timer:
+    """A periodic call made by :meth:`Environment.every`."""
+
+    __slots__ = ("env", "period", "fn", "arg", "delay")
+
+    def __init__(self, env: Environment, period: float,
+                 fn: Callable[[Any], None], arg: Any, delay: float):
+        self.env = env
+        self.period = period
+        self.fn = fn
+        self.arg = arg
+        self.delay = delay
+
+
+def _start_timer(timer: _Timer) -> None:
+    """The urgent hop: schedule the first call, or make it now."""
+    if timer.delay > 0:
+        env = timer.env
+        env._schedule(env._now + timer.delay, _fire_timer, timer)
+    else:
+        _fire_timer(timer)
+
+
+def _fire_timer(timer: _Timer) -> None:
+    """Make one call, then schedule the next ``period`` after it."""
+    timer.fn(timer.arg)
+    env = timer.env
+    env._schedule(env._now + timer.period, _fire_timer, timer)

@@ -1,6 +1,6 @@
 """iostat-style per-device I/O statistics collection (§3.3).
 
-ECFault runs ``iostat`` on every DSS server; here a sampler process walks
+ECFault runs ``iostat`` on every DSS server; here a kernel timer walks
 the simulated disks on a fixed interval and records deltas, yielding the
 same per-device time series (ops/s, bytes/s, utilisation) the real
 framework parses.
@@ -9,7 +9,7 @@ framework parses.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Generator, List, Optional
+from typing import Dict, List, Optional
 
 from ..sim import Environment
 from ..cluster.devices import Disk
@@ -52,14 +52,9 @@ class IostatCollector:
             name: (d.read_ops, d.write_ops, d.read_bytes, d.written_bytes)
             for name, d in self.disks.items()
         }
-        self._proc = env.process(self._run())
+        env.every(interval, self._sample)
 
-    def _run(self) -> Generator:
-        while True:
-            yield self.env.timeout(self.interval)
-            self._sample()
-
-    def _sample(self) -> None:
+    def _sample(self, _arg: None = None) -> None:
         now = self.env.now
         for name, disk in self.disks.items():
             prev = self._last[name]

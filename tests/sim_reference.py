@@ -1,15 +1,17 @@
-"""The process-per-job service center, kept as a differential reference.
+"""Process-based designs the kernel replaced, kept as differential references.
 
 ``ServiceCenter`` used to run every job as a kernel process: acquire a
-server slot, hold it for a timeout, release it.  The closed-form center
-in :mod:`repro.sim.resources` must reproduce that design's event order
-exactly, same-instant ties included, so the tests keep this copy of it
-to compare against.
+server slot, hold it for a timeout, release it.  Heartbeats, monitor
+ticks and iostat sampling each used to run as a generator loop that
+sleeps a fixed period between calls.  The closed-form center in
+:mod:`repro.sim.resources` and :meth:`Environment.every` must reproduce
+those designs' event order exactly, same-instant ties included, so the
+tests keep copies of them to compare against.
 """
 
 from __future__ import annotations
 
-from typing import Generator
+from typing import Any, Callable, Generator, Optional
 
 from repro.sim import Environment, Event, Resource
 
@@ -41,3 +43,20 @@ class ProcessServiceCenter:
             self._slots.release()
         self.busy_time += service_time
         self.jobs_served += 1
+
+
+def periodic_loop(
+    env: Environment,
+    period: float,
+    fn: Callable[[Any], None],
+    arg: Any = None,
+    delay: Optional[float] = None,
+) -> Generator:
+    """The generator loop ``Environment.every`` replaces; run it as a process."""
+    if delay is None:
+        delay = period
+    if delay > 0:
+        yield env.timeout(delay)
+    while True:
+        fn(arg)
+        yield env.timeout(period)

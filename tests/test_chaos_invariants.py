@@ -187,6 +187,19 @@ def test_converged_flags_down_osd_and_stale_out():
     assert check_converged(CLUSTER) == []
 
 
+def test_converged_flags_an_osd_the_monitor_still_marks_down():
+    # A restored daemon is up, but the monitor marks it down until its
+    # next heartbeat arrives: the campaign has not converged yet.
+    CLUSTER.monitor.down_since[0] = CLUSTER.env.now
+    try:
+        violations = check_converged(CLUSTER)
+        assert any("marked down" in v.detail for v in violations)
+        assert {v.invariant for v in violations} == {"health-convergence"}
+    finally:
+        del CLUSTER.monitor.down_since[0]
+    assert check_converged(CLUSTER) == []
+
+
 # -- the violation record ------------------------------------------------------
 
 

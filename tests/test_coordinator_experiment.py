@@ -10,6 +10,7 @@ from repro.core import (
     run_experiment,
 )
 from repro.cluster.osd import CephConfig
+from repro.tenancy.experiment import run_tenant_experiment
 from repro.workload import Workload
 
 MB = 1024 * 1024
@@ -177,3 +178,25 @@ def test_host_crash_recovers_when_siblings_go_out_on_different_ticks():
     assert stats.pgs_queued == 14
     assert stats.pgs_abandoned == 0
     assert stats.pgs_recovered == 14
+
+
+@pytest.mark.parametrize("level, restored", [
+    ("device", ["osd.6"]),
+    ("node", ["osd.12", "osd.13"]),
+])
+def test_cycle_settles_after_the_monitor_marks_restored_osds_up(level, restored):
+    """Regression: the settle used to accept the instant of the restore
+    (t=70) while the monitor still marked the crashed OSDs down, so the
+    outcome said HEALTH_OK before any "osd boot: marking up"."""
+    outcome = run_tenant_experiment(
+        rs42_profile(), Workload(num_objects=40, object_size=4 * MB),
+        faults=[FaultSpec(level=level)], seed=1, warmup=10.0,
+        fault_duration=60.0,
+    )
+    monitor = outcome.cluster.monitor
+    assert outcome.converged and outcome.health == "HEALTH_OK"
+    assert monitor.down_since == {}
+    marked_up = [r for r in monitor.log if r.message == "osd boot: marking up"]
+    assert sorted(r.field("osd") for r in marked_up) == restored
+    assert all(70.0 < r.time < outcome.finished_at for r in marked_up)
+    assert outcome.finished_at == pytest.approx(95.0)

@@ -340,3 +340,29 @@ def test_urgent_work_runs_before_a_timed_entry_due_at_the_same_instant():
     env.run()
     assert trace == ["timeout", "gate", "timed"]
     assert env.steps == 7
+
+
+def test_every_calls_after_delay_then_each_period():
+    env = Environment()
+    calls = []
+    env.every(2.0, calls.append, "a", delay=0.5)
+    env.every(2.0, calls.append, "b")
+    env.every(3.0, calls.append, "c", delay=0.0)
+    env.run(until=6.0)
+    assert calls == ["c", "a", "b", "a", "c", "b", "a", "c", "b"]
+
+
+def test_every_call_is_one_kernel_step():
+    env = Environment()
+    env.every(1.0, lambda _arg: None)
+    env.run(until=10.0)
+    # One start hop, then one entry per call at t = 1..10.
+    assert env.steps == 11
+
+
+@pytest.mark.parametrize("period, delay", [(0.0, None), (-1.0, None), (1.0, -0.5)])
+def test_every_rejects_a_non_positive_period_or_negative_delay(period, delay):
+    env = Environment()
+    with pytest.raises(ValueError):
+        env.every(period, lambda _arg: None, delay=delay)
+    assert env.steps == 0 and env.run() == 0.0
