@@ -2,17 +2,19 @@
 
     python3 scripts/bench_pairs.py --parent HEAD --claim wall_s:chaos_fuzz \\
         --plan chaos_fuzz:11:10 chaos_fuzz:42:5 paper_cell:11:10 \\
-        --raw runs.jsonl --out BENCH_<n>.json
+        --out BENCH_<n>.json
 
 Run from the repository root.  The parent commit is ``git archive``d into
 a temporary directory; the change is this checkout's working tree.  Each
 ``--plan`` item ``WORKLOAD:SEED:PAIRS`` runs that many pairs of
 
-    python3 perfbench/run.py --workload WORKLOAD --seed SEED --seconds N --trace 0
+    python3 perfbench/run.py --workload WORKLOAD --seed SEED --seconds 30 --trace 0
 
-one run at a time, the parent first in even-numbered pairs.  ``--raw``
-appends every finished run to a JSON-lines file and skips runs already
-in it, so an interrupted session resumes where it stopped.
+one run at a time, the parent first in even-numbered pairs.  Every
+finished run is appended to a JSON-lines log next to the output
+(``BENCH_<n>.runs.jsonl``), and runs already in it are not run again, so
+an interrupted session resumes where it stopped.  A log written against
+another parent commit is refused: delete it to start afresh.
 
 The output holds the ``pairs``, ``end_to_end``, ``claim`` and
 ``no_regression`` sections of a ``BENCH_<n>.json`` file.  Per metric and
@@ -20,10 +22,11 @@ side it gives the median and the quartiles (``statistics.quantiles(n=4,
 method='inclusive')``) of the runs; per metric it gives ``change_wins``
 (pairs the change won, ties for neither side), ``worse_by`` (the change's
 median relative to the parent's in the metric's worse direction, 0 when
-better) and whether that stays within the ``BENCHMARK.json`` bound.  A
-gain is claimed for a metric when the change wins at least nine tenths of
-the pairs and the medians differ, in its favour, by more than the
-parent's interquartile range.
+better), whether that stays within the ``BENCHMARK.json`` bound, and
+whether the runs spread too widely to tell (``unresolved``).  A gain is
+claimed for a metric when the change wins at least nine tenths of the
+pairs and the medians differ, in its favour, by more than the parent's
+interquartile range.
 """
 
 from __future__ import annotations
@@ -35,9 +38,11 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 ROOT = Path(__file__).resolve().parent.parent
+#: Length of every run, as BENCHMARK.json's ``run_seconds`` sets it.
+SECONDS = 30.0
 ORDER = "pair i runs the parent first when i is even"
 PROTOCOL = (
     "alternating parent/change pairs, one run at a time; " + ORDER + ". "
@@ -45,16 +50,18 @@ PROTOCOL = (
     "runs of one side. change_wins counts pairs where the change is better "
     "(lower, or higher for a higher-is-better metric); ties count for "
     "neither side. worse_by is the change's median relative to the "
-    "parent's in the metric's worse direction (0 when better)."
+    "parent's in the metric's worse direction (0 when better). A metric is "
+    "unresolved when either side's IQR exceeds the bound relative to its "
+    "median, unless every change run is better than every parent run."
 )
 GAIN_RULE = (
     "change wins >= 9/10 of pairs and the medians differ in the change's "
     "favour by more than the parent's IQR"
 )
 NO_REGRESSION_RULE = (
-    "every end-to-end metric on every workload: change median no worse "
-    "than the parent's by more than the BENCHMARK.json bound, and no more "
-    "failed operations than the parent"
+    "every end-to-end metric on every workload: resolved, change median no "
+    "worse than the parent's by more than the BENCHMARK.json bound, no "
+    "higher failed_frac median and no more failed operations than the parent"
 )
 
 
@@ -75,6 +82,19 @@ def side_summary(runs: Sequence[float]) -> Dict[str, Any]:
             "runs": [round(value, 4) for value in runs]}
 
 
+def _relative(value: float, base: float) -> float:
+    """``value / base``, with 0/0 read as 1 (no change)."""
+    if base == 0:
+        return 1.0 if value == 0 else float("inf")
+    return value / base
+
+
+def _spread(values: Sequence[float]) -> float:
+    """The interquartile range of ``values`` relative to their median."""
+    q1, median, q3 = quartiles(values)
+    return _relative(q3 - q1, abs(median)) if q3 != q1 else 0.0
+
+
 def compare(parent: Sequence[float], change: Sequence[float], better: str,
             bound: float) -> Dict[str, Any]:
     """One metric's parent/change comparison over paired runs."""
@@ -85,9 +105,16 @@ def compare(parent: Sequence[float], change: Sequence[float], better: str,
     ties = sum(1 for p, c in zip(parent, change) if p == c)
     p_q1, p_median, p_q3 = quartiles(parent)
     c_median = quartiles(change)[1]
-    ratio = c_median / p_median
+    ratio = _relative(c_median, p_median)
     worse_by = max(0.0, sign * (ratio - 1.0))
     iqr = p_q3 - p_q1
+    # Every change run better than every parent run settles the metric
+    # however widely either side spreads.
+    if better == "lower":
+        separated = max(change) < min(parent)
+    else:
+        separated = min(change) > max(parent)
+    spread = max(_spread(parent), _spread(change))
     return {
         "parent": side_summary(parent),
         "change": side_summary(change),
@@ -97,6 +124,7 @@ def compare(parent: Sequence[float], change: Sequence[float], better: str,
         "parent_iqr": round(iqr, 4),
         "worse_by": round(worse_by, 4),
         "within_bound": worse_by <= bound,
+        "unresolved": spread > bound and not separated,
         "gain_rule_met": (wins >= 0.9 * len(parent)
                           and sign * (p_median - c_median) > iqr),
     }
@@ -160,24 +188,33 @@ def summarise(records: Sequence[Dict[str, Any]], metrics: Sequence[Dict[str, Any
         pairs[f"seed_{seed}"] = next(iter(counts.values())) if same else counts
 
     worst = (0.0, "")
+    unresolved: List[str] = []
     regression_met = True
     for workload, by_seed in end_to_end.items():
         for seed_key, cell in by_seed.items():
             ops = cell["operations"]
             if ops["change"]["failed_total"] > ops["parent"]["failed_total"]:
                 regression_met = False
+            failed_frac = cell.get("failed_frac")
+            if (failed_frac is not None and failed_frac["change"]["median"]
+                    > failed_frac["parent"]["median"]):
+                regression_met = False
             for metric in metrics:
+                where = f"{workload} {seed_key} {metric['name']}"
                 result = cell[metric["name"]]
                 regression_met = regression_met and result["within_bound"]
+                if result["unresolved"]:
+                    unresolved.append(where)
                 if result["worse_by"] > worst[0]:
-                    worst = (result["worse_by"],
-                             f"{workload} {seed_key} {metric['name']}")
+                    worst = (result["worse_by"], where)
 
     summary: Dict[str, Any] = {
         "pairs": pairs,
         "claim": None,
-        "no_regression": {"rule": NO_REGRESSION_RULE, "met": regression_met,
-                          "largest_worse_by": list(worst)},
+        "no_regression": {"rule": NO_REGRESSION_RULE,
+                          "met": regression_met and not unresolved,
+                          "largest_worse_by": list(worst),
+                          "unresolved": unresolved},
         "end_to_end": end_to_end,
     }
     if claim is not None:
@@ -210,11 +247,11 @@ def summarise(records: Sequence[Dict[str, Any]], metrics: Sequence[Dict[str, Any
 # -- running ------------------------------------------------------------------------
 
 
-def run_once(tree: Path, workload: str, seed: int, seconds: float) -> Dict[str, Any]:
+def run_once(tree: Path, workload: str, seed: int) -> Dict[str, Any]:
     """One untraced benchmark run in ``tree``; its verdict, metrics and rounds."""
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload,
-         "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
+         "--seed", str(seed), "--seconds", f"{SECONDS:g}", "--trace", "0"],
         cwd=tree, capture_output=True, text=True, check=True,
     )
     lines = proc.stdout.strip().splitlines()
@@ -238,10 +275,39 @@ def parse_plan(items: Sequence[str]) -> List[Tuple[str, int, int]]:
     return plan
 
 
-def load_raw(path: Optional[Path]) -> List[Dict[str, Any]]:
-    if path is None or not path.exists():
-        return []
-    return [json.loads(line) for line in path.read_text().splitlines() if line]
+def collect(plan: Sequence[Tuple[str, int, int]], trees: Dict[str, Path],
+            log: Path, parent_commit: str,
+            run: Callable[[Path, str, int], Dict[str, Any]] = run_once,
+            ) -> List[Dict[str, Any]]:
+    """Every planned run's record, running only those ``log`` lacks.
+
+    Each new run is appended to ``log`` as soon as it finishes.
+    """
+    lines = log.read_text().splitlines() if log.exists() else []
+    logged = [json.loads(line) for line in lines if line]
+    stale = sorted({r["parent_commit"] for r in logged} - {parent_commit})
+    if stale:
+        raise SystemExit(f"{log} holds runs against parent {', '.join(stale)}; "
+                         "delete it to start afresh")
+    done = {(r["workload"], r["seed"], r["pair"], r["side"]): r for r in logged}
+    records = []
+    for workload, seed, pairs in plan:
+        for pair in range(pairs):
+            sides = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
+            for side in sides:
+                key = (workload, seed, pair, side)
+                if key not in done:
+                    record = {"parent_commit": parent_commit, "workload": workload,
+                              "seed": seed, "pair": pair, "side": side}
+                    record.update(run(trees[side], workload, seed))
+                    print(f"{workload} seed {seed} pair {pair} {side} "
+                          f"wall_s {record['metrics']['wall_s']:.3f}",
+                          file=sys.stderr, flush=True)
+                    with log.open("a") as out:
+                        out.write(json.dumps(record, sort_keys=True) + "\n")
+                    done[key] = record
+                records.append(done[key])
+    return records
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -250,12 +316,10 @@ def main(argv: Optional[List[str]] = None) -> int:
                         help="commit the working tree is compared against")
     parser.add_argument("--plan", nargs="+", required=True,
                         metavar="WORKLOAD:SEED:PAIRS")
-    parser.add_argument("--seconds", type=float, default=30.0)
     parser.add_argument("--claim", metavar="METRIC:WORKLOAD",
                         help="the metric and workload a gain is claimed on")
-    parser.add_argument("--raw", type=Path,
-                        help="JSON-lines file of finished runs (appended, resumed)")
-    parser.add_argument("--out", type=Path, help="summary file (default: stdout)")
+    parser.add_argument("--out", type=Path, required=True,
+                        help="summary file; its runs are logged beside it")
     args = parser.parse_args(argv)
 
     benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
@@ -263,44 +327,24 @@ def main(argv: Optional[List[str]] = None) -> int:
         ["git", "rev-parse", "--short", args.parent], cwd=ROOT,
         capture_output=True, text=True, check=True,
     ).stdout.strip()
-    records = load_raw(args.raw)
-    done = {(r["workload"], r["seed"], r["pair"], r["side"]) for r in records}
 
     with tempfile.TemporaryDirectory(prefix="bench-parent-") as tmp:
         archive = subprocess.run(["git", "archive", parent_commit], cwd=ROOT,
                                  capture_output=True, check=True).stdout
         subprocess.run(["tar", "-x", "-C", tmp], input=archive, check=True)
         trees = {"parent": Path(tmp), "change": ROOT}
-        for workload, seed, pairs in parse_plan(args.plan):
-            for pair in range(pairs):
-                sides = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
-                for side in sides:
-                    if (workload, seed, pair, side) in done:
-                        continue
-                    record = {"workload": workload, "seed": seed, "pair": pair,
-                              "side": side}
-                    record.update(run_once(trees[side], workload, seed, args.seconds))
-                    records.append(record)
-                    print(f"{workload} seed {seed} pair {pair} {side} "
-                          f"wall_s {record['metrics']['wall_s']:.3f}",
-                          file=sys.stderr, flush=True)
-                    if args.raw is not None:
-                        with args.raw.open("a") as raw:
-                            raw.write(json.dumps(record, sort_keys=True) + "\n")
+        records = collect(parse_plan(args.plan), trees,
+                          args.out.with_suffix(".runs.jsonl"), parent_commit)
 
     claim = tuple(args.claim.split(":")) if args.claim else None
     document = {
         "parent_commit": parent_commit,
         "command": ("python3 perfbench/run.py --workload <workload> --seed <seed> "
-                    f"--seconds {args.seconds:g} --trace 0"),
+                    f"--seconds {SECONDS:g} --trace 0"),
         "protocol": PROTOCOL,
         **summarise(records, benchmark["end_to_end"], claim),
     }
-    text = json.dumps(document, indent=1) + "\n"
-    if args.out is None:
-        sys.stdout.write(text)
-    else:
-        args.out.write_text(text)
+    args.out.write_text(json.dumps(document, indent=1) + "\n")
     return 0
 
 

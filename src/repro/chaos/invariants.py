@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
 from ..cluster.ceph import CephCluster
-from ..cluster.health import HealthStatus, check_health
+from ..cluster.health import HealthStatus, check_health, convergence_blockers
 from ..core.timeline import first_nonmonotone
 from ..tenancy.accounting import fleet_reports
 from ..tenancy.fleet import TenantFleet
@@ -332,63 +332,16 @@ def check_converged(cluster: CephCluster) -> List[InvariantViolation]:
 
     Called once after the settle phase.  Every fault was restored and
     every repair given time to drain, so the cluster must report clean
-    health: no down/out OSDs (daemons up, none marked down by the
-    monitor), recovery idle, scrub quiescent, and the live health
-    verdict back at HEALTH_OK (the ERR -> WARN -> OK arc).
+    health: one violation per :func:`convergence_blockers` reason (no
+    down/out OSDs, none marked down by the monitor, recovery idle, scrub
+    quiescent, no flap pin in force), and the live health verdict back
+    at HEALTH_OK (the ERR -> WARN -> OK arc).
     """
-    violations: List[InvariantViolation] = []
     now = cluster.env.now
-    down = [osd.name for osd in cluster.osds.values() if not osd.is_up()]
-    if down:
-        violations.append(
-            InvariantViolation(
-                "health-convergence", f"OSDs still down after settle: {down}",
-                at_time=now,
-            )
-        )
-    if cluster.monitor.down_since:
-        violations.append(
-            InvariantViolation(
-                "health-convergence",
-                f"OSDs still marked down after settle: "
-                f"{sorted(cluster.monitor.down_since)}",
-                at_time=now,
-            )
-        )
-    if cluster.monitor.out_osds:
-        violations.append(
-            InvariantViolation(
-                "health-convergence",
-                f"OSDs still out after settle: {sorted(cluster.monitor.out_osds)}",
-                at_time=now,
-            )
-        )
-    if not cluster.recovery.idle:
-        violations.append(
-            InvariantViolation(
-                "health-convergence", "recovery still in flight after settle",
-                at_time=now,
-            )
-        )
-    if cluster.scrub.config.enabled and not cluster.scrub.quiescent():
-        violations.append(
-            InvariantViolation(
-                "health-convergence",
-                f"scrub not quiescent after settle "
-                f"({cluster.integrity.corrupted_chunk_count()} corrupt chunks left)",
-                at_time=now,
-            )
-        )
-    pins = sorted(cluster.monitor.active_pins())
-    if pins:
-        violations.append(
-            InvariantViolation(
-                "health-convergence",
-                f"flap-dampening pins still active after settle: "
-                f"{[f'osd.{osd_id}' for osd_id in pins]}",
-                at_time=now,
-            )
-        )
+    violations = [
+        InvariantViolation("health-convergence", reason, at_time=now)
+        for reason in convergence_blockers(cluster)
+    ]
     report = check_health(cluster)
     if report.status != HealthStatus.OK:
         violations.append(

@@ -24,6 +24,7 @@ __all__ = [
     "HealthReport",
     "SETTLE_POLL",
     "check_health",
+    "convergence_blockers",
     "converged",
 ]
 
@@ -186,29 +187,59 @@ def check_health(cluster: CephCluster) -> HealthReport:
     )
 
 
-def converged(cluster: CephCluster) -> bool:
-    """Every fault healed and health back to HEALTH_OK.
+def convergence_blockers(cluster: CephCluster) -> List[str]:
+    """Why the cluster has not settled yet; empty once it has.
 
-    Not a pure predicate: before judging health it calls
-    ``cluster.recovery.kick_stale()``, which can queue delta recovery
-    for dirty pg_logs and requeue toofull PGs.  Calling it one more time
-    (or one poll earlier) can therefore change a run's outcome, so each
-    settle loop's check/poll order is part of its replay contract.
+    The liveness, recovery, scrub and pin conditions that
+    :func:`converged` and the chaos ``check_converged`` invariant share,
+    one reason per failed condition.  A pure read: it neither kicks
+    stale recovery nor judges the health verdict.
     """
-    if not all(osd.is_up() for osd in cluster.osds.values()):
-        return False
+    reasons: List[str] = []
+    down = [osd.name for osd in cluster.osds.values() if not osd.is_up()]
+    if down:
+        reasons.append(f"OSDs still down after settle: {down}")
     # Liveness as the monitor sees it, not only the daemons: a restored
     # OSD stays marked down until its next heartbeat reaches the monitor.
-    if cluster.monitor.down_since or cluster.monitor.out_osds:
-        return False
+    if cluster.monitor.down_since:
+        reasons.append(
+            f"OSDs still marked down after settle: "
+            f"{sorted(cluster.monitor.down_since)}"
+        )
+    if cluster.monitor.out_osds:
+        reasons.append(
+            f"OSDs still out after settle: {sorted(cluster.monitor.out_osds)}"
+        )
+    if not cluster.recovery.idle:
+        reasons.append("recovery still in flight after settle")
+    if cluster.scrub.config.enabled and not cluster.scrub.quiescent():
+        reasons.append(
+            f"scrub not quiescent after settle "
+            f"({cluster.integrity.corrupted_chunk_count()} corrupt chunks left)"
+        )
     # A flap-dampening pin holds its OSD monitor-down even though the
     # daemon itself is healthy again; converged means the pin expired
     # and the OSD was marked back up.
-    if cluster.monitor.active_pins():
-        return False
-    if not cluster.recovery.idle:
-        return False
-    if cluster.scrub.config.enabled and not cluster.scrub.quiescent():
+    pins = sorted(cluster.monitor.active_pins())
+    if pins:
+        reasons.append(
+            f"flap-dampening pins still active after settle: "
+            f"{[f'osd.{osd_id}' for osd_id in pins]}"
+        )
+    return reasons
+
+
+def converged(cluster: CephCluster) -> bool:
+    """Every fault healed and health back to HEALTH_OK.
+
+    Not a pure predicate: once :func:`convergence_blockers` is empty it
+    calls ``cluster.recovery.kick_stale()``, which can queue delta
+    recovery for dirty pg_logs and requeue toofull PGs, before judging
+    health.  Calling it one more time (or one poll earlier) can
+    therefore change a run's outcome, so each settle loop's check/poll
+    order is part of its replay contract.
+    """
+    if convergence_blockers(cluster):
         return False
     # Byzantine lies outstanding (a stale-map gossip not yet rejected,
     # or a data-plane lie scrub has not exposed) mean the run has not

@@ -12,6 +12,7 @@ _spec.loader.exec_module(bench_pairs)
 
 METRICS = [
     {"name": "wall_s", "unit": "s", "better": "lower", "bound": 0.25},
+    {"name": "failed_frac", "unit": "fraction", "better": "lower", "bound": 0.1},
     {"name": "coverage_pairs", "unit": "count", "better": "higher", "bound": 0.1},
 ]
 
@@ -50,13 +51,29 @@ def test_compare_measures_worse_by_in_the_metrics_worse_direction():
     assert fewer["worse_by"] == 0.05 and fewer["within_bound"]
     more = bench_pairs.compare([39, 39], [38, 40], "higher", 0.1)
     assert more["change_wins"] == "1/2" and more["worse_by"] == 0.0
+    # A zero median compares as a ratio of 1, not a division by zero.
+    none_failed = bench_pairs.compare([0.0, 0.0], [0.0, 0.0], "lower", 0.1)
+    assert none_failed["worse_by"] == 0.0 and not none_failed["unresolved"]
 
 
-def _record(workload, seed, pair, side, wall, failed=0):
+def test_compare_flags_a_spread_wider_than_the_bound_as_unresolved():
+    tight = [1.0, 1.02, 0.98, 1.01]
+    wide = [1.0, 1.6, 0.7, 1.3]  # IQR 0.45 around a median of 1.15
+    assert not bench_pairs.compare(tight, tight, "lower", 0.25)["unresolved"]
+    assert bench_pairs.compare(wide, tight, "lower", 0.25)["unresolved"]
+    assert bench_pairs.compare(tight, wide, "lower", 0.25)["unresolved"]
+    # Every change run better than every parent run resolves any spread.
+    faster = [0.3, 0.6, 0.2, 0.5]
+    assert not bench_pairs.compare(wide, faster, "lower", 0.25)["unresolved"]
+    assert bench_pairs.compare(wide, faster, "higher", 0.25)["unresolved"]
+
+
+def _record(workload, seed, pair, side, wall, failed=0, failed_frac=0.2):
     return {"workload": workload, "seed": seed, "pair": pair, "side": side,
             "correct": failed == 0, "attempted": 5, "failed": failed,
             "rounds": 10 if side == "parent" else 14,
-            "metrics": {"wall_s": wall, "coverage_pairs": 39}}
+            "metrics": {"wall_s": wall, "failed_frac": failed_frac,
+                        "coverage_pairs": 39}}
 
 
 def test_summarise_writes_the_bench_sections():
@@ -84,6 +101,7 @@ def test_summarise_writes_the_bench_sections():
     assert claim["met"]
     assert summary["no_regression"]["met"]
     assert summary["no_regression"]["largest_worse_by"] == [0.1, "flat seed_11 wall_s"]
+    assert summary["no_regression"]["unresolved"] == []
 
 
 def test_summarise_fails_no_regression_on_more_failed_operations():
@@ -92,3 +110,55 @@ def test_summarise_fails_no_regression_on_more_failed_operations():
     summary = bench_pairs.summarise(records, METRICS, ("wall_s", "w"))
     assert not summary["no_regression"]["met"]
     assert not summary["claim"]["met"]
+
+
+def test_summarise_fails_no_regression_on_a_higher_failed_frac():
+    # 0.21 over 0.20 is within failed_frac's bound, but it must not rise.
+    records = [_record("w", 11, 0, "parent", 1.0),
+               _record("w", 11, 0, "change", 0.9, failed_frac=0.21)]
+    summary = bench_pairs.summarise(records, METRICS)
+    assert summary["end_to_end"]["w"]["seed_11"]["failed_frac"]["within_bound"]
+    assert not summary["no_regression"]["met"]
+
+
+def test_summarise_fails_no_regression_on_an_unresolved_metric():
+    walls = [(1.0, 1.0), (1.6, 1.6), (0.7, 0.7), (1.3, 1.3)]
+    records = [_record("w", 11, pair, side, wall)
+               for pair, sides in enumerate(walls)
+               for side, wall in zip(("parent", "change"), sides)]
+    no_regression = bench_pairs.summarise(records, METRICS)["no_regression"]
+    assert no_regression["unresolved"] == ["w seed_11 wall_s"]
+    assert not no_regression["met"]
+
+
+def _fake_run(calls):
+    def run(tree, workload, seed):
+        calls.append((tree.name, workload, seed))
+        return {"correct": True, "attempted": 5, "failed": 0, "rounds": 10,
+                "metrics": {"wall_s": 1.0 if tree.name == "parent" else 0.9}}
+    return run
+
+
+def test_collect_logs_each_run_and_skips_logged_runs(tmp_path):
+    trees = {"parent": tmp_path / "parent", "change": tmp_path / "change"}
+    log = tmp_path / "BENCH.runs.jsonl"
+    calls = []
+    first = bench_pairs.collect([("w", 11, 1)], trees, log, "abc1234",
+                                run=_fake_run(calls))
+    assert calls == [("parent", "w", 11), ("change", "w", 11)]
+    assert [(r["pair"], r["side"]) for r in first] == [(0, "parent"), (0, "change")]
+    assert len(log.read_text().splitlines()) == 2
+
+    # A second call with one more pair runs only that pair, change first.
+    calls.clear()
+    second = bench_pairs.collect([("w", 11, 2)], trees, log, "abc1234",
+                                 run=_fake_run(calls))
+    assert calls == [("change", "w", 11), ("parent", "w", 11)]
+    assert second[:2] == first
+    assert [(r["pair"], r["side"]) for r in second[2:]] == [(1, "change"),
+                                                           (1, "parent")]
+    assert len(log.read_text().splitlines()) == 4
+
+    with pytest.raises(SystemExit, match="abc1234"):
+        bench_pairs.collect([("w", 11, 2)], trees, log, "def5678",
+                            run=_fake_run(calls))
