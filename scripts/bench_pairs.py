@@ -10,8 +10,12 @@ a temporary directory; the change is this checkout's working tree.  Each
 
     python3 perfbench/run.py --workload WORKLOAD --seed SEED --seconds 30 --trace 0
 
-one run at a time, the parent first in even-numbered pairs.  Every
-finished run is appended to a JSON-lines log next to the output
+one run at a time, the parent first in even-numbered pairs, then one
+traced run per side,
+
+    python3 perfbench/run.py --workload WORKLOAD --seed SEED --seconds 10 --trace 1
+
+Every finished run is appended to a JSON-lines log next to the output
 (``BENCH_<n>.runs.jsonl``), and runs already in it are not run again, so
 an interrupted session resumes where it stopped.  A log written against
 another parent commit is refused: delete it to start afresh.
@@ -26,7 +30,9 @@ better), whether that stays within the ``BENCHMARK.json`` bound, and
 whether the runs spread too widely to tell (``unresolved``).  A gain is
 claimed for a metric when the change wins at least nine tenths of the
 pairs and the medians differ, in its favour, by more than the parent's
-interquartile range.
+interquartile range.  The ``traced`` section gives, per workload and
+seed, both sides' values of every per-layer metric that repeats exactly
+(all but the host-time ones) and lists the metrics whose values differ.
 """
 
 from __future__ import annotations
@@ -41,8 +47,10 @@ from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 ROOT = Path(__file__).resolve().parent.parent
-#: Length of every run, as BENCHMARK.json's ``run_seconds`` sets it.
+#: Length of every timed run, as BENCHMARK.json's ``run_seconds`` sets it.
 SECONDS = 30.0
+#: Length of every traced run: untraced rounds for half, then one traced round.
+TRACED_SECONDS = 10.0
 ORDER = "pair i runs the parent first when i is even"
 PROTOCOL = (
     "alternating parent/change pairs, one run at a time; " + ORDER + ". "
@@ -57,6 +65,11 @@ PROTOCOL = (
 GAIN_RULE = (
     "change wins >= 9/10 of pairs and the medians differ in the change's "
     "favour by more than the parent's IQR"
+)
+TRACED_RULE = (
+    "every per-layer metric but the host-time ones (*.self_share, "
+    "sim.host_us_per_event, and *_s other than *_sim_s) repeats exactly; "
+    "differ lists those whose parent and change values are not equal"
 )
 NO_REGRESSION_RULE = (
     "every end-to-end metric on every workload: resolved, change median no "
@@ -244,27 +257,71 @@ def summarise(records: Sequence[Dict[str, Any]], metrics: Sequence[Dict[str, Any
     return summary
 
 
+def repeats_exactly(metric: str) -> bool:
+    """Whether a per-layer metric is a count or sim-time sum, not host time."""
+    if metric.endswith(".self_share") or metric == "sim.host_us_per_event":
+        return False
+    return not metric.endswith("_s") or metric.endswith("_sim_s")
+
+
+def traced_section(records: Sequence[Dict[str, Any]]) -> Dict[str, Any]:
+    """Both sides' exact per-layer metrics per workload and seed, and which differ."""
+    runs: Dict[str, Dict[str, Dict[str, Dict[str, Any]]]] = {}
+    for record in sorted(records, key=lambda r: r["seed"]):
+        by_seed = runs.setdefault(record["workload"], {})
+        by_seed.setdefault(f"seed_{record['seed']}", {})[record["side"]] = record
+    section: Dict[str, Any] = {"command": _command(TRACED_SECONDS, 1),
+                               "rule": TRACED_RULE}
+    for workload, by_seed in runs.items():
+        section[workload] = {}
+        for seed_key, by_side in by_seed.items():
+            parent, change = (
+                {name: value for name, value in sorted(by_side[side]["metrics"].items())
+                 if repeats_exactly(name)}
+                for side in ("parent", "change")
+            )
+            section[workload][seed_key] = {
+                "parent": parent,
+                "change": change,
+                "differ": sorted(name for name in parent.keys() | change.keys()
+                                 if parent.get(name) != change.get(name)),
+                "correct": {side: by_side[side]["correct"]
+                            for side in ("parent", "change")},
+            }
+    return section
+
+
 # -- running ------------------------------------------------------------------------
 
 
-def run_once(tree: Path, workload: str, seed: int) -> Dict[str, Any]:
-    """One untraced benchmark run in ``tree``; its verdict, metrics and rounds."""
+def _command(seconds: float, trace: int) -> str:
+    return ("python3 perfbench/run.py --workload <workload> --seed <seed> "
+            f"--seconds {seconds:g} --trace {trace}")
+
+
+def run_once(tree: Path, workload: str, seed: int,
+             traced: bool = False) -> Dict[str, Any]:
+    """One benchmark run in ``tree``: its verdict, metrics and (timed) rounds."""
+    seconds = TRACED_SECONDS if traced else SECONDS
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload,
-         "--seed", str(seed), "--seconds", f"{SECONDS:g}", "--trace", "0"],
+         "--seed", str(seed), "--seconds", f"{seconds:g}",
+         "--trace", str(int(traced))],
         cwd=tree, capture_output=True, text=True, check=True,
     )
     lines = proc.stdout.strip().splitlines()
     verdict = json.loads(lines[-1])
-    rounds = next(int(line.split()[-1]) for line in lines
-                  if line.startswith(f"workload {workload} seed {seed} rounds "))
-    return {
+    result = {
         "correct": verdict["correct"],
         "attempted": verdict["attempted"],
         "failed": verdict["failed"],
-        "rounds": rounds,
         "metrics": {name: m["value"] for name, m in verdict["metrics"].items()},
     }
+    if not traced:
+        result["rounds"] = next(
+            int(line.split()[-1]) for line in lines
+            if line.startswith(f"workload {workload} seed {seed} rounds "))
+    return result
 
 
 def parse_plan(items: Sequence[str]) -> List[Tuple[str, int, int]]:
@@ -277,11 +334,13 @@ def parse_plan(items: Sequence[str]) -> List[Tuple[str, int, int]]:
 
 def collect(plan: Sequence[Tuple[str, int, int]], trees: Dict[str, Path],
             log: Path, parent_commit: str,
-            run: Callable[[Path, str, int], Dict[str, Any]] = run_once,
+            run: Callable[[Path, str, int, bool], Dict[str, Any]] = run_once,
             ) -> List[Dict[str, Any]]:
     """Every planned run's record, running only those ``log`` lacks.
 
-    Each new run is appended to ``log`` as soon as it finishes.
+    Each plan item runs its timed pairs, then one traced run per side
+    (``"pair": "traced"``).  Each new run is appended to ``log`` as soon
+    as it finishes.
     """
     lines = log.read_text().splitlines() if log.exists() else []
     logged = [json.loads(line) for line in lines if line]
@@ -292,21 +351,23 @@ def collect(plan: Sequence[Tuple[str, int, int]], trees: Dict[str, Path],
     done = {(r["workload"], r["seed"], r["pair"], r["side"]): r for r in logged}
     records = []
     for workload, seed, pairs in plan:
-        for pair in range(pairs):
-            sides = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
-            for side in sides:
-                key = (workload, seed, pair, side)
-                if key not in done:
-                    record = {"parent_commit": parent_commit, "workload": workload,
-                              "seed": seed, "pair": pair, "side": side}
-                    record.update(run(trees[side], workload, seed))
-                    print(f"{workload} seed {seed} pair {pair} {side} "
-                          f"wall_s {record['metrics']['wall_s']:.3f}",
-                          file=sys.stderr, flush=True)
-                    with log.open("a") as out:
-                        out.write(json.dumps(record, sort_keys=True) + "\n")
-                    done[key] = record
-                records.append(done[key])
+        runs = [(pair, side) for pair in range(pairs) for side in
+                (("parent", "change") if pair % 2 == 0 else ("change", "parent"))]
+        runs += [("traced", "parent"), ("traced", "change")]
+        for pair, side in runs:
+            key = (workload, seed, pair, side)
+            if key not in done:
+                record = {"parent_commit": parent_commit, "workload": workload,
+                          "seed": seed, "pair": pair, "side": side}
+                record.update(run(trees[side], workload, seed, pair == "traced"))
+                metric = "sim.events" if pair == "traced" else "wall_s"
+                print(f"{workload} seed {seed} pair {pair} {side} "
+                      f"{metric} {record['metrics'][metric]:g}",
+                      file=sys.stderr, flush=True)
+                with log.open("a") as out:
+                    out.write(json.dumps(record, sort_keys=True) + "\n")
+                done[key] = record
+            records.append(done[key])
     return records
 
 
@@ -337,12 +398,13 @@ def main(argv: Optional[List[str]] = None) -> int:
                           args.out.with_suffix(".runs.jsonl"), parent_commit)
 
     claim = tuple(args.claim.split(":")) if args.claim else None
+    timed = [r for r in records if r["pair"] != "traced"]
     document = {
         "parent_commit": parent_commit,
-        "command": ("python3 perfbench/run.py --workload <workload> --seed <seed> "
-                    f"--seconds {SECONDS:g} --trace 0"),
+        "command": _command(SECONDS, 0),
         "protocol": PROTOCOL,
-        **summarise(records, benchmark["end_to_end"], claim),
+        **summarise(timed, benchmark["end_to_end"], claim),
+        "traced": traced_section([r for r in records if r["pair"] == "traced"]),
     }
     args.out.write_text(json.dumps(document, indent=1) + "\n")
     return 0

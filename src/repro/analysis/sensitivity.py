@@ -40,18 +40,6 @@ class AxisImpact:
     mean_by_value: Dict[object, float]
 
 
-def _axis_values(results: Sequence[SweepResult], axis: str) -> List[object]:
-    values = []
-    for result in results:
-        if axis not in result.settings:
-            raise KeyError(f"axis {axis!r} missing from sweep settings")
-        value = result.settings[axis]
-        key = str(value) if isinstance(value, dict) else value
-        if key not in values:
-            values.append(key)
-    return values
-
-
 def axis_impacts(
     results: Sequence[SweepResult], axes: Sequence[str]
 ) -> List[AxisImpact]:

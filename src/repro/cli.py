@@ -800,8 +800,14 @@ def cmd_tenants(args) -> int:
 
 
 def cmd_geo(args) -> int:
+    from .core.fault_injector import GEO_LEVELS
     from .geo import run_stretch_experiment
 
+    if args.fault in GEO_LEVELS and args.restore_after is None:
+        print(f"geo: --fault {args.fault} needs --restore-after: a held "
+              "region fault marks no OSD out, so nothing would recover",
+              file=sys.stderr)
+        return 2
     profile = _profile_from_args(args).with_overrides(
         num_regions=args.regions,
         wan_latency=args.wan_latency,
@@ -1207,9 +1213,8 @@ def build_parser() -> argparse.ArgumentParser:
     geo.add_argument("--restore-after", type=float, default=None,
                      metavar="SECONDS",
                      help="restore the fault after this many sim seconds and "
-                          "settle to convergence (required shape for "
-                          "region_outage, whose displaced PGs are "
-                          "unplaceable until the region returns)")
+                          "settle to convergence (required for region_outage "
+                          "and wan_partition, which mark no OSD out)")
     geo.add_argument("--naive", action="store_true",
                      help="disable locality-aware recovery (helpers picked "
                           "with no regard for regions)")

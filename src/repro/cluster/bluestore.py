@@ -231,9 +231,6 @@ class BlueStore:
         """The stored csum array for a chunk, or None if never registered."""
         return self.chunk_checksums.get(key)
 
-    def drop_chunk_checksums(self, key: tuple) -> None:
-        self.chunk_checksums.pop(key, None)
-
     @property
     def used_bytes(self) -> int:
         """Total durable usage: allocations plus metadata."""

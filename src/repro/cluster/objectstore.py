@@ -100,11 +100,6 @@ class ChunkLayout:
     chunk_stored_bytes: int
 
     @property
-    def chunk_logical_bytes(self) -> float:
-        """Unpadded per-chunk share of the object."""
-        return self.object_size / self.k
-
-    @property
     def padding_bytes_total(self) -> int:
         """Zero-padding across all k data chunks (parity mirrors data)."""
         return self.k * self.chunk_stored_bytes - self.object_size

@@ -47,9 +47,6 @@ class PlacementGroup:
     def pgid(self) -> str:
         return f"{self.pool_id}.{self.pg_id:x}"
 
-    def shard_osd(self, shard: int) -> int:
-        return self.acting[shard]
-
     def shards_on(self, osd_ids: Iterable[int]) -> List[int]:
         """Shard positions this PG maps onto any of the given OSDs."""
         targets = set(osd_ids)

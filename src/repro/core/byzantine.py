@@ -34,7 +34,7 @@ byte-identical outcome digests.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Set, Tuple
 
 BYZ_LEVELS = ("byz_corrupt_data", "byz_stale_map", "byz_false_ack")
@@ -146,10 +146,6 @@ class ByzantineState:
             if r_pgid == pgid and r_name == name:
                 shards.add(shard)
         return shards
-
-    def corrupt_items(self) -> Iterator[Tuple[str, str, int, ByzFaultRecord]]:
-        for (pgid, name, shard), records in list(self._corrupt.items()):
-            yield pgid, name, shard, records[-1]
 
     # -- detection ------------------------------------------------------------
 

@@ -76,7 +76,11 @@ class Controller:
         settle_time: float = 60.0,
         max_sim_time: float = 200_000.0,
     ) -> ExperimentOutcome:
-        """Run the profile's experiment once (single use per Controller)."""
+        """Run the profile's experiment once (single use per Controller).
+
+        The faults are held: ``settle_time`` is the warmup before them and
+        ``max_sim_time`` the budget of each polled wait.
+        """
         if self._used:
             raise RuntimeError(
                 "Controller already ran an experiment; build a fresh one"
@@ -84,7 +88,7 @@ class Controller:
         self._used = True
         return self.coordinator.run(
             workload,
-            faults or [],
-            settle_time=settle_time,
-            max_sim_time=max_sim_time,
+            faults or (),
+            warmup=settle_time,
+            settle_time=max_sim_time,
         )

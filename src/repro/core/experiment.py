@@ -32,7 +32,10 @@ def run_experiment(
     settle_time: float = 60.0,
     max_sim_time: float = 200_000.0,
 ) -> ExperimentOutcome:
-    """Build a fresh target DSS for ``profile`` and run one experiment."""
+    """Build a fresh target DSS for ``profile`` and run one experiment.
+
+    The faults are held (see :meth:`Controller.run_experiment`).
+    """
     controller = Controller(profile, seed=seed)
     return controller.run_experiment(
         workload,

@@ -7,25 +7,24 @@ flaky networks, and flapping daemons cost while the cluster is neither
 healthy nor failed — and how much do the defenses (flap dampening, op
 timeouts, retry/backoff, hedged reads) buy back?
 
-:func:`run_gray_experiment` is a preset of the experiment cycle
-(:func:`~repro.tenancy.experiment.run_tenant_experiment`) with one
-open-loop client stream: the legacy-equivalent tenant fleet.  Its
-:class:`~repro.tenancy.experiment.TenantOutcome` carries the client's
-latency samples and defense counters, the monitor's dampening counters,
-the flap timeline, and a canonical digest that is byte-identical across
-same-seed runs — the determinism contract the examples assert.
+:func:`run_gray_experiment` is a preset of the experiment cycle's
+restore timing (:func:`~repro.tenancy.experiment.run_tenant_experiment`)
+with one open-loop client stream: the legacy-equivalent tenant fleet.
+Its :class:`~repro.core.coordinator.ExperimentOutcome` carries the
+client's latency samples and defense counters, the monitor's dampening
+counters, the flap timeline, and a canonical digest that is
+byte-identical across same-seed runs — the determinism contract the
+examples assert.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Sequence
+from typing import Sequence
 
 from ..workload.generator import Workload
+from .coordinator import ExperimentOutcome
 from .fault_injector import FaultSpec
 from .profile import ExperimentProfile
-
-if TYPE_CHECKING:
-    from ..tenancy.experiment import TenantOutcome
 
 __all__ = ["run_gray_experiment"]
 
@@ -41,7 +40,7 @@ def run_gray_experiment(
     settle_time: float = 20_000.0,
     write_fraction: float = 0.0,
     rmw_fraction: float = 0.5,
-) -> "TenantOutcome":
+) -> ExperimentOutcome:
     """Run one gray-failure cycle with a single client stream.
 
     One op every ``load_interval`` seconds runs for ``fault_duration``

@@ -1,12 +1,10 @@
 """Stretch-cluster experiments: one run, WAN ledger included.
 
-The generic :func:`~repro.core.experiment.run_experiment` returns an
-:class:`~repro.core.coordinator.ExperimentOutcome`, which deliberately
-does not keep the cluster alive.  Geo experiments need the WAN fabric's
-counters and egress ledger after the run, so this module keeps the
-run's cluster and folds the geo-observable state into a
-:class:`GeoOutcome` with a canonical digest — the same replay contract
-the chaos engine uses, scoped to the stretch-cluster metrics.
+:func:`run_stretch_experiment` runs one experiment cycle on a stretch
+cluster and folds the WAN fabric's counters and egress ledger, read off
+the outcome's cluster, into a :class:`GeoOutcome` with a canonical
+digest — the same replay contract the chaos engine uses, scoped to the
+stretch-cluster metrics.
 """
 
 from __future__ import annotations
@@ -19,7 +17,6 @@ from ..core.controller import Controller
 from ..core.digest import canonical_json
 from ..core.fault_injector import FaultSpec
 from ..core.profile import ExperimentProfile
-from ..tenancy.experiment import run_tenant_experiment
 from ..workload.generator import Workload
 
 __all__ = ["GeoOutcome", "run_stretch_experiment"]
@@ -32,6 +29,9 @@ class GeoOutcome:
     profile_name: str
     num_regions: int
     locality_aware: bool
+    #: Held faults: the recovery timeline's detection -> recovery
+    #: finished.  Restored faults: the first recovery I/O to the last PG
+    #: finished (0.0 when nothing recovered).
     total_recovery_time: float
     objects_recovered: int
     #: Recovery-side accounting (what the repair paths charged).
@@ -80,15 +80,14 @@ def run_stretch_experiment(
     preference, which is the A/B the geo benchmark and the
     ``stretch_cluster`` example compare.
 
-    ``restore_after``, when set, runs the experiment cycle
-    (:func:`~repro.tenancy.experiment.run_tenant_experiment`) with no
-    client load: ``settle_time`` is the warmup before the faults, every
-    fault is restored ``restore_after`` sim seconds after injection, and
-    ``max_sim_time`` is the budget to settle until the cluster converges
-    — the shape region-level faults need, since a spread-wide region
-    outage leaves displaced PGs unplaceable until the region returns.
-    ``None`` keeps the standard coordinator cycle (inject, wait for full
-    recovery), which suits permanent node/device faults.
+    ``restore_after``, when set, restores every fault that many sim
+    seconds after injection and gives the cluster ``max_sim_time`` to
+    settle until it converges — the shape region-level faults need,
+    since a spread-wide region outage leaves displaced PGs unplaceable
+    until the region returns.  ``None`` holds the faults (wait for the
+    victims' mark-out and full recovery, ``max_sim_time`` per wait),
+    which suits permanent node/device faults.  Either way
+    ``settle_time`` is the warmup before the faults.
     """
     if profile.num_regions <= 1:
         raise ValueError(
@@ -100,33 +99,22 @@ def run_stretch_experiment(
     profile = profile.with_overrides(
         ceph=replace(profile.ceph, recovery_locality_aware=locality_aware)
     )
+    outcome = Controller(profile, seed=seed).coordinator.run(
+        workload,
+        faults or (),
+        warmup=settle_time,
+        fault_duration=restore_after,
+        settle_time=max_sim_time,
+    )
+    cluster = outcome.cluster
+    stats = outcome.recovery_stats
     if restore_after is None:
-        controller = Controller(profile, seed=seed)
-        outcome = controller.run_experiment(
-            workload,
-            list(faults or []),
-            settle_time=settle_time,
-            max_sim_time=max_sim_time,
-        )
-        cluster = controller.cluster
-        stats = outcome.recovery_stats
         recovery_time = (
             outcome.timeline.total_recovery
             if outcome.timeline is not None
             else 0.0
         )
     else:
-        cycle = run_tenant_experiment(
-            profile,
-            workload,
-            faults=list(faults or []),
-            seed=seed,
-            warmup=settle_time,
-            fault_duration=restore_after,
-            settle_time=max_sim_time,
-        )
-        cluster = cycle.cluster
-        stats = cycle.recovery_stats
         recovery_time = (
             stats.finished_at - stats.io_started_at
             if stats.io_started_at is not None and stats.finished_at is not None

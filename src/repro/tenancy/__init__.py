@@ -20,7 +20,7 @@ from .accounting import (
     slo_violation_windows,
     windows_overlap,
 )
-from .experiment import TenantOutcome, run_tenant_experiment
+from .experiment import run_tenant_experiment
 from .fleet import TenantFleet, TenantRuntime, install_qos
 from .mclock import MClockScheduler, QosClass, QosClassStats
 from .spec import (
@@ -41,7 +41,6 @@ __all__ = [
     "SloSpec",
     "TenantFleet",
     "TenantFleetSpec",
-    "TenantOutcome",
     "TenantReport",
     "TenantRuntime",
     "TenantSpec",

@@ -33,10 +33,6 @@ class IoSample:
     def read_bytes_per_sec(self) -> float:
         return self.read_bytes / self.interval if self.interval else 0.0
 
-    @property
-    def write_bytes_per_sec(self) -> float:
-        return self.written_bytes / self.interval if self.interval else 0.0
-
 
 class IostatCollector:
     """Samples a set of disks every ``interval`` simulated seconds."""
@@ -99,7 +95,3 @@ class IostatCollector:
             for s in self.samples
             if start <= s.time <= end and (device is None or s.device == device)
         ]
-
-    def read_bytes_in(self, start: float, end: float) -> int:
-        """Total bytes read across all devices in ``[start, end]``."""
-        return sum(s.read_bytes for s in self.window(start, end))

@@ -131,9 +131,23 @@ def test_summarise_fails_no_regression_on_an_unresolved_metric():
     assert not no_regression["met"]
 
 
-def _fake_run(calls):
-    def run(tree, workload, seed):
-        calls.append((tree.name, workload, seed))
+#: A traced run's per-layer metrics: counts and sim-time sums repeat
+#: exactly, the host-time ones never do.
+TRACED = {"sim.events": 100, "sim.host_us_per_event": 3.1,
+          "sim.self_share": 0.5, "cluster.disk.busy_sim_s": 4.25,
+          "core.build_s": 0.05, "tenancy.served_frac": 1.0}
+
+
+def _fake_run(calls, change_traced=None):
+    """A stand-in for ``run_once`` that records its calls."""
+    def run(tree, workload, seed, traced):
+        calls.append((tree.name, workload, seed, traced))
+        if traced:
+            metrics = dict(TRACED)
+            if tree.name == "change":
+                metrics.update(change_traced or {"sim.host_us_per_event": 2.9})
+            return {"correct": True, "attempted": 5, "failed": 0,
+                    "metrics": metrics}
         return {"correct": True, "attempted": 5, "failed": 0, "rounds": 10,
                 "metrics": {"wall_s": 1.0 if tree.name == "parent" else 0.9}}
     return run
@@ -145,20 +159,50 @@ def test_collect_logs_each_run_and_skips_logged_runs(tmp_path):
     calls = []
     first = bench_pairs.collect([("w", 11, 1)], trees, log, "abc1234",
                                 run=_fake_run(calls))
-    assert calls == [("parent", "w", 11), ("change", "w", 11)]
-    assert [(r["pair"], r["side"]) for r in first] == [(0, "parent"), (0, "change")]
-    assert len(log.read_text().splitlines()) == 2
+    assert calls == [("parent", "w", 11, False), ("change", "w", 11, False),
+                     ("parent", "w", 11, True), ("change", "w", 11, True)]
+    assert [(r["pair"], r["side"]) for r in first] == [
+        (0, "parent"), (0, "change"), ("traced", "parent"), ("traced", "change")]
+    assert len(log.read_text().splitlines()) == 4
 
-    # A second call with one more pair runs only that pair, change first.
+    # A second call with one more pair runs only that pair, change first;
+    # the logged traced runs are not run again.
     calls.clear()
     second = bench_pairs.collect([("w", 11, 2)], trees, log, "abc1234",
                                  run=_fake_run(calls))
-    assert calls == [("change", "w", 11), ("parent", "w", 11)]
-    assert second[:2] == first
-    assert [(r["pair"], r["side"]) for r in second[2:]] == [(1, "change"),
-                                                           (1, "parent")]
-    assert len(log.read_text().splitlines()) == 4
+    assert calls == [("change", "w", 11, False), ("parent", "w", 11, False)]
+    assert second[:2] == first[:2] and second[4:] == first[2:]
+    assert [(r["pair"], r["side"]) for r in second[2:4]] == [(1, "change"),
+                                                            (1, "parent")]
+    assert len(log.read_text().splitlines()) == 6
 
     with pytest.raises(SystemExit, match="abc1234"):
         bench_pairs.collect([("w", 11, 2)], trees, log, "def5678",
                             run=_fake_run(calls))
+
+
+def test_repeats_exactly_leaves_out_host_time():
+    exact = [name for name in TRACED if bench_pairs.repeats_exactly(name)]
+    assert exact == ["sim.events", "cluster.disk.busy_sim_s",
+                     "tenancy.served_frac"]
+
+
+def test_traced_section_compares_the_exact_metrics(tmp_path):
+    trees = {"parent": tmp_path / "parent", "change": tmp_path / "change"}
+    plan = [("a", 11, 1), ("b", 42, 1), ("b", 11, 1)]
+    records = bench_pairs.collect(
+        plan, trees, tmp_path / "BENCH.runs.jsonl", "abc1234",
+        run=_fake_run([], change_traced={"sim.events": 125,
+                                         "sim.self_share": 0.4}))
+    traced = bench_pairs.traced_section(
+        [r for r in records if r["pair"] == "traced"])
+
+    assert traced["command"].endswith("--seconds 10 --trace 1")
+    assert list(traced["b"]) == ["seed_11", "seed_42"]
+    cell = traced["a"]["seed_11"]
+    assert cell["parent"] == {"cluster.disk.busy_sim_s": 4.25,
+                              "sim.events": 100, "tenancy.served_frac": 1.0}
+    assert cell["change"]["sim.events"] == 125
+    # A host-time difference (self share) is not reported as one.
+    assert cell["differ"] == ["sim.events"]
+    assert cell["correct"] == {"parent": True, "change": True}

@@ -399,6 +399,24 @@ def test_geo_naive_flag_changes_the_run(capsys):
     assert json.loads(naive)["locality_aware"] is False
 
 
+@pytest.mark.parametrize("level", ["region_outage", "wan_partition"])
+def test_geo_held_region_fault_needs_restore_after(capsys, level):
+    """Regression: a held region fault used to exit 0 reporting 0.0 s
+    of recovery and 0 objects recovered."""
+    code, out, err = geo_small(capsys, "--fault", level)
+    assert code == 2
+    assert out == ""
+    assert f"geo: --fault {level} needs --restore-after" in err
+
+
+def test_geo_restored_region_fault_runs(capsys):
+    code, out, _ = geo_small(
+        capsys, "--fault", "region_outage", "--restore-after", "300",
+    )
+    assert code == 0
+    assert "outcome digest" in out
+
+
 def test_chaos_geo_is_exclusive_with_writes_and_tenants(capsys):
     for flag in ("--writes", "--tenants"):
         code, _, err = run_cli(

@@ -200,3 +200,37 @@ def test_cycle_settles_after_the_monitor_marks_restored_osds_up(level, restored)
     assert sorted(r.field("osd") for r in marked_up) == restored
     assert all(70.0 < r.time < outcome.finished_at for r in marked_up)
     assert outcome.finished_at == pytest.approx(95.0)
+
+
+def stretch_rs42_profile():
+    """RS(4,2) stretched over 3 regions of 3 hosts."""
+    return ExperimentProfile(
+        name="rs42-geo", ec_plugin="jerasure", ec_params={"k": 4, "m": 2},
+        num_hosts=9, num_regions=3, pg_num=16,
+    )
+
+
+@pytest.mark.parametrize("level", ["region_outage", "wan_partition"])
+def test_held_region_fault_is_refused_before_the_warmup(level):
+    """Regression: held region faults mark no OSD out, so the hold
+    timing used to return at the injection instant (t=60) with OSDs
+    down, no timeline and no PG queued."""
+    controller = Controller(stretch_rs42_profile(), seed=3)
+    with pytest.raises(ValueError, match="restore_after"):
+        controller.run_experiment(
+            Workload(num_objects=12, object_size=4 * MB), [FaultSpec(level=level)]
+        )
+    assert controller.env.now == 0.0
+    assert not controller.fault_injector.injected_osds
+
+
+def test_corrupt_fault_without_scrubbing_is_refused_before_the_warmup():
+    """The check used to fire only after the faults were injected."""
+    controller = Controller(rs42_profile(), seed=3)
+    with pytest.raises(ValueError, match="scrubbing is disabled"):
+        controller.run_experiment(
+            Workload(num_objects=12, object_size=4 * MB),
+            [FaultSpec(level="corrupt")],
+        )
+    assert controller.env.now == 0.0
+    assert not controller.cluster.integrity.corrupted_chunk_count()

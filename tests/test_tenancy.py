@@ -13,6 +13,7 @@ from repro.chaos.campaign import CampaignSpec
 from repro.chaos.engine import run_chaos
 from repro.chaos.sampler import sample_campaign
 from repro.cluster import CephConfig
+from repro.core.controller import Controller
 from repro.core.fault_injector import FaultSpec
 from repro.core.gray import run_gray_experiment
 from repro.core.profile import ExperimentProfile
@@ -268,6 +269,14 @@ def test_tenant_experiment_rejects_bad_duration():
         run_tenant_experiment(
             small_profile(), small_workload(), qos_fleet(), fault_duration=0.0
         )
+
+
+def test_held_cycle_rejects_a_tenant_fleet():
+    """A hold has no fault window for the fleet to run through."""
+    controller = Controller(small_profile())
+    with pytest.raises(ValueError, match="fault_duration"):
+        controller.coordinator.run(small_workload(), fleet_spec=qos_fleet())
+    assert controller.env.now == 0.0
 
 
 @pytest.mark.parametrize("name", ["warmup", "settle_time"])
