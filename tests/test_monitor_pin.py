@@ -9,20 +9,33 @@ that between them run every heartbeat and tick branch: mark down, out,
 in and up; flap dampening's pin and its expiry; heartbeat loss (draws
 from the ``hb-loss`` stream) and a partition; stale-epoch rejection;
 and the capacity tiers with the write pause and resume.
+
+A second pin hashes the outcomes of 30 gray chaos campaigns (slow
+devices, lossy and partitioned NICs, flaps): heartbeat loss draws across
+OSDs, flap pins and their expiry, and partitions inside full campaigns.
 """
 
 import hashlib
 
 import pytest
 
+from repro.chaos.engine import CampaignInvalid, campaign_seed, run_campaign
+from repro.chaos.sampler import sample_campaign
 from repro.core.digest import canonical_json
-from repro.core.fault_injector import FaultSpec
+from repro.core.fault_injector import GRAY_LEVELS, FaultSpec
 from tests.test_cascade_resilience import fill_to
 from tests.test_gray_failures import build
 
 PINNED_MONITOR_HASH = (
     "b04430875b54d8cc05943fbf8d945aa23881473baa738e95560b31d4014f4ccd"
 )
+
+#: SHA-256 over the outcome hashes of ``GRAY_CAMPAIGNS`` gray campaigns
+#: at root seed 2026, in index order, "invalid" for a rejected schedule.
+PINNED_GRAY_CAMPAIGNS_HASH = (
+    "ba8b271f6cdf71ed585d17c7b1bfb4d07442647654290cf5413ecf0af7e19f06"
+)
+GRAY_CAMPAIGNS = 30
 
 
 def _inject_and_restore(spec, inject_at, restore_at, end, **build_kwargs):
@@ -130,3 +143,46 @@ def test_scenarios_reach_every_beat_and_tick_branch(states):
         "capacity recovered, resuming client writes",
         "osd capacity back below nearfull",
     } <= messages["capacity"]
+
+
+@pytest.fixture(scope="module")
+def gray_campaigns():
+    """(spec, result or None) for each gray campaign, in index order."""
+    campaigns = []
+    for index in range(GRAY_CAMPAIGNS):
+        spec = sample_campaign(campaign_seed(2026, index), levels=GRAY_LEVELS)
+        try:
+            result = run_campaign(spec)
+        except CampaignInvalid:
+            result = None
+        campaigns.append((spec, result))
+    return campaigns
+
+
+def test_gray_campaign_outcomes_pinned(gray_campaigns):
+    hashes = [
+        result.outcome_hash if result is not None else "invalid"
+        for _spec, result in gray_campaigns
+    ]
+    digest = hashlib.sha256(canonical_json(hashes).encode()).hexdigest()
+    assert digest == PINNED_GRAY_CAMPAIGNS_HASH
+
+
+def test_gray_campaigns_reach_loss_partition_and_pins(gray_campaigns):
+    injects = [
+        action
+        for spec, _result in gray_campaigns
+        for action in spec.actions
+        if action.kind == "inject"
+    ]
+    degrades = [a for a in injects if a.level == "net_degrade"]
+    assert any(a.partition for a in degrades)
+    assert any(not a.partition and a.loss > 0 for a in degrades)
+    assert any(a.level == "flap" for a in injects)
+    monitors = [
+        result.digest["monitor"]
+        for _spec, result in gray_campaigns
+        if result is not None
+    ]
+    assert sum(m["markdowns"] for m in monitors) > 0
+    assert sum(m["pins"] for m in monitors) > 0
