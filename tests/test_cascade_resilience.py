@@ -458,6 +458,24 @@ def test_full_osd_pauses_writes_and_resume_wakes_the_gate():
     assert monitor.write_gate() is None
 
 
+def test_write_pause_follows_the_full_osds_liveness():
+    # Only up OSDs pause writes: a full OSD going down lifts the pause
+    # with its usage unchanged, and coming back up pauses writes again.
+    env, cluster = build_cluster()
+    monitor = cluster.monitor
+    osd = cluster.osds[0]
+    fill_to(osd, 0.96)
+    env.run(until=env.now + 6)
+    assert monitor.write_paused
+    osd.host_running = False
+    env.run(until=env.now + 6)
+    assert not monitor.write_paused
+    osd.host_running = True
+    env.run(until=env.now + 6)
+    assert monitor.write_paused
+    assert monitor.write_pauses_total == 2
+
+
 def test_backfillfull_osds_are_not_backfill_targets():
     env, cluster = build_cluster()
     fill_to(cluster.osds[0], 0.91)
