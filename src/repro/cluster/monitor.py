@@ -92,8 +92,13 @@ class Monitor:
         self.write_paused = False
         self.write_pauses_total = 0
         self._resume_event: Optional[Event] = None
-        #: OSD ids in order: heartbeat timers start, and the capacity
-        #: scan walks them, in this order.
+        #: Each OSD's ``disk.used_bytes`` at its last capacity scan: the
+        #: tier is a function of usage, so an unchanged disk keeps it.
+        self._scanned_used: Dict[int, int] = {}
+        #: OSDs whose last scan put them at the full tier.
+        self._full_osds: Set[int] = set()
+        #: OSD ids in order: heartbeats start, and the capacity scan
+        #: walks them, in this order.
         self._osd_ids: List[int] = sorted(osds)
         # Deterministic per-OSD heartbeat phase: a seeded draw per OSD in
         # id order, bounded by the interval so the first beat lands well
@@ -106,20 +111,38 @@ class Monitor:
         # Consumed only while a lossy degradation is active, so healthy
         # runs never draw from it (baseline determinism).
         self._loss_rng = SeedSequence(0).stream("hb-loss")
-        # Fixed-period work runs as kernel timers, one heap entry per
-        # beat or tick: the first beat lands at the OSD's phase, the
-        # first tick one interval in.
-        for osd_id in self._osd_ids:
-            env.every(config.osd_heartbeat_interval, self._heartbeat,
-                      osd_id, delay=self._phase[osd_id])
+        # Fixed-period work runs as kernel periodic groups: the beats of
+        # every OSD are one group, each OSD's first beat at its phase;
+        # the first tick lands one interval in.
+        env.every_each(
+            config.osd_heartbeat_interval, self._heartbeat,
+            [(osd_id, self._phase[osd_id]) for osd_id in self._osd_ids],
+        )
         env.every(config.mon_tick_interval, self._tick)
 
     # -- daemon-side heartbeats ---------------------------------------------------
 
     def _heartbeat(self, osd_id: int) -> None:
-        """One OSD's beat: each OSD pings the monitor every interval while up."""
+        """One OSD's beat: each OSD pings the monitor every interval while up.
+
+        A quiet beat (no pin record, no down or out mark, no Byzantine
+        state, a NIC without degradation) only records its arrival; any
+        of those sends it down the full path.
+        """
         osd = self.osds[osd_id]
-        if not (osd.is_up() and self._heartbeat_delivered(osd_id)):
+        if not osd.is_up():
+            return
+        nic = self.nics.get(osd_id) if self.nics is not None else None
+        if (
+            (nic is None or nic.degradation is None)
+            and self.byzantine is None
+            and osd_id not in self.pinned_until
+            and osd_id not in self.down_since
+            and osd_id not in self.out_osds
+        ):
+            self.last_heartbeat[osd_id] = self.env.now
+            return
+        if not self._heartbeat_delivered(osd_id):
             return
         if self.byzantine is not None and self.byzantine.gossiping_stale(osd_id):
             # Epoch-mismatch rejection: the heartbeat carries an osdmap
@@ -136,15 +159,15 @@ class Monitor:
                 osd=osd.name, claimed=claimed, epoch=self.osdmap_epoch,
             )
         self.last_heartbeat[osd_id] = self.env.now
-        if self.is_pinned(osd_id):
-            # Dampened: the monitor no longer believes this OSD's
-            # heartbeats until the pin expires.
-            return
-        expired_pin = self.pinned_until.pop(osd_id, None)
-        if expired_pin is not None:
+        if osd_id in self.pinned_until:
+            if self.is_pinned(osd_id):
+                # Dampened: the monitor no longer believes this OSD's
+                # heartbeats until the pin expires.
+                return
             # A dampening pin ran out with the daemon healthy: the rejoin
             # is an osdmap event, not a silent one — the timeline band
             # and the chaos engine both key off this transition.
+            del self.pinned_until[osd_id]
             self.osdmap_epoch += 1
             self.log.emit(
                 self.env.now, "mon", "flap pin expired, osd rejoining",
@@ -203,12 +226,15 @@ class Monitor:
 
     def _check_failures(self) -> None:
         now = self.env.now
+        grace = self.config.osd_heartbeat_grace
+        down_since, out_osds = self.down_since, self.out_osds
+        last_heartbeat = self.last_heartbeat
         for osd_id, osd in self.osds.items():
-            if osd_id in self.down_since or osd_id in self.out_osds:
+            if osd_id in down_since or osd_id in out_osds:
                 continue
-            silent_for = now - self.last_heartbeat[osd_id]
-            if silent_for > self.config.osd_heartbeat_grace:
-                self.down_since[osd_id] = now
+            silent_for = now - last_heartbeat[osd_id]
+            if silent_for > grace:
+                down_since[osd_id] = now
                 self.osdmap_epoch += 1
                 self.markdowns_total += 1
                 self.log.emit(
@@ -221,7 +247,7 @@ class Monitor:
                 )
                 self.log.emit(
                     now, "mgr", "receiving heartbeats from surviving osds",
-                    waiting=len(self.down_since),
+                    waiting=len(down_since),
                 )
                 self._note_markdown(osd_id, now)
 
@@ -283,17 +309,25 @@ class Monitor:
         (OSD_NEARFULL / OSD_BACKFILLFULL / OSD_FULL style); the write
         pause engages while any up OSD sits at the full ratio and
         releases — waking every gated client write — once all up OSDs
-        are back below it.
+        are back below it.  Only OSDs whose disk usage changed since
+        their last scan are re-tiered; liveness is read for the full
+        ones alone.
         """
         now = self.env.now
-        any_full = False
         capacity_tier = self.config.capacity_tier
+        scanned, full = self._scanned_used, self._full_osds
         for osd_id in self._osd_ids:
             osd = self.osds[osd_id]
+            used = osd.disk.used_bytes
+            if scanned.get(osd_id) == used:
+                continue
+            scanned[osd_id] = used
             usage = osd.disk.usage_ratio
             tier = capacity_tier(usage)
-            if tier == "full" and osd.is_up():
-                any_full = True
+            if tier == "full":
+                full.add(osd_id)
+            else:
+                full.discard(osd_id)
             previous = self.capacity_state.get(osd_id, "ok")
             if tier == previous:
                 continue
@@ -314,6 +348,7 @@ class Monitor:
                     osd=osd.name,
                     usage=round(usage, 4),
                 )
+        any_full = any(self.osds[osd_id].is_up() for osd_id in full)
         if any_full and not self.write_paused:
             self.write_paused = True
             self.write_pauses_total += 1

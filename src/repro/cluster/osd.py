@@ -257,6 +257,8 @@ class OsdDaemon:
     ):
         self.env = env
         self.device = device
+        #: The device's disk, fixed for the daemon's life.
+        self.disk: Disk = device.disk
         self.config = config
         self.backend = BlueStore(cache_config, cache_bytes=config.osd_cache_bytes)
         self.host_running = True
@@ -294,10 +296,6 @@ class OsdDaemon:
     @property
     def name(self) -> str:
         return self.device.name
-
-    @property
-    def disk(self) -> Disk:
-        return self.device.disk
 
     def is_up(self) -> bool:
         """Daemon answers heartbeats: host running, daemon alive, device healthy."""

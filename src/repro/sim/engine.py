@@ -12,12 +12,14 @@ evaluation environment.
   interrupts — is always due *now* and always runs before any timed
   entry due now, so it lives in a FIFO deque rather than the heap.
 * **Timed work** — timeouts, service-center departures and periodic
-  timer calls — sits in a heap of ``(when, seq, fn, arg)`` entries;
+  group calls — sits in a heap of ``(when, seq, fn, arg)`` entries;
   ``seq`` is a global insertion counter, so same-instant ties break by
   insertion order.
-* **Periodic timers** (:meth:`Environment.every`) are fixed-period work
-  such as heartbeats and monitor ticks: each call is one heap entry that
-  reschedules itself, with no process, timeout or generator.
+* **Periodic groups** (:meth:`Environment.every_each`) are fixed-period
+  work such as heartbeats and monitor ticks: same-period members share
+  one heap entry, with no process, timeout or generator, and make each
+  next call in place while nothing else is due before it.
+  :meth:`Environment.every` is a one-member group.
 
 Determinism matters here: every experiment in the paper is re-run and
 averaged, and our tests assert exact recovery timelines.  A simulation
@@ -39,6 +41,8 @@ __all__ = [
     "Interrupt",
     "Environment",
 ]
+
+_INF = float("inf")
 
 
 class Interrupt(Exception):
@@ -310,6 +314,9 @@ class Environment:
         self._urgent: Deque[Tuple[Callable[[Any], None], Any]] = deque()
         self._seq = 0
         self._steps = 0
+        #: The running loop's last due time: a periodic group makes a
+        #: call in place only up to it (see :func:`_fire_group`).
+        self._horizon = _INF
 
     @property
     def now(self) -> float:
@@ -351,9 +358,8 @@ class Environment:
 
         ``delay`` defaults to ``period``; 0 makes the first call at once.
         Each later call comes ``period`` after the previous call returns,
-        and each call is one timed entry: no process, timeout or
-        generator.  The event order, same-instant ties included, is the
-        one this process gives::
+        with no process, timeout or generator.  The event order,
+        same-instant ties included, is the one this process gives::
 
             if delay > 0:
                 yield env.timeout(delay)
@@ -361,16 +367,49 @@ class Environment:
                 fn(arg)
                 yield env.timeout(period)
 
-        The timer starts through one urgent hop, as that process starts
-        through its bootstrap, so its first entry takes the same ``seq``.
+        A one-member :meth:`every_each`, so it starts through one urgent
+        hop, as that process starts through its bootstrap, and its first
+        entry takes the same ``seq``.
+        """
+        self.every_each(period, fn, ((arg, period if delay is None else delay),))
+
+    def every_each(
+        self,
+        period: float,
+        fn: Callable[[Any], None],
+        delays: Iterable[Tuple[Any, float]],
+    ) -> None:
+        """``every(period, fn, arg, delay)`` for each ``(arg, delay)``, in order.
+
+        The members form one periodic group with a single heap entry, due
+        at the earliest member's next call.  Each call is one kernel step
+        and keeps the ``seq`` the member's own timer would take: it is
+        reserved when the member's previous call returns.  After a call
+        the group makes the next member's call in place, with no heap
+        round trip, while no urgent work is pending, that call sorts
+        before the heap head and it lies within the running loop's
+        horizon; otherwise it pushes its entry.  So the event order is
+        exactly that of one :meth:`every` per member.
+
+        The group starts through one urgent hop that reserves the
+        members' first ``seq`` in order (making delay-0 members' first
+        calls), as one hop per member would; only :attr:`steps` sees the
+        difference.  With more than one member every delay must lie in
+        ``[0, period]``, which keeps the members in a fixed rotation.  A
+        call that raises ends only its own member.
         """
         if period <= 0:
             raise ValueError(f"timer period must be positive: {period!r}")
-        if delay is None:
-            delay = period
-        elif delay < 0:
-            raise ValueError(f"negative timer delay: {delay!r}")
-        self._urgent.append((_start_timer, _Timer(self, period, fn, arg, delay)))
+        members = deque(delays)
+        for _arg, delay in members:
+            if delay < 0:
+                raise ValueError(f"negative timer delay: {delay!r}")
+            if delay > period and len(members) > 1:
+                raise ValueError(
+                    f"group delay {delay!r} exceeds the period {period!r}"
+                )
+        if members:
+            self._urgent.append((_start_group, _Group(self, period, fn, members)))
 
     def all_of(self, events: Iterable[Event]) -> AllOf:
         return AllOf(self, events)
@@ -391,6 +430,7 @@ class Environment:
         """
         if until is not None and until < self._now:
             raise ValueError(f"until={until} is before now={self._now}")
+        self._horizon = _INF if until is None else until
         urgent, queue = self._urgent, self._queue
         popleft, heappop = urgent.popleft, heapq.heappop
         while True:
@@ -414,6 +454,7 @@ class Environment:
 
     def run_until_process(self, process: Process) -> Any:
         """Run until ``process`` completes; return its value or re-raise."""
+        self._horizon = _INF
         urgent, queue = self._urgent, self._queue
         popleft, heappop = urgent.popleft, heapq.heappop
         while process._ok is None:
@@ -429,6 +470,7 @@ class Environment:
             self._steps += 1
             fn(arg)
         # Drain the trigger's callback pass so resource state settles.
+        self._horizon = self._now
         while urgent or (queue and queue[0][0] == self._now):
             if urgent:
                 fn, arg = popleft()
@@ -448,31 +490,77 @@ class Environment:
         heapq.heappush(self._queue, (when, self._seq, fn, arg))
 
 
-class _Timer:
-    """A periodic call made by :meth:`Environment.every`."""
+class _Group:
+    """The members of one :meth:`Environment.every_each` call."""
 
-    __slots__ = ("env", "period", "fn", "arg", "delay")
+    __slots__ = ("env", "period", "fn", "pending", "due")
 
     def __init__(self, env: Environment, period: float,
-                 fn: Callable[[Any], None], arg: Any, delay: float):
+                 fn: Callable[[Any], None], pending: Deque[Tuple[Any, float]]):
         self.env = env
         self.period = period
         self.fn = fn
-        self.arg = arg
-        self.delay = delay
+        #: ``(arg, delay)`` of members the start hop has not reached.
+        self.pending = pending
+        #: ``(when, seq, arg)``: each started member's next call, in
+        #: ``(when, seq)`` order.  A call reserves its member's next one
+        #: ``period`` later, at or after every other member's, so the
+        #: order holds by appending.
+        self.due: Deque[Tuple[float, int, Any]] = deque()
 
 
-def _start_timer(timer: _Timer) -> None:
-    """The urgent hop: schedule the first call, or make it now."""
-    if timer.delay > 0:
-        env = timer.env
-        env._schedule(env._now + timer.delay, _fire_timer, timer)
-    else:
-        _fire_timer(timer)
+def _start_group(group: _Group) -> None:
+    """The urgent hop: reserve each member's first call, in order.
+
+    A delay-0 member makes its first call here, then reserves the next.
+    If that call raises, the members not yet reached start in a hop at
+    the head of the urgent queue, where their own hops would be.
+    """
+    env, pending, due = group.env, group.pending, group.due
+    try:
+        while pending:
+            arg, delay = pending.popleft()
+            if delay > 0:
+                env._seq += 1
+                due.append((env._now + delay, env._seq, arg))
+            else:
+                group.fn(arg)
+                env._seq += 1
+                due.append((env._now + group.period, env._seq, arg))
+    finally:
+        if pending:
+            env._urgent.appendleft((_start_group, group))
+        elif due:
+            group.due = due = deque(sorted(due))
+            when, seq, _arg = due[0]
+            heapq.heappush(env._queue, (when, seq, _fire_group, group))
 
 
-def _fire_timer(timer: _Timer) -> None:
-    """Make one call, then schedule the next ``period`` after it."""
-    timer.fn(timer.arg)
-    env = timer.env
-    env._schedule(env._now + timer.period, _fire_timer, timer)
+def _fire_group(group: _Group) -> None:
+    """Make the due member's call, then the next ones in place while allowed.
+
+    A next call runs in place, setting the clock and counting one step
+    as the run loop would, only when the loop would pop it next: no
+    urgent work is pending, its ``(when, seq)`` sorts before the heap
+    head, and ``when`` lies within the loop's horizon.
+    """
+    env, due, fn, period = group.env, group.due, group.fn, group.period
+    urgent, queue, horizon = env._urgent, env._queue, env._horizon
+    while True:
+        arg = due.popleft()[2]
+        try:
+            fn(arg)
+        except BaseException:
+            if due:
+                when, seq, _arg = due[0]
+                heapq.heappush(queue, (when, seq, _fire_group, group))
+            raise
+        env._seq += 1
+        due.append((env._now + period, env._seq, arg))
+        when, seq, _arg = due[0]
+        entry = (when, seq, _fire_group, group)
+        if urgent or when > horizon or (queue and queue[0] < entry):
+            heapq.heappush(queue, entry)
+            return
+        env._now = when
+        env._steps += 1

@@ -366,3 +366,23 @@ def test_every_rejects_a_non_positive_period_or_negative_delay(period, delay):
     with pytest.raises(ValueError):
         env.every(period, lambda _arg: None, delay=delay)
     assert env.steps == 0 and env.run() == 0.0
+
+
+def test_every_each_rejects_a_group_delay_past_the_period():
+    env = Environment()
+    with pytest.raises(ValueError):
+        env.every_each(1.0, lambda _arg: None, [("a", 0.5), ("b", 1.5)])
+    env.every_each(1.0, lambda _arg: None, [("a", 1.5)])  # a lone member may
+    assert env.run(until=1.5) == 1.5 and env.steps == 2
+
+
+def test_a_group_starts_in_one_hop_and_calls_in_rotation():
+    env = Environment()
+    calls = []
+    env.every_each(1.0, lambda arg: calls.append((env.now, arg)),
+                   [("a", 0.5), ("b", 0.5), ("c", 1.0)])
+    env.run(until=3.0)
+    assert calls == [(t + d, m) for t in (0.0, 1.0, 2.0)
+                     for m, d in (("a", 0.5), ("b", 0.5), ("c", 1.0))]
+    # One start hop, then one step per call.
+    assert env.steps == 10
