@@ -64,30 +64,21 @@ def durability_margin(cluster) -> float:
     """Surviving-tolerance margin: how many more shards could die.
 
     The minimum over populated objects of ``tolerance - |damage|``,
-    where damage unions crash-down, corrupt, stale, and byzantine
-    shards — the same union the durability invariant judges.  Equals the
-    full tolerance on an undamaged cluster; zero exactly at the
-    invariant boundary (one more lost shard is a violation).
+    where damage is the stripe's damaged shards
+    (:meth:`~repro.cluster.ceph.CephCluster.damaged_shards`) — the set
+    the durability invariant judges.  Equals the full tolerance on an
+    undamaged cluster; zero exactly at the invariant boundary (one more
+    lost shard is a violation).
     """
     code = cluster.pool.code
     tolerance = float(code.fault_tolerance())
     margin = tolerance
-    byz = getattr(cluster, "byzantine", None)
     for pg in cluster.pool.pgs.values():
         if not pg.objects:
             continue
-        down = {
-            shard
-            for shard, osd_id in enumerate(pg.acting)
-            if not cluster.osds[osd_id].is_up()
-        }
+        down = cluster.down_shards(pg)
         for obj in pg.objects:
-            corrupt = cluster.integrity.corrupt_shards(pg.pgid, obj.name)
-            stale = (
-                pg.log.stale_shards(obj.name) if pg.log is not None else set()
-            )
-            lied = byz.damaged_shards(pg.pgid, obj.name) if byz else set()
-            damage = len(down | corrupt | stale | lied)
+            damage = len(cluster.damaged_shards(pg, obj, down))
             margin = min(margin, tolerance - damage)
     return margin
 

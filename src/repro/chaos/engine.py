@@ -235,7 +235,7 @@ def outcome_digest(
             for record in log.records
         ],
     }
-    if getattr(cluster, "byzantine", None) is not None:
+    if cluster.byzantine is not None:
         # Present only when a Byzantine fault was actually injected, so
         # every pre-existing (honest) digest stays byte-identical.
         digest["byzantine"] = cluster.byzantine.digest_section()

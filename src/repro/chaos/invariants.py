@@ -54,30 +54,16 @@ class InvariantViolation:
         }
 
 
-def _damaged_shards(cluster: CephCluster, pg) -> set:
-    """Shard positions of a PG that are currently unreadable or corrupt.
-
-    A shard is damaged if its acting OSD is down (crash faults) or if the
-    integrity store records unrepaired silent corruption on it.  Objects
-    in one PG share the acting set, so per-PG damage bounds per-object
-    damage; corruption is tracked per stripe and unioned in per object by
-    the caller.
-    """
-    return {
-        shard
-        for shard, osd_id in enumerate(pg.acting)
-        if not cluster.osds[osd_id].is_up()
-    }
-
-
 def check_durability(cluster: CephCluster) -> List[InvariantViolation]:
     """No acked write may become undecodable within guaranteed tolerance.
 
-    For every stored object: the union of crash-unavailable shards and
-    silently-corrupted shards must stay within the code's guaranteed
-    fault tolerance, *and* the code itself must produce a repair plan for
-    exactly that loss pattern — the decodability oracle is the erasure
-    code, not the injector's bookkeeping.
+    For every stored object: its damaged shards
+    (:meth:`~repro.cluster.ceph.CephCluster.damaged_shards`: down,
+    stale, silently corrupt or falsely acked) must stay within the
+    code's guaranteed fault tolerance, *and* the code itself must
+    produce a repair plan for exactly that loss pattern — the
+    decodability oracle is the erasure code, not the injector's
+    bookkeeping.
     """
     violations: List[InvariantViolation] = []
     code = cluster.pool.code
@@ -86,21 +72,9 @@ def check_durability(cluster: CephCluster) -> List[InvariantViolation]:
     for pg in cluster.pool.pgs.values():
         if not pg.objects:
             continue
-        down = _damaged_shards(cluster, pg)
+        down = cluster.down_shards(pg)
         for obj in pg.objects:
-            corrupt = cluster.integrity.corrupt_shards(pg.pgid, obj.name)
-            # Stale shards (missed a degraded write) hold old content:
-            # they cannot serve reads or repairs, so they count as
-            # damage exactly like corruption until delta-repaired.
-            stale = (
-                pg.log.stale_shards(obj.name) if pg.log is not None else set()
-            )
-            # Byzantine shards that lied about applying a write hold no
-            # real data — damage, just silent (forged-checksum shards
-            # already sit in the integrity store's corrupt set).
-            byz = getattr(cluster, "byzantine", None)
-            lied = byz.damaged_shards(pg.pgid, obj.name) if byz else set()
-            damaged = down | corrupt | stale | lied
+            damaged = cluster.damaged_shards(pg, obj, down)
             if not damaged:
                 continue
             if len(damaged) > tolerance:
@@ -370,7 +344,7 @@ def check_byzantine_containment(cluster: CephCluster) -> List[InvariantViolation
       peering version check, or the monitor's epoch-mismatch rejection)
       with its time-to-detection recorded in the digest.
     """
-    byz = getattr(cluster, "byzantine", None)
+    byz = cluster.byzantine
     if byz is None:
         return []
     violations: List[InvariantViolation] = []

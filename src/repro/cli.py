@@ -35,6 +35,7 @@ from .analysis.sensitivity import rank_axes, recommend_configuration
 from .cluster.autoscale import autoscale_advice
 from .core.experiment import run_experiment
 from .core.fault_injector import (
+    FAULT_LEVELS,
     GRAY_LEVELS,
     Colocation,
     CorruptionModel,
@@ -73,6 +74,16 @@ def _parse_ec(plugin: str, params_text: str) -> dict:
             )
         params[key.strip()] = int(value)
     return params
+
+
+def _unknown_levels(command: str, levels: Optional[tuple]) -> bool:
+    """Report ``--levels`` entries that name no fault level on stderr;
+    True when there were any (the command then exits with status 2)."""
+    unknown = sorted(set(levels or ()) - set(FAULT_LEVELS))
+    if unknown:
+        print(f"{command}: unknown fault levels {unknown}; allowed: "
+              f"{','.join(FAULT_LEVELS)}", file=sys.stderr)
+    return bool(unknown)
 
 
 def _profile_from_args(args) -> ExperimentProfile:
@@ -530,9 +541,8 @@ def cmd_repair_plan(args) -> int:
 
 
 def cmd_wa(args) -> int:
-    params = _parse_ec(args.plugin, args.ec_params)
-    k = params["k"]
-    n = k + params.get("m", params.get("l", 0) + params.get("r", 0))
+    code = create_plugin(args.plugin, **_parse_ec(args.plugin, args.ec_params))
+    n, k = code.n, code.k
     estimate = estimate_wa(args.object_size, n, k, args.stripe_unit)
     print(f"object {args.object_size} B, RS({n},{k}), "
           f"stripe_unit {args.stripe_unit} B")
@@ -567,6 +577,8 @@ def cmd_chaos(args) -> int:
         print(f"chaos: {exc}", file=sys.stderr)
         return 2
     levels = tuple(args.levels.split(",")) if args.levels else None
+    if _unknown_levels("chaos", levels):
+        return 2
     report = run_chaos(
         args.seed,
         args.campaigns,
@@ -605,7 +617,6 @@ def cmd_fuzz(args) -> int:
     from pathlib import Path
 
     from .adversary import run_fuzz
-    from .core.fault_injector import FAULT_LEVELS
 
     if args.budget < 1:
         print("fuzz: --budget must be >= 1", file=sys.stderr)
@@ -615,12 +626,8 @@ def cmd_fuzz(args) -> int:
               file=sys.stderr)
         return 2
     levels = tuple(args.levels.split(",")) if args.levels else None
-    if levels is not None:
-        unknown = sorted(set(levels) - set(FAULT_LEVELS))
-        if unknown:
-            print(f"fuzz: unknown fault levels {unknown}; allowed: "
-                  f"{','.join(FAULT_LEVELS)}", file=sys.stderr)
-            return 2
+    if _unknown_levels("fuzz", levels):
+        return 2
 
     def progress(index, kind, spec, result, error):
         if error is not None:
@@ -919,8 +926,9 @@ def cmd_cascade(args) -> int:
 
 
 def cmd_autoscale(args) -> int:
-    params = _parse_ec(args.plugin, args.ec_params)
-    width = params["k"] + params.get("m", params.get("l", 0) + params.get("r", 0))
+    width = create_plugin(
+        args.plugin, **_parse_ec(args.plugin, args.ec_params)
+    ).n
     advice = autoscale_advice(
         args.pg_num, args.hosts * args.osds_per_host, width
     )

@@ -11,7 +11,7 @@ harvests the logs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Set
 
 from ..ec.base import ErasureCode
 from ..geo.rules import RegionRule
@@ -24,7 +24,7 @@ from .logs import NodeLog
 from .monitor import Monitor
 from .network import M5_NIC, NicSpec
 from .osd import CephConfig, OsdDaemon
-from .pool import Pool
+from .pool import PlacementGroup, Pool, StoredObject
 from .recovery import RecoveryManager
 from .scrub import IntegrityConfig, IntegrityStore, ScrubConfig, ScrubManager
 from .topology import ClusterTopology
@@ -283,3 +283,40 @@ class CephCluster:
             for osd_id, osd in self.osds.items()
             if osd.backend.num_chunks > 0
         )
+
+    def down_shards(self, pg: PlacementGroup) -> Set[int]:
+        """Shard positions of ``pg`` whose acting OSD is down."""
+        osds = self.osds
+        return {
+            shard
+            for shard, osd_id in enumerate(pg.acting)
+            if not osds[osd_id].is_up()
+        }
+
+    def damaged_shards(
+        self,
+        pg: PlacementGroup,
+        obj: StoredObject,
+        down: Optional[Set[int]] = None,
+    ) -> Set[int]:
+        """Shards of one object's stripe that can serve neither a read
+        nor a repair.
+
+        The union of shards on down OSDs, shards stale in the pg_log
+        (they missed a degraded write), unrepaired silent corruption
+        (honest, or Byzantine with a forged checksum) and undetected
+        Byzantine false acks.  The fault injector's white-box guards, the
+        durability invariant and the fuzzer's near-miss margin all judge
+        a stripe by this set.  Read paths must not consult it: a reader
+        cannot see silent corruption or a lie.
+
+        ``down`` is the PG's :meth:`down_shards`, computed once by
+        callers that loop over a PG's objects.
+        """
+        damaged = self.integrity.corrupt_shards(pg.pgid, obj.name)
+        damaged |= self.down_shards(pg) if down is None else down
+        if pg.log is not None:
+            damaged |= pg.log.stale_shards(obj.name)
+        if self.byzantine is not None:
+            damaged |= self.byzantine.damaged_shards(pg.pgid, obj.name)
+        return damaged

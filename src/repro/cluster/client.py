@@ -56,6 +56,7 @@ from ..sim.rng import SeedSequence
 from .ceph import CephCluster
 from .devices import DiskFailedError
 from .network import TransferDroppedError
+from .osd import coding_time
 from .pool import PlacementGroup, StoredObject
 from .retry import retry_backoff
 
@@ -484,7 +485,7 @@ class RadosClient:
                 reason=bad[0].reason,
             )
         served = {r.shard for r in results}
-        byz = getattr(self.cluster, "byzantine", None)
+        byz = self.cluster.byzantine
         if byz is not None:
             # Containment accounting: a read served from a shard that is
             # still lying (undetected forged checksum or false-acked
@@ -494,9 +495,10 @@ class RadosClient:
         needs_decode = degraded or served != set(data_shards)
         if needs_decode:
             # On-the-fly decode of the missing data shards at the primary.
-            decode = primary.decode_time(
-                output_bytes=layout.chunk_stored_bytes,
-                decode_work=1.0,
+            decode = coding_time(
+                primary.config,
+                nbytes=layout.chunk_stored_bytes,
+                work=1.0,
                 fragments=layout.units * code.sub_chunk_count,
                 cpu_cost_factor=getattr(code, "cpu_cost_factor", 1.0),
             )
@@ -710,8 +712,10 @@ class RadosClient:
             self.stats.redirects += 1
         primary = self.cluster.osds[pg.acting[primary_shard]]
         yield env.timeout(self.request_overhead)
-        encode = primary.encode_time(
-            parity_bytes=layout.chunk_stored_bytes * code.m,
+        encode = coding_time(
+            primary.config,
+            nbytes=layout.chunk_stored_bytes * code.m,
+            work=1.0,
             fragments=layout.units * code.sub_chunk_count * code.m,
             cpu_cost_factor=getattr(code, "cpu_cost_factor", 1.0),
         )
@@ -799,15 +803,18 @@ class RadosClient:
             return _WriteAttempt(ok=False, reason=bad[0].reason)
         cost_factor = getattr(code, "cpu_cost_factor", 1.0)
         if needs_decode:
-            decode = primary.decode_time(
-                output_bytes=unit,
-                decode_work=1.0,
+            decode = coding_time(
+                primary.config,
+                nbytes=unit,
+                work=1.0,
                 fragments=code.sub_chunk_count,
                 cpu_cost_factor=cost_factor,
             )
             yield primary.cpu.request(decode)
-        encode = primary.encode_time(
-            parity_bytes=unit * code.m,
+        encode = coding_time(
+            primary.config,
+            nbytes=unit * code.m,
+            work=1.0,
             fragments=code.sub_chunk_count * code.m,
             cpu_cost_factor=cost_factor,
         )

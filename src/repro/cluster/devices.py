@@ -40,6 +40,21 @@ class DiskSpec:
             if getattr(self, attr) <= 0:
                 raise ValueError(f"{attr} must be positive")
 
+    def service_time(self, ops: int, nbytes: float, write: bool) -> float:
+        """Completion time of an aggregate request on an idle, healthy device.
+
+        The submission latency plus the slower of the bandwidth-bound and
+        the IOPS-bound transfer.  :class:`Disk` scales it by its slow
+        factor; the analytical twin evaluates it as is.
+        """
+        if ops < 1:
+            raise ValueError(f"ops must be >= 1, got {ops}")
+        if nbytes < 0:
+            raise ValueError("negative byte count")
+        bandwidth = self.write_bandwidth if write else self.read_bandwidth
+        iops = self.write_iops if write else self.read_iops
+        return self.latency + max(nbytes / bandwidth, ops / iops)
+
 
 #: The paper's 100 GB General Purpose SSD (NVMe) volumes: gp-class volumes
 #: deliver ~250 MB/s streaming and ~3000 IOPS with sub-millisecond latency.
@@ -103,15 +118,8 @@ class Disk:
         self.slow_factor = factor
 
     def service_time(self, ops: int, nbytes: int, write: bool) -> float:
-        """Completion time of an aggregate request on an idle device."""
-        if ops < 1:
-            raise ValueError(f"ops must be >= 1, got {ops}")
-        if nbytes < 0:
-            raise ValueError("negative byte count")
-        bandwidth = self.spec.write_bandwidth if write else self.spec.read_bandwidth
-        iops = self.spec.write_iops if write else self.spec.read_iops
-        base = self.spec.latency + max(nbytes / bandwidth, ops / iops)
-        return base * self.slow_factor
+        """Completion time of an aggregate request on this idle device."""
+        return self.spec.service_time(ops, nbytes, write) * self.slow_factor
 
     def submit(self, ops: int, nbytes: int, write: bool) -> Event:
         """Queue an aggregate I/O; the event fires on completion."""

@@ -244,7 +244,7 @@ def converged(cluster: CephCluster) -> bool:
     # Byzantine lies outstanding (a stale-map gossip not yet rejected,
     # or a data-plane lie scrub has not exposed) mean the run has not
     # converged — keep settling until every lie is detected.
-    byz = getattr(cluster, "byzantine", None)
+    byz = cluster.byzantine
     if byz is not None and not byz.quiescent():
         return False
     # Staleness with no down->up trigger (an OSD back within heartbeat

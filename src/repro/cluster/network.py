@@ -59,6 +59,16 @@ class NicSpec:
         if self.bandwidth <= 0:
             raise ValueError("bandwidth must be positive")
 
+    def wire_time(self, nbytes: float, bandwidth_penalty: float = 1.0) -> float:
+        """Serialisation time of one ``nbytes`` message through this NIC.
+
+        The per-message overhead plus the bytes at the NIC's bandwidth
+        divided by ``bandwidth_penalty`` (a degradation's divisor).
+        """
+        if nbytes < 0:
+            raise ValueError("negative byte count")
+        return self.message_overhead + nbytes / (self.bandwidth / bandwidth_penalty)
+
 
 #: m5.xlarge guests see ~10 Gb/s sustained to the 25 Gb fabric the paper
 #: cites; 1.25e9 B/s with a light per-message cost.
@@ -126,12 +136,9 @@ class Nic:
         return self.degradation is not None and self.degradation.partition
 
     def wire_time(self, nbytes: int) -> float:
-        if nbytes < 0:
-            raise ValueError("negative byte count")
-        bandwidth = self.spec.bandwidth
-        if self.degradation is not None:
-            bandwidth /= self.degradation.bandwidth_penalty
-        return self.spec.message_overhead + nbytes / bandwidth
+        if self.degradation is None:
+            return self.spec.wire_time(nbytes)
+        return self.spec.wire_time(nbytes, self.degradation.bandwidth_penalty)
 
 
 class Fabric:

@@ -23,6 +23,9 @@ __all__ = [
     "SubchunkReadProfile",
     "sequential_ops",
     "resolve_subchunk_read",
+    "recovery_read_time",
+    "recovery_write_time",
+    "coding_time",
 ]
 
 
@@ -245,6 +248,53 @@ def resolve_subchunk_read(
     )
 
 
+def recovery_read_time(
+    config: CephConfig, nbytes: float, meta_ops: float, runs: int
+) -> float:
+    """Service time of one recovery-read grant.
+
+    The QoS-rate transfer time, plus the CPU-side cost of ``meta_ops``
+    metadata misses (onode/csum/extent fetches) — where the cache-scheme
+    sensitivity of Figure 2a enters the read path — plus a per-run
+    penalty for ``runs`` scattered sub-chunk reads.
+    """
+    return (
+        nbytes / config.recovery_read_rate
+        + meta_ops * config.metadata_op_cost
+        + runs * config.recovery_range_cost
+    )
+
+
+def recovery_write_time(
+    config: CephConfig, nbytes: float, coalescing: float
+) -> float:
+    """Service time of one recovery-write grant for a rebuilt chunk.
+
+    Deferred-write ``coalescing`` (data-cache dependent) stretches or
+    shrinks the QoS-rate write cost — the write-side Figure 2a mechanism.
+    """
+    return nbytes / config.recovery_write_rate * coalescing
+
+
+def coding_time(
+    config: CephConfig,
+    nbytes: float,
+    work: float,
+    fragments: float,
+    cpu_cost_factor: float,
+) -> float:
+    """CPU time to encode or decode ``nbytes`` of output.
+
+    Encoding and decoding run the same GF(256) kernels: the output bytes
+    times the plan's ``work`` (1.0 for an encode) through the decode
+    bandwidth, plus the per-(unit x plane) ``fragments`` overhead that
+    punishes sub-packetised codes at small stripe units — 1 fragment per
+    unit for scalar codes, alpha per unit for sub-packetised ones.
+    """
+    byte_time = nbytes * work * cpu_cost_factor / config.decode_bandwidth
+    return byte_time + fragments * config.decode_fragment_overhead
+
+
 class OsdDaemon:
     """One ceph-osd: device + backend + recovery reservations."""
 
@@ -366,20 +416,15 @@ class OsdDaemon:
     def recovery_read_grant(self, nbytes: int, runs: int = 0) -> Event:
         """Wait for the recovery scheduler to admit a helper read.
 
-        Service time is the QoS-rate transfer time plus the CPU-side cost
-        of metadata misses (onode/csum/extent fetches) — which is where
-        the cache-scheme sensitivity of Figure 2a enters the read path —
-        plus a per-run penalty for scattered sub-chunk reads.
+        Its service time is :func:`recovery_read_time`.
         """
-        base = nbytes / self.config.recovery_read_rate
-        meta = (
-            self.backend.read_overhead_ops(nbytes, runs)
-            * self.config.metadata_op_cost
+        service = recovery_read_time(
+            self.config, nbytes, self.backend.read_overhead_ops(nbytes, runs),
+            runs,
         )
-        scatter = runs * self.config.recovery_range_cost
         if self.qos_reads is not None:
-            return self.qos_reads.submit("recovery", base + meta + scatter)
-        return self.recovery_reads.request(base + meta + scatter)
+            return self.qos_reads.submit("recovery", service)
+        return self.recovery_reads.request(service)
 
     def scrub_read_grant(self, nbytes: int, rate: float) -> Event:
         """Wait for the recovery scheduler to admit a deep-scrub read.
@@ -397,39 +442,11 @@ class OsdDaemon:
     def recovery_write_grant(self, nbytes: int) -> Event:
         """Wait for the recovery scheduler to admit a rebuilt-chunk write.
 
-        Deferred-write coalescing (data-cache dependent) stretches or
-        shrinks the effective write cost — the write-side Figure 2a
-        mechanism.
+        Its service time is :func:`recovery_write_time`.
         """
-        base = nbytes / self.config.recovery_write_rate
-        service = base * self.backend.write_coalescing()
+        service = recovery_write_time(
+            self.config, nbytes, self.backend.write_coalescing()
+        )
         if self.qos_writes is not None:
             return self.qos_writes.submit("recovery", service)
         return self.recovery_writes.request(service)
-
-    def encode_time(
-        self, parity_bytes: int, fragments: int, cpu_cost_factor: float,
-    ) -> float:
-        """CPU time to encode ``parity_bytes`` of parity for one write.
-
-        Encoding and decoding run the same GF(256) kernels, so the cost
-        model is shared: parity output through the decode bandwidth plus
-        the per-(unit x plane) fragment overhead that punishes
-        sub-packetised codes at small stripe units.
-        """
-        byte_time = parity_bytes * cpu_cost_factor / self.config.decode_bandwidth
-        fragment_time = fragments * self.config.decode_fragment_overhead
-        return byte_time + fragment_time
-
-    def decode_time(
-        self, output_bytes: int, decode_work: float, fragments: int,
-        cpu_cost_factor: float,
-    ) -> float:
-        """CPU time to decode one lost chunk of ``output_bytes``.
-
-        ``fragments`` counts (unit x plane) decode fragments — 1 per unit
-        for scalar codes, alpha per unit for sub-packetised ones.
-        """
-        byte_time = output_bytes * decode_work * cpu_cost_factor / self.config.decode_bandwidth
-        fragment_time = fragments * self.config.decode_fragment_overhead
-        return byte_time + fragment_time

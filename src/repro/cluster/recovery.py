@@ -51,7 +51,7 @@ from .crush import PlacementError
 from .devices import DiskFailedError
 from .logs import NodeLog
 from .network import TransferDroppedError
-from .osd import CephConfig, OsdDaemon
+from .osd import CephConfig, OsdDaemon, coding_time
 from .pool import PlacementGroup, Pool, StoredObject
 from .retry import retry_backoff
 from .topology import ClusterTopology
@@ -1047,9 +1047,10 @@ class RecoveryManager:
         if not all(pull_results):
             return False
         fragments = layout.units * code.sub_chunk_count * len(lost_shards)
-        decode = primary.decode_time(
-            output_bytes=layout.chunk_stored_bytes * len(lost_shards),
-            decode_work=plan.decode_work,
+        decode = coding_time(
+            primary.config,
+            nbytes=layout.chunk_stored_bytes * len(lost_shards),
+            work=plan.decode_work,
             fragments=fragments,
             cpu_cost_factor=getattr(code, "cpu_cost_factor", 1.0),
         )

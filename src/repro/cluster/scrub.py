@@ -49,6 +49,7 @@ from .devices import DiskFailedError
 from .logs import NodeLog
 from .network import TransferDroppedError
 from .objectstore import block_checksums, blocks_in, crc32c
+from .osd import coding_time
 from .pool import PlacementGroup, Pool, StoredObject
 from .retry import retry_backoff
 
@@ -782,9 +783,10 @@ class ScrubManager:
             if not all(results):
                 return False
         fragments = region_units * code.sub_chunk_count
-        decode = primary.decode_time(
-            output_bytes=region,
-            decode_work=plan.decode_work,
+        decode = coding_time(
+            primary.config,
+            nbytes=region,
+            work=plan.decode_work,
             fragments=fragments,
             cpu_cost_factor=getattr(code, "cpu_cost_factor", 1.0),
         )

@@ -235,7 +235,7 @@ def ensure_byzantine(cluster) -> ByzantineState:
     Also plants the duck-typed references the detection hooks poll, so
     monitor/scrub/recovery never import this module.
     """
-    state = getattr(cluster, "byzantine", None)
+    state = cluster.byzantine
     if state is None:
         state = ByzantineState()
         cluster.byzantine = state

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional
 
-from ..cluster.ceph import CephCluster
 from ..sim import Environment
 from ..sim.rng import SeedSequence
 from ..workload.generator import Workload
@@ -38,24 +37,8 @@ class Controller:
         self.profile = profile
         self.seeds = SeedSequence(seed)
         self.env = Environment()
-        self.cluster = CephCluster(
-            self.env,
-            code=profile.create_code(),
-            cache_config=profile.cache_config(),
-            config=profile.ceph,
-            num_hosts=profile.num_hosts,
-            osds_per_host=profile.osds_per_host,
-            num_racks=profile.num_racks,
-            pg_num=profile.pg_num,
-            stripe_unit=profile.stripe_unit,
-            failure_domain=profile.failure_domain,
-            disk_spec=profile.disk_spec(),
-            placement_seed=self.seeds.stream("crush").randrange(2**31),
-            integrity=profile.integrity_config(),
-            scrub=profile.scrub_config(),
-            num_regions=profile.num_regions,
-            wan_spec=profile.wan_spec(),
-            region_rule=profile.region_rule(),
+        self.cluster = profile.build_cluster(
+            self.env, self.seeds.stream("crush").randrange(2**31)
         )
         # The fabric's drop lottery draws only while a net_degrade fault
         # is active; seeding it here makes degraded runs reproducible

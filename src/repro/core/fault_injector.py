@@ -93,6 +93,15 @@ CASCADE_LEVELS = ("correlated_crash",)
 #: degrade service without a mark-out.
 CRASH_LEVELS = ("node", "device") + CASCADE_LEVELS
 
+#: Stripe-level fault levels and the seeded stream each draws its victims
+#: from.  Streams restart identically per call, so a shared stream would
+#: make the adversary shadow the honest corruption picks exactly.
+_STRIPE_STREAMS = {
+    "corrupt": "fault-corrupt",
+    "byz_corrupt_data": "fault-byz-corrupt",
+    "byz_false_ack": "fault-byz-ack",
+}
+
 #: The fault levels the injector understands.  Byzantine levels (OSDs
 #: that lie — see :mod:`repro.core.byzantine`) and the correlated level
 #: ride at the end so every pre-existing level keeps its position.
@@ -254,13 +263,10 @@ class FaultInjector:
             # enforces that enough un-slowed candidates exist.
             self._select_slow_devices(spec)
             return
-        if spec.level == "byz_corrupt_data":
+        if spec.level in ("byz_corrupt_data", "byz_false_ack"):
             # Guarded per stripe like honest corruption: a lying shard
             # counts against the code's tolerance m exactly the same.
-            self._byz_corrupt_victims(spec)
-            return
-        if spec.level == "byz_false_ack":
-            self._byz_false_ack_victims(spec)
+            self._stripe_victims(spec)
             return
         if spec.level in GEO_LEVELS:
             self._validate_geo(spec)
@@ -277,7 +283,7 @@ class FaultInjector:
                 f"{pool.code.plugin_name}({pool.code.n},{pool.code.k})"
             )
         # Crash-over-corruption guard, the converse of the stripe guard in
-        # _corrupt_victims: each crashed bucket can take one more shard
+        # _stripe_victims: each crashed bucket can take one more shard
         # from the stripe already carrying the most unrepaired silent
         # corruption (honest or Byzantine — undetected false acks are
         # silent damage too), and the combined damage must stay
@@ -308,37 +314,38 @@ class FaultInjector:
         """Stripe-level white-box guard for region faults.
 
         For every populated PG: the shards standing in (or cut off
-        behind) the target regions, unioned with shards already down,
-        injected, stale, or silently corrupt, must stay within the
-        code's guaranteed tolerance for every stored stripe.
+        behind) the target regions or held by this injector, unioned
+        with the stripe's damaged shards
+        (:meth:`~repro.cluster.ceph.CephCluster.damaged_shards`), must
+        stay within the code's guaranteed tolerance for every stored
+        stripe.  Only stripes with a stale shard are judged object by
+        object; silent damage elsewhere is the second guard's.
         """
-        pool = self.cluster.pool
+        cluster = self.cluster
+        pool = cluster.pool
         tolerance = pool.code.fault_tolerance()
-        topology = self.cluster.topology
-        integrity = self.cluster.integrity
+        topology = cluster.topology
         hit_regions = set(self._select_regions(spec))
         worst = 0
         worst_pg = None
         for pg in pool.pgs.values():
             if not pg.objects:
                 continue
-            base = {
+            down = cluster.down_shards(pg)
+            base = down | {
                 s
                 for s, osd_id in enumerate(pg.acting)
                 if topology.region_of(osd_id) in hit_regions
                 or topology.region_of(osd_id) in self.partitioned_regions
                 or osd_id in self.injected_osds
-                or not self.cluster.osds[osd_id].is_up()
             }
             damage = len(base)
             if pg.log is not None and pg.log.dirty_shards():
                 for obj in pg.objects:
-                    stale = pg.log.stale_shards(obj.name)
-                    if not stale:
-                        continue
-                    corrupt = integrity.corrupt_shards(pg.pgid, obj.name)
-                    byz = self._byz_damage(pg.pgid, obj.name)
-                    damage = max(damage, len(base | stale | corrupt | byz))
+                    if pg.log.stale_shards(obj.name):
+                        damage = max(damage, len(
+                            base | cluster.damaged_shards(pg, obj, down)
+                        ))
             if damage > worst:
                 worst, worst_pg = damage, pg.pgid
         if worst > tolerance:
@@ -363,50 +370,39 @@ class FaultInjector:
     def _max_dirty_damage(self, hit: Set, domain: str) -> int:
         """Worst-case per-stripe damage once ``hit`` buckets are down.
 
-        For every stripe with a stale shard: shards unavailable now or
-        standing in a hit bucket, unioned with the stripe's stale and
-        corrupt shards.  Returns 0 when no writes have gone degraded
-        (read-only experiments never pay beyond the ``dirty_shards``
-        check per PG).
+        For every stripe with a stale shard: the shards standing in a
+        hit bucket, unioned with the stripe's damaged shards
+        (:meth:`~repro.cluster.ceph.CephCluster.damaged_shards`).
+        Returns 0 when no writes have gone degraded (read-only
+        experiments never pay beyond the ``dirty_shards`` check per PG).
         """
         worst = 0
-        integrity = self.cluster.integrity
-        topology = self.cluster.topology
-        for pg in self.cluster.pool.pgs.values():
+        cluster = self.cluster
+        topology = cluster.topology
+        for pg in cluster.pool.pgs.values():
             if pg.log is None or not pg.objects or not pg.log.dirty_shards():
                 continue
-            unavailable = {
+            down = cluster.down_shards(pg)
+            in_hit = {
                 s
                 for s, osd_id in enumerate(pg.acting)
-                if not self.cluster.osds[osd_id].is_up()
-                or topology.bucket_of(osd_id, domain) in hit
+                if topology.bucket_of(osd_id, domain) in hit
             }
             for obj in pg.objects:
-                stale = pg.log.stale_shards(obj.name)
-                if not stale:
-                    continue
-                corrupt = integrity.corrupt_shards(pg.pgid, obj.name)
-                byz = self._byz_damage(pg.pgid, obj.name)
-                worst = max(worst, len(unavailable | stale | corrupt | byz))
+                if pg.log.stale_shards(obj.name):
+                    worst = max(worst, len(
+                        in_hit | cluster.damaged_shards(pg, obj, down)
+                    ))
         return worst
-
-    def _byz_damage(self, pgid: str, name: str) -> Set[int]:
-        """Undetected false-ack shards for one object (empty when the
-        Byzantine axis never fired).  Forged-checksum byz corruption is
-        already counted by the integrity store's ``corrupt_shards``, so
-        only false acks need separate accounting here."""
-        byz = getattr(self.cluster, "byzantine", None)
-        if byz is None:
-            return set()
-        return byz.damaged_shards(pgid, name)
 
     def _max_silent_damage(self) -> int:
         """Worst-case per-stripe *silent* damage: unrepaired corrupt
         shards unioned with undetected false-ack shards.  Identical to
         ``integrity.max_corrupt_per_stripe()`` when no Byzantine fault
-        is active."""
+        is active.  The subset of the damage rule that a bucket count
+        cannot see, so the crash and region guards add it on top."""
         integrity = self.cluster.integrity
-        byz = getattr(self.cluster, "byzantine", None)
+        byz = self.cluster.byzantine
         if byz is None:
             return integrity.max_corrupt_per_stripe()
         worst = 0
@@ -648,76 +644,46 @@ class FaultInjector:
             return None
         return rng.choice(sorted(candidates))[1]
 
-    def _corrupt_victims(self, spec: FaultSpec):
-        """Pick the stripe and shard set a corrupt-level fault damages.
+    def _stripe_victims(self, spec: FaultSpec):
+        """Pick the stripe and shard set a stripe-level fault damages.
 
-        White-box stripe guard: unavailable shards (down OSDs), already
-        corrupted shards and the new victims together must stay within
-        the code's guaranteed tolerance — a corruption the code could not
-        repair would be injected data loss, not a fault experiment.
+        Serves ``corrupt``, ``byz_corrupt_data`` (forged local checksums)
+        and ``byz_false_ack`` (acked-but-not-applied), each drawing from
+        its own seeded stream.  Corruption needs write-time checksums,
+        and a forged checksum needs deep scrub, the only thing that can
+        ever detect it; a false ack needs a write log with a committed
+        version to falsify.
+
+        White-box stripe guard: the stripe's damaged shards
+        (:meth:`~repro.cluster.ceph.CephCluster.damaged_shards`), the
+        shards on OSDs this injector holds (flapping, partitioned or
+        gossiping a stale map, so down at any later instant) and the new
+        victims together must stay within the code's guaranteed
+        tolerance — a corruption the code could not repair would be
+        injected data loss, not a fault experiment.  A lying shard
+        counts exactly like a corrupt one.
         """
-        pool = self.cluster.pool
-        integrity = self.cluster.integrity
-        if not integrity.config.enabled:
+        cluster = self.cluster
+        pool = cluster.pool
+        byzantine = spec.level in BYZ_LEVELS
+        if spec.level != "byz_false_ack" and not cluster.integrity.config.enabled:
+            kind = spec.level if byzantine else "corrupt-level"
             raise ValueError(
-                "corrupt-level faults need write-time checksums; "
+                f"{kind} faults need write-time checksums; "
                 "enable IntegrityConfig(enabled=True) on the cluster"
             )
-        populated = [pg for pg in pool.pgs.values() if pg.objects]
-        if not populated:
-            raise ValueError("no stored objects to corrupt")
-        rng = self.seeds.stream("fault-corrupt")
-        if spec.targets is not None:
-            shards = list(spec.targets)[: spec.count]
-            bad = [s for s in shards if not 0 <= s < pool.code.n]
-            if bad:
-                raise ValueError(
-                    f"corrupt targets are stripe shard indices; {bad} "
-                    f"outside [0, {pool.code.n})"
-                )
-            pg = populated[0]
-            obj = pg.objects[0]
-        else:
-            pg = rng.choice(populated)
-            obj = rng.choice(pg.objects)
-            shards = rng.sample(range(pool.code.n), spec.count)
-        tolerance = pool.code.fault_tolerance()
-        unavailable = {
-            s
-            for s, osd_id in enumerate(pg.acting)
-            if not self.cluster.osds[osd_id].is_up()
-        }
-        stale = pg.log.stale_shards(obj.name) if pg.log is not None else set()
-        damaged = (
-            unavailable
-            | stale
-            | integrity.corrupt_shards(pg.pgid, obj.name)
-            | self._byz_damage(pg.pgid, obj.name)
-            | set(shards)
-        )
-        if len(damaged) > tolerance:
-            raise FaultToleranceError(
-                f"{len(damaged)} damaged chunks in stripe {pg.pgid}/{obj.name} "
-                f"would exceed the guaranteed tolerance m={tolerance} of "
-                f"{pool.code.plugin_name}({pool.code.n},{pool.code.k})"
+        if spec.level == "byz_corrupt_data" and not cluster.scrub.config.enabled:
+            raise ValueError(
+                "byz_corrupt_data faults need deep scrub enabled — "
+                "nothing else can ever detect a forged checksum"
             )
-        return pg, obj, shards, rng
-
-    def _byz_stripe_victims(self, spec: FaultSpec, stream: str):
-        """Shared stripe/shard selection for the two data-plane byz
-        levels, with the same white-box union guard as honest corruption
-        (a lying shard is damage until scrub/peering finds it).
-
-        Each level draws from its *own* seeded stream — streams restart
-        identically per call, so sharing ``"fault-corrupt"`` would make
-        the adversary shadow the honest corruption picks exactly.
-        """
-        pool = self.cluster.pool
-        integrity = self.cluster.integrity
         populated = [pg for pg in pool.pgs.values() if pg.objects]
         if not populated:
-            raise ValueError("no stored objects for a Byzantine fault")
-        rng = self.seeds.stream(stream)
+            raise ValueError(
+                "no stored objects for a Byzantine fault" if byzantine
+                else "no stored objects to corrupt"
+            )
+        rng = self.seeds.stream(_STRIPE_STREAMS[spec.level])
         if spec.targets is not None:
             shards = list(spec.targets)[: spec.count]
             bad = [s for s in shards if not 0 <= s < pool.code.n]
@@ -733,69 +699,28 @@ class FaultInjector:
             obj = rng.choice(pg.objects)
             shards = rng.sample(range(pool.code.n), spec.count)
         tolerance = pool.code.fault_tolerance()
-        unavailable = {
-            s
-            for s, osd_id in enumerate(pg.acting)
-            if not self.cluster.osds[osd_id].is_up()
-            or osd_id in self.injected_osds
+        damaged = cluster.damaged_shards(pg, obj) | set(shards) | {
+            s for s, osd_id in enumerate(pg.acting) if osd_id in self.injected_osds
         }
-        stale = pg.log.stale_shards(obj.name) if pg.log is not None else set()
-        damaged = (
-            unavailable
-            | stale
-            | integrity.corrupt_shards(pg.pgid, obj.name)
-            | self._byz_damage(pg.pgid, obj.name)
-            | set(shards)
-        )
         if len(damaged) > tolerance:
+            lies = " (Byzantine lies count like crash damage)" if byzantine else ""
             raise FaultToleranceError(
                 f"{len(damaged)} damaged chunks in stripe "
-                f"{pg.pgid}/{obj.name} (Byzantine lies count like crash "
-                f"damage) would exceed the guaranteed tolerance "
-                f"m={tolerance} of "
+                f"{pg.pgid}/{obj.name}{lies} would exceed the guaranteed "
+                f"tolerance m={tolerance} of "
                 f"{pool.code.plugin_name}({pool.code.n},{pool.code.k})"
             )
-        return pg, obj, shards, rng
-
-    def _byz_corrupt_victims(self, spec: FaultSpec):
-        """Stripe victims for byz_corrupt_data (forged local checksums).
-
-        Needs write-time checksums: the lie *is* the forged checksum, so
-        a cluster without an integrity store has nothing to forge and —
-        more importantly — no deep scrub to ever detect it.
-        """
-        integrity = self.cluster.integrity
-        if not integrity.config.enabled:
-            raise ValueError(
-                "byz_corrupt_data faults need write-time checksums; "
-                "enable IntegrityConfig(enabled=True) on the cluster"
-            )
-        if not self.cluster.scrub.config.enabled:
-            raise ValueError(
-                "byz_corrupt_data faults need deep scrub enabled — "
-                "nothing else can ever detect a forged checksum"
-            )
-        return self._byz_stripe_victims(spec, "fault-byz-corrupt")
-
-    def _byz_false_ack_victims(self, spec: FaultSpec):
-        """Stripe victims for byz_false_ack (acked-but-not-applied).
-
-        The lie is a pg_log version claim, so the PG must keep a write
-        log and the object must have a committed version to falsify.
-        """
-        pg, obj, shards, rng = self._byz_stripe_victims(
-            spec, "fault-byz-ack"
-        )
-        if pg.log is None:
-            raise ValueError(
-                "byz_false_ack faults need per-PG write logs "
-                "(pg_log_max_entries > 0)"
-            )
-        if obj.name not in pg.log.object_version:
-            raise ValueError(
-                f"object {pg.pgid}/{obj.name} has no committed version "
-                "to falsely ack"
-            )
+        if spec.level == "byz_false_ack":
+            if pg.log is None:
+                raise ValueError(
+                    "byz_false_ack faults need per-PG write logs "
+                    "(pg_log_max_entries > 0)"
+                )
+            if obj.name not in pg.log.object_version:
+                raise ValueError(
+                    f"object {pg.pgid}/{obj.name} has no committed version "
+                    "to falsely ack"
+                )
         return pg, obj, shards, rng
 
     def _select_byz_liars(self, spec: FaultSpec) -> List[int]:
@@ -804,7 +729,7 @@ class FaultInjector:
             return list(spec.targets)[: spec.count]
         rng = self.seeds.stream("fault-byz-map")
         candidates = sorted(self._healthy_data_osds())
-        byz = getattr(self.cluster, "byzantine", None)
+        byz = self.cluster.byzantine
         if byz is not None:
             candidates = [
                 osd_id for osd_id in candidates
@@ -823,7 +748,7 @@ class FaultInjector:
         """Validate and apply a fault; returns the affected OSD ids."""
         self.validate(spec)
         if spec.level == "corrupt":
-            pg, obj, shards, rng = self._corrupt_victims(spec)
+            pg, obj, shards, rng = self._stripe_victims(spec)
             affected = []
             for shard in sorted(shards):
                 osd_id = pg.acting[shard]
@@ -837,7 +762,7 @@ class FaultInjector:
             # them, and the stripe guard above bounds combined damage.
             return sorted(affected)
         if spec.level == "byz_corrupt_data":
-            pg, obj, shards, rng = self._byz_corrupt_victims(spec)
+            pg, obj, shards, rng = self._stripe_victims(spec)
             state = ensure_byzantine(self.cluster)
             affected = []
             now = self.cluster.env.now
@@ -854,7 +779,7 @@ class FaultInjector:
             # guard bounds combined damage instead.
             return sorted(affected)
         if spec.level == "byz_false_ack":
-            pg, obj, shards, rng = self._byz_false_ack_victims(spec)
+            pg, obj, shards, rng = self._stripe_victims(spec)
             state = ensure_byzantine(self.cluster)
             affected = []
             now = self.cluster.env.now
@@ -1008,6 +933,6 @@ class FaultInjector:
         # (counted as an epoch detection).  Data-plane lies — forged
         # checksums, false acks — survive, mirroring how worker.restore
         # never heals silent corruption; scrub and peering own those.
-        byz = getattr(self.cluster, "byzantine", None)
+        byz = self.cluster.byzantine
         if byz is not None:
             byz.on_restore(self.cluster.env.now)

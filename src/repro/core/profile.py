@@ -15,12 +15,14 @@ from dataclasses import dataclass, field, replace
 from typing import Any, Dict
 
 from ..cluster.bluestore import CACHE_SCHEMES, CacheConfig
+from ..cluster.ceph import CephCluster
 from ..cluster.osd import CephConfig
 from ..cluster.scrub import IntegrityConfig, ScrubConfig
 from ..cluster.topology import FailureDomain
 from ..ec.base import ErasureCode, available_plugins, create_plugin
 from ..geo.rules import RegionRule
 from ..geo.wan import DEFAULT_WAN, WanSpec
+from ..sim import Environment
 
 __all__ = ["ExperimentProfile", "PAPER_RS_PROFILE", "PAPER_CLAY_PROFILE"]
 
@@ -197,6 +199,33 @@ class ExperimentProfile:
         if self.num_regions <= 1:
             return None
         return RegionRule(spread=self.num_regions)
+
+    def build_cluster(self, env: Environment, placement_seed: int) -> CephCluster:
+        """The profile's cluster on ``env``, CRUSH seeded by ``placement_seed``.
+
+        The one mapping from a profile to a :class:`CephCluster`: code,
+        cache, tunables, shape, device class, checksums, scrub and
+        regions.
+        """
+        return CephCluster(
+            env,
+            code=self.create_code(),
+            cache_config=self.cache_config(),
+            config=self.ceph,
+            num_hosts=self.num_hosts,
+            osds_per_host=self.osds_per_host,
+            num_racks=self.num_racks,
+            pg_num=self.pg_num,
+            stripe_unit=self.stripe_unit,
+            failure_domain=self.failure_domain,
+            disk_spec=self.disk_spec(),
+            placement_seed=placement_seed,
+            integrity=self.integrity_config(),
+            scrub=self.scrub_config(),
+            num_regions=self.num_regions,
+            wan_spec=self.wan_spec(),
+            region_rule=self.region_rule(),
+        )
 
     def with_overrides(self, **changes) -> "ExperimentProfile":
         """A copy of the profile with the given fields replaced."""

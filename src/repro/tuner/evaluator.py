@@ -28,7 +28,6 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
-from ..cluster.ceph import CephCluster
 from ..cluster.client import ClientLoadGenerator, RadosClient
 from ..core.fault_injector import FaultSpec
 from ..core.profile import ExperimentProfile
@@ -279,19 +278,8 @@ def measure_degraded_p99(
     """
     seeds = SeedSequence(seed)
     env = Environment()
-    cluster = CephCluster(
-        env,
-        profile.create_code(),
-        profile.cache_config(),
-        config=profile.ceph,
-        num_hosts=profile.num_hosts,
-        osds_per_host=profile.osds_per_host,
-        num_racks=profile.num_racks,
-        pg_num=profile.pg_num,
-        stripe_unit=profile.stripe_unit,
-        failure_domain=profile.failure_domain,
-        disk_spec=profile.disk_spec(),
-        placement_seed=seeds.stream("tuner-probe-crush").randrange(2**31),
+    cluster = profile.build_cluster(
+        env, seeds.stream("tuner-probe-crush").randrange(2**31)
     )
     for index in range(probe.objects):
         cluster.ingest_object(f"probe-{index}", probe.object_size)
@@ -325,19 +313,8 @@ def measure_tenant_slo_p99(
     """
     seeds = SeedSequence(seed)
     env = Environment()
-    cluster = CephCluster(
-        env,
-        profile.create_code(),
-        profile.cache_config(),
-        config=profile.ceph,
-        num_hosts=profile.num_hosts,
-        osds_per_host=profile.osds_per_host,
-        num_racks=profile.num_racks,
-        pg_num=profile.pg_num,
-        stripe_unit=profile.stripe_unit,
-        failure_domain=profile.failure_domain,
-        disk_spec=profile.disk_spec(),
-        placement_seed=seeds.stream("tuner-tenant-crush").randrange(2**31),
+    cluster = profile.build_cluster(
+        env, seeds.stream("tuner-tenant-crush").randrange(2**31)
     )
     for index in range(probe.objects):
         cluster.ingest_object(f"probe-{index}", probe.object_size)

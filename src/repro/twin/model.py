@@ -42,9 +42,16 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..cluster.bluestore import BlueStore
-from ..cluster.network import M5_NIC, NicSpec
-from ..cluster.objectstore import layout_object
-from ..cluster.osd import CephConfig, resolve_subchunk_read, sequential_ops
+from ..cluster.client import RadosClient
+from ..cluster.network import M5_NIC
+from ..cluster.objectstore import blocks_in, layout_object
+from ..cluster.osd import (
+    coding_time,
+    recovery_read_time,
+    recovery_write_time,
+    resolve_subchunk_read,
+    sequential_ops,
+)
 from ..cluster.topology import FailureDomain
 from ..core.digest import canonical_json
 from ..core.fault_injector import CRASH_LEVELS, FaultSpec
@@ -238,7 +245,7 @@ def _loss_distribution(
     bucket in the same hypergeometric, just drawn over racks; anywhere
     else the unit dissolves into its host-equivalents.
     """
-    code_n = _code_for(profile).n
+    code_n = profile.create_code().n
     hosts = profile.num_hosts
     osds = hosts * profile.osds_per_host
     failed_hosts = sum(
@@ -314,10 +321,6 @@ def _loss_distribution(
     return sorted(dist.items())
 
 
-def _code_for(profile: ExperimentProfile):
-    return profile.create_code()
-
-
 def _ghost_backend(
     profile: ExperimentProfile, workload: Workload
 ) -> BlueStore:
@@ -327,7 +330,7 @@ def _ghost_backend(
     this ghost, so Figure 2a's cache-scheme sensitivity flows from the
     *real* BlueStore arithmetic rather than a re-derivation.
     """
-    code = _code_for(profile)
+    code = profile.create_code()
     layout = layout_object(
         workload.object_size, code.n, code.k, profile.stripe_unit
     )
@@ -340,24 +343,6 @@ def _ghost_backend(
     backend.num_extents = chunks_per_osd * layout.units
     backend.data_bytes = chunks_per_osd * layout.chunk_stored_bytes
     return backend
-
-
-def _decode_time(
-    config: CephConfig,
-    output_bytes: float,
-    decode_work: float,
-    fragments: float,
-    cpu_cost_factor: float,
-) -> float:
-    """Mirror of :meth:`OsdDaemon.decode_time` as a pure function."""
-    byte_time = output_bytes * decode_work * cpu_cost_factor / config.decode_bandwidth
-    return byte_time + fragments * config.decode_fragment_overhead
-
-
-def _transfer_time(nic: NicSpec, nbytes: float) -> float:
-    """One fabric hop: egress + ingress serialisation plus latency."""
-    per_side = nbytes / nic.bandwidth + nic.message_overhead
-    return 2 * per_side + nic.latency
 
 
 @dataclass
@@ -386,15 +371,16 @@ class AnalyticalTwin:
         self, profile: ExperimentProfile, workload: Workload
     ) -> int:
         """Total OSD usage after ingest: the Table-3 measurement point."""
-        code = _code_for(profile)
+        code = profile.create_code()
         layout = layout_object(
             workload.object_size, code.n, code.k, profile.stripe_unit
         )
         backend = BlueStore(profile.cache_config())
+        integrity = profile.integrity_config()
         csum_blocks = 0
-        if profile.scrub_interval > 0 or profile.integrity_data_plane:
-            csum_blocks = max(
-                1, -(-layout.chunk_stored_bytes // profile.csum_block_size)
+        if integrity.enabled:
+            csum_blocks = blocks_in(
+                layout.chunk_stored_bytes, integrity.csum_block_size
             )
         allocated, metadata = backend.chunk_allocation(
             layout.chunk_stored_bytes, layout.units, csum_blocks
@@ -410,7 +396,7 @@ class AnalyticalTwin:
         loss_dist: Sequence[Tuple[int, float]],
         backend: BlueStore,
     ) -> _RepairCosts:
-        code = _code_for(profile)
+        code = profile.create_code()
         config = profile.ceph
         layout = layout_object(
             workload.object_size, code.n, code.k, profile.stripe_unit
@@ -457,23 +443,25 @@ class AnalyticalTwin:
                             * config.subchunk_range_overhead
                         )
                     meta_ops = backend.read_overhead_ops(disk_bytes, scatter)
-                    grant = (
-                        disk_bytes / config.recovery_read_rate
-                        + meta_ops * config.metadata_op_cost
-                        + scatter * config.recovery_range_cost
+                    grant = recovery_read_time(
+                        config, disk_bytes, meta_ops, scatter
                     )
-                    disk_svc = disk.latency + max(
-                        disk_bytes / disk.read_bandwidth,
-                        max(1, round(disk_ops + meta_ops)) / disk.read_iops,
+                    disk_svc = disk.service_time(
+                        max(1, round(disk_ops + meta_ops)), disk_bytes,
+                        write=False,
                     )
                     costs.net_read_bytes += pshare * net_bytes
                     costs.disk_read_bytes += pshare * disk_bytes
                     costs.read_grant_service += pshare * grant
-                    legs.append(grant + disk_svc + _transfer_time(nic, net_bytes))
+                    # One fabric hop: egress and ingress wire time plus
+                    # the propagation latency.
+                    legs.append(grant + disk_svc + (
+                        2 * nic.wire_time(net_bytes) + nic.latency
+                    ))
                 costs.max_read_leg += pshare * (max(legs) if legs else 0.0)
                 costs.reads_count += pshare * len(plan.reads)
                 fragments = layout.units * code.sub_chunk_count * j
-                costs.decode_service += pshare * _decode_time(
+                costs.decode_service += pshare * coding_time(
                     config, chunk * j, plan.decode_work, fragments, cpu_cost
                 )
             costs.lost_shards += weight * j
@@ -513,7 +501,7 @@ class AnalyticalTwin:
         """The full analytical evaluation: WA, repair bytes, timeline."""
         faults = list(faults) if faults is not None else [FaultSpec(level="node")]
         cal = self.calibration
-        code = _code_for(profile)
+        code = profile.create_code()
         config = profile.ceph
         layout = layout_object(
             workload.object_size, code.n, code.k, profile.stripe_unit
@@ -587,14 +575,14 @@ class AnalyticalTwin:
 
         # Per-object push costs (identical for every target of a PG).
         coalescing = backend.write_coalescing()
-        write_grant = chunk / config.recovery_write_rate * coalescing
+        write_grant = recovery_write_time(config, chunk, coalescing)
         write_ops = max(
             1, round(sequential_ops(config, chunk) * coalescing)
         )
-        write_disk = disk.latency + max(
-            chunk / disk.write_bandwidth, write_ops / disk.write_iops
+        write_disk = disk.service_time(write_ops, chunk, write=True)
+        push_leg = (
+            2 * nic.wire_time(chunk) + nic.latency + write_grant + write_disk
         )
-        push_leg = _transfer_time(nic, chunk) + write_grant + write_disk
 
         # One object op's no-contention pipeline: messaging, parallel
         # pulls (bounded by the slowest leg and the primary's NIC
@@ -820,15 +808,14 @@ class AnalyticalTwin:
         disk service plus the k-way fan-in on the coordinator's NIC —
         then pays an on-the-fly decode.
         """
-        code = _code_for(profile)
+        code = profile.create_code()
         config = profile.ceph
         layout = layout_object(object_size, code.n, code.k, profile.stripe_unit)
         chunk = layout.chunk_stored_bytes
         disk = profile.disk_spec()
         nic = M5_NIC
-        ops = sequential_ops(config, chunk)
-        disk_svc = disk.latency + max(
-            chunk / disk.read_bandwidth, ops / disk.read_iops
+        disk_svc = disk.service_time(
+            sequential_ops(config, chunk), chunk, write=False
         )
         survivors = max(
             1, (profile.num_hosts - 1) * profile.osds_per_host
@@ -836,8 +823,8 @@ class AnalyticalTwin:
         # Light self-interference of the open-loop stream.
         arrival = code.k / interval / survivors
         rho = min(0.9, arrival * disk_svc)
-        fan_in = code.k * (chunk / nic.bandwidth + nic.message_overhead)
-        decode = _decode_time(
+        fan_in = code.k * nic.wire_time(chunk)
+        decode = coding_time(
             config,
             chunk,
             1.0,
@@ -845,7 +832,7 @@ class AnalyticalTwin:
             getattr(code, "cpu_cost_factor", 1.0),
         )
         latency = (
-            0.001  # RadosClient.request_overhead
+            RadosClient.request_overhead
             + disk_svc / (1.0 - rho)
             + fan_in
             + nic.latency
@@ -896,7 +883,7 @@ class AnalyticalTwin:
         """
         if not 0.0 <= rmw_fraction <= 1.0:
             raise ValueError("rmw_fraction must be in [0, 1]")
-        code = _code_for(profile)
+        code = profile.create_code()
         m = code.n - code.k
         return rmw_fraction * (1.0 + m) + (1.0 - rmw_fraction) * (
             code.n / code.k

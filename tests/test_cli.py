@@ -110,7 +110,7 @@ def test_bad_ec_params_message():
 @pytest.mark.parametrize("command", [
     "run", "scrub", "sweep", "analyze", "repair-plan",
     "wa", "autoscale", "chaos", "replay", "tune", "inject", "tenants",
-    "fuzz", "cascade",
+    "fuzz", "cascade", "geo", "twin",
 ])
 def test_every_subcommand_has_help(capsys, command):
     with pytest.raises(SystemExit) as excinfo:
@@ -466,6 +466,15 @@ def test_fuzz_rejects_unknown_levels(capsys):
     )
     assert code == 2
     assert "meteor" in err
+    assert "allowed" in err
+
+
+def test_chaos_rejects_unknown_levels(capsys):
+    code, _, err = run_cli(
+        capsys, "chaos", "--campaigns", "1", "--levels", "node,bogus",
+    )
+    assert code == 2
+    assert "chaos: unknown fault levels ['bogus']" in err
     assert "allowed" in err
 
 

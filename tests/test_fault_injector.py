@@ -17,7 +17,7 @@ from repro.sim import Environment
 
 
 def build(failure_domain="host", osds_per_host=3, num_hosts=10, code=None,
-          integrity=None, scrub=None):
+          integrity=None, scrub=None, objects=40):
     env = Environment()
     cluster = CephCluster(
         env,
@@ -31,7 +31,7 @@ def build(failure_domain="host", osds_per_host=3, num_hosts=10, code=None,
         integrity=integrity,
         scrub=scrub,
     )
-    for i in range(40):
+    for i in range(objects):
         cluster.ingest_object(f"o{i}", 1024 * 1024)
     workers = deploy_workers(cluster)
     return cluster, FaultInjector(cluster, workers)
@@ -253,6 +253,33 @@ def test_crash_guard_counts_unrepaired_corruption():
     injector.inject(FaultSpec(level="node", count=1))
     with pytest.raises(FaultToleranceError, match="corrupt"):
         injector.inject(FaultSpec(level="node", count=1))
+
+
+#: Faults that hold one OSD (by id) or its host (by id) without a crash.
+HOLDS = {
+    "flap": lambda osd_id, host_id: FaultSpec(level="flap", targets=[osd_id]),
+    "net_degrade": lambda osd_id, host_id: FaultSpec(
+        level="net_degrade", partition=True, targets=[host_id]
+    ),
+    "byz_stale_map": lambda osd_id, host_id: FaultSpec(
+        level="byz_stale_map", targets=[osd_id]
+    ),
+}
+
+
+@pytest.mark.parametrize("hold", sorted(HOLDS))
+def test_corrupt_guard_counts_held_osds(hold):
+    # RS(6,4): m = 2.  The held OSD may be down at any later instant, so
+    # its shard plus two corrupt ones would be 3 damaged shards.
+    cluster, injector = build(
+        num_hosts=8, osds_per_host=1, objects=16,
+        integrity=IntegrityConfig(enabled=True), scrub=ScrubConfig(enabled=True),
+    )
+    pg = next(pg for pg in cluster.pool.pgs.values() if pg.objects)
+    osd_id = pg.acting[0]
+    injector.inject(HOLDS[hold](osd_id, cluster.topology.osds[osd_id].host_id))
+    with pytest.raises(FaultToleranceError):
+        injector.inject(FaultSpec(level="corrupt", count=2, targets=[1, 2]))
 
 
 # -- Byzantine faults (OSDs that lie) -------------------------------------------
