@@ -101,9 +101,16 @@ class Corpus:
         }
 
     def save(self, corpus_dir) -> List[Path]:
-        """Write every entry (and the summary) as JSON under corpus_dir."""
+        """Write every entry (and the summary) as JSON under corpus_dir.
+
+        Entries an earlier, larger corpus saved there are removed, since
+        :func:`load_corpus` reads every ``corpus-*.json``; repro
+        artifacts are left alone.
+        """
         corpus_dir = Path(corpus_dir)
         corpus_dir.mkdir(parents=True, exist_ok=True)
+        for stale in corpus_dir.glob("corpus-*.json"):
+            stale.unlink()
         paths = []
         for index, entry in enumerate(self.entries):
             path = corpus_dir / f"corpus-{index:04d}.json"

@@ -21,7 +21,13 @@ from dataclasses import replace
 from typing import List, Optional
 
 from ..chaos.campaign import CampaignSpec, ScheduledAction
-from ..chaos.sampler import _EC_CHOICES, _shard_count, _tolerance
+from ..chaos.sampler import (
+    _EC_CHOICES,
+    _OBJECT_SIZES,
+    _STRIPE_UNITS,
+    _shard_count,
+    _tolerance,
+)
 from ..core.fault_injector import BYZ_LEVELS
 
 __all__ = [
@@ -34,9 +40,6 @@ __all__ = [
     "reshape_to",
     "splice",
 ]
-
-_STRIPE_UNITS = (64 * 1024, 256 * 1024, 1024 * 1024, 4 * 1024 * 1024)
-_OBJECT_SIZES = (256 * 1024, 1024 * 1024, 4 * 1024 * 1024)
 
 #: Levels whose damage persists until a scrub heals it — the spec
 #: forbids scheduling them with scrubbing off.

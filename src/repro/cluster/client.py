@@ -272,8 +272,8 @@ WRITE_STAT_KEYS = ("writes_ok", "writes_failed", "write_retries", "writes_paused
 
 
 @dataclass(frozen=True)
-class _FetchResult:
-    """Outcome of one guarded shard fetch (processes never fail)."""
+class _ShardResult:
+    """Outcome of one guarded shard fetch or push (processes never fail)."""
 
     ok: bool
     shard: int
@@ -288,15 +288,6 @@ class _AttemptResult:
     degraded: bool = False
     hedged: bool = False
     needs_decode: bool = False
-    reason: str = ""
-
-
-@dataclass(frozen=True)
-class _PushResult:
-    """Outcome of one guarded chunk/unit push (processes never fail)."""
-
-    ok: bool
-    shard: int
     reason: str = ""
 
 
@@ -558,7 +549,7 @@ class RadosClient:
         nbytes = layout.chunk_stored_bytes
         try:
             if not source.is_up():
-                return _FetchResult(
+                return _ShardResult(
                     ok=False, shard=shard,
                     reason=f"shard {shard} source {source.name} is down",
                 )
@@ -575,10 +566,10 @@ class RadosClient:
             )
         except TransferDroppedError as exc:
             self.stats.drops_seen += 1
-            return _FetchResult(ok=False, shard=shard, reason=str(exc))
+            return _ShardResult(ok=False, shard=shard, reason=str(exc))
         except DiskFailedError as exc:
-            return _FetchResult(ok=False, shard=shard, reason=str(exc))
-        return _FetchResult(ok=True, shard=shard)
+            return _ShardResult(ok=False, shard=shard, reason=str(exc))
+        return _ShardResult(ok=True, shard=shard)
 
     # -- write path -------------------------------------------------------------
 
@@ -858,7 +849,7 @@ class RadosClient:
         target = self.cluster.osds[pg.acting[shard]]
         nbytes = layout.chunk_stored_bytes
         if not target.is_up():
-            return _PushResult(
+            return _ShardResult(
                 ok=False, shard=shard,
                 reason=f"shard {shard} target {target.name} is down",
             )
@@ -876,7 +867,7 @@ class RadosClient:
                 target.disk.used_bytes + allocated + metadata
                 > target.disk.spec.capacity_bytes
             ):
-                return _PushResult(
+                return _ShardResult(
                     ok=False, shard=shard,
                     reason=f"target {target.name} toofull",
                 )
@@ -894,7 +885,7 @@ class RadosClient:
                 self.cluster.topology.nic_of(target.osd_id),
                 nbytes,
             )
-            yield target.write_chunk(nbytes, layout.units)
+            yield target.write_chunk(nbytes)
         except (TransferDroppedError, DiskFailedError) as exc:
             if isinstance(exc, TransferDroppedError):
                 self.stats.drops_seen += 1
@@ -902,8 +893,8 @@ class RadosClient:
                 target.remove_chunk(nbytes, layout.units, csum_blocks)
                 self.cluster.ledger.debit_chunk(allocated, metadata)
                 allocs.pop(shard, None)
-            return _PushResult(ok=False, shard=shard, reason=str(exc))
-        return _PushResult(ok=True, shard=shard)
+            return _ShardResult(ok=False, shard=shard, reason=str(exc))
+        return _ShardResult(ok=True, shard=shard)
 
     def _guarded_unit_io(
         self, pg: PlacementGroup, shard: int, primary, unit: int, write: bool
@@ -912,7 +903,7 @@ class RadosClient:
         osd = self.cluster.osds[pg.acting[shard]]
         try:
             if not osd.is_up():
-                return _PushResult(
+                return _ShardResult(
                     ok=False, shard=shard,
                     reason=f"shard {shard} osd {osd.name} is down",
                 )
@@ -935,10 +926,10 @@ class RadosClient:
                 )
         except TransferDroppedError as exc:
             self.stats.drops_seen += 1
-            return _PushResult(ok=False, shard=shard, reason=str(exc))
+            return _ShardResult(ok=False, shard=shard, reason=str(exc))
         except DiskFailedError as exc:
-            return _PushResult(ok=False, shard=shard, reason=str(exc))
-        return _PushResult(ok=True, shard=shard)
+            return _ShardResult(ok=False, shard=shard, reason=str(exc))
+        return _ShardResult(ok=True, shard=shard)
 
     def _commit_write(
         self,

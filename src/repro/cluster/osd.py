@@ -375,7 +375,7 @@ class OsdDaemon:
         """Disk operations for a sequential transfer of ``nbytes``."""
         return sequential_ops(self.config, nbytes)
 
-    def read_chunk(self, nbytes: int, units: int) -> Event:
+    def read_chunk(self, nbytes: int) -> Event:
         """Sequential recovery read of a full chunk, plus metadata misses."""
         ops = self.sequential_ops(nbytes) + self.backend.read_overhead_ops(nbytes)
         return self.disk.submit(max(1, round(ops)), nbytes, write=False)
@@ -406,7 +406,7 @@ class OsdDaemon:
         )
         return self.disk.submit(max(1, round(ops)), profile.disk_bytes, write=False)
 
-    def write_chunk(self, nbytes: int, units: int) -> Event:
+    def write_chunk(self, nbytes: int) -> Event:
         """Recovery write of a rebuilt chunk, after deferred coalescing."""
         ops = self.sequential_ops(nbytes) * self.backend.write_coalescing()
         return self.disk.submit(max(1, round(ops)), nbytes, write=True)

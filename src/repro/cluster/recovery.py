@@ -1168,7 +1168,7 @@ class RecoveryManager:
             if read.fraction >= 1.0:
                 nbytes = layout.chunk_stored_bytes
                 yield source.recovery_read_grant(nbytes)
-                yield source.read_chunk(nbytes, layout.units)
+                yield source.read_chunk(nbytes)
             else:
                 nbytes = int(layout.chunk_stored_bytes * read.fraction)
                 profile = source.subchunk_profile(
@@ -1269,7 +1269,7 @@ class RecoveryManager:
                 self.stats.cross_region_bytes_written += nbytes
                 self.stats.cross_region_pushes += 1
             yield target.recovery_write_grant(nbytes)
-            yield target.write_chunk(nbytes, layout.units)
+            yield target.write_chunk(nbytes)
         except (TransferDroppedError, DiskFailedError):
             if allocate:
                 target.remove_chunk(nbytes, layout.units)

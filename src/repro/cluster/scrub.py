@@ -587,7 +587,7 @@ class ScrubManager:
                     continue
                 nbytes = obj.layout.chunk_stored_bytes
                 yield osd.scrub_read_grant(nbytes, self.config.read_rate)
-                yield osd.read_chunk(nbytes, obj.layout.units)
+                yield osd.read_chunk(nbytes)
                 blocks = self.integrity.block_count(pg.pgid, obj.name, shard)
                 yield osd.cpu.request(blocks * self.config.csum_verify_cost)
                 self.stats.chunks_scrubbed += 1
@@ -801,7 +801,7 @@ class ScrubManager:
                 region,
             )
             yield target.recovery_write_grant(region)
-            yield target.write_chunk(region, region_units)
+            yield target.write_chunk(region)
         except (TransferDroppedError, DiskFailedError):
             return False
         self.integrity.repair(pg.pgid, obj.name, shard)
@@ -823,9 +823,7 @@ class ScrubManager:
             if not source.is_up():
                 return False
             yield source.recovery_read_grant(nbytes)
-            yield source.read_chunk(
-                nbytes, max(1, traffic.read_ops_by_chunk[read.chunk_index])
-            )
+            yield source.read_chunk(nbytes)
             self.stats.repair_bytes_read += nbytes
             yield self.topology.fabric.transfer(
                 self.topology.nic_of(source.osd_id),

@@ -8,54 +8,43 @@ than causing data loss.  It is *topology-aware*: concurrent device
 failures can be forced onto the same storage node or spread across
 different nodes — the Figure 2d axis.
 
-Beyond fail-stop (node/device) and silent (corrupt) faults, the injector
-speaks three **gray-failure** levels — faults that degrade without
-killing:
+:meth:`FaultInjector.inject` resolves a fault's targets once, runs the
+white-box guard on exactly that set, and applies it through one of three
+scope paths:
 
-* ``slow_device`` — inflate an NVMe device's service times ×``factor``;
-  the OSD stays up and heartbeating, it just limps.
-* ``net_degrade`` — give a host's NIC packet loss, extra latency, a
-  bandwidth penalty, or a full partition; transfers through it can slow
-  down or drop, and so can the host's heartbeats.
-* ``flap`` — oscillate an OSD daemon up/down on a seeded cadence,
-  thrashing the monitor's failure detector until flap dampening pins it.
+* **stripe** — ``corrupt`` (silently damage stored chunks, found only by
+  deep scrub), ``byz_corrupt_data`` and ``byz_false_ack`` (OSDs that
+  lie, see :mod:`repro.core.byzantine`).  Guarded per stripe; the
+  victims stay up.
+* **device** — ``device`` (remove an NVMe subsystem), ``flap``
+  (oscillate an OSD daemon up/down on a seeded cadence, thrashing the
+  monitor's failure detector until flap dampening pins it),
+  ``byz_stale_map`` (gossip an old osdmap) and ``slow_device`` (inflate
+  a device's service times ×``factor``: the OSD limps but heartbeats,
+  so it costs no availability and is budget-free).
+* **host** — ``node`` (shut a host down), ``net_degrade`` (packet loss,
+  extra latency, a bandwidth penalty or a full partition at a host's
+  NIC), ``correlated_crash`` (every host in whole failure-domain
+  buckets at once: the shared-switch / shared-PDU scenario),
+  ``region_outage`` (every host in a region) and ``wan_partition``
+  (sever a region's WAN uplink: its hosts stay up and intra-region
+  traffic flows, but every cross-region transfer fails).
 
-The white-box guard extends to gray faults: ``flap`` and ``net_degrade``
-make shards (intermittently) unavailable, so they count against the
-code's tolerance budget exactly like crash faults; ``slow_device`` never
-costs availability and is budget-free, tracked only to prevent
-double-slowing one device.
-
-Stretch clusters add two **region-level** levels:
-
-* ``region_outage`` — shut down every host in a region at once (the
-  cloud-region-down scenario).
-* ``wan_partition`` — sever a region's WAN uplink; hosts stay up and
-  intra-region traffic flows, but every cross-region transfer fails.
-
-Both are guarded per *stripe*, not per failure-domain bucket: a region
-holds many host buckets, so the bucket count would always overshoot.
-What actually bounds recoverability is how many shards of any one stripe
-live in (or behind) the target regions — the region-spanning CRUSH rule
-caps that, and the guard unions it with live damage (down OSDs, stale
-and corrupt shards) exactly like the crash-over-staleness guard.
-
-Cascade experiments add one **correlated** level:
-
-* ``correlated_crash`` — fail every OSD inside whole failure-domain
-  buckets (hosts, racks, …) in a single event: the shared-switch /
-  shared-PDU scenario where one physical fault takes out an entire
-  domain at once.  It is guarded exactly like ``node`` crashes — the
-  buckets taken out (in the *pool's* failure domain) plus live damage
-  must stay within the code's tolerance — so an injected cascade alone
-  can never lose data; only the follow-on aftershocks the campaign
-  schedules push PGs toward their redundancy floor.
+Gray faults that make shards (intermittently) unavailable — ``flap``,
+``net_degrade``, a stale-map liar — count against the tolerance budget
+exactly like crash faults.  Region faults are guarded per *stripe*, not
+per failure-domain bucket: a region holds many host buckets, so the
+bucket count would always overshoot; what bounds recoverability is how
+many shards of any one stripe live in (or behind) the target regions,
+unioned with live damage.  A ``correlated_crash`` is guarded like
+``node`` crashes, so an injected cascade alone can never lose data; only
+the aftershocks a campaign schedules push PGs toward their redundancy
+floor.
 """
-
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Set
+from typing import Dict, Iterable, List, Optional, Sequence, Set
 
 from ..cluster.ceph import CephCluster
 from ..cluster.network import NetDegradation
@@ -101,6 +90,11 @@ _STRIPE_STREAMS = {
     "byz_corrupt_data": "fault-byz-corrupt",
     "byz_false_ack": "fault-byz-ack",
 }
+
+#: Device-scoped levels: each target is one OSD.  Every level neither
+#: stripe- nor device-scoped is host-scoped: each target is a group of
+#: hosts (one host, a failure-domain bucket or a region).
+_DEVICE_LEVELS = ("device", "flap", "byz_stale_map", "slow_device")
 
 #: The fault levels the injector understands.  Byzantine levels (OSDs
 #: that lie — see :mod:`repro.core.byzantine`) and the correlated level
@@ -219,7 +213,7 @@ class FaultToleranceError(ValueError):
 
 
 class FaultInjector:
-    """Selects fault targets and applies them through the Workers."""
+    """Resolves each fault's targets once, guards them, applies them."""
 
     def __init__(
         self,
@@ -239,49 +233,33 @@ class FaultInjector:
         #: :meth:`restore_all` (workers know nothing about uplinks).
         self.partitioned_regions: Set[int] = set()
 
-    # -- white-box validation ---------------------------------------------------------
+    # -- white-box guards ---------------------------------------------------------------
 
-    def validate(self, spec: FaultSpec) -> None:
+    def _refuse(self, damage: str) -> FaultToleranceError:
+        """The refusal of ``damage`` beyond the code's tolerance m = n - k."""
+        code = self.cluster.pool.code
+        return FaultToleranceError(
+            f"{damage} would exceed the guaranteed tolerance "
+            f"m={code.fault_tolerance()} of "
+            f"{code.plugin_name}({code.n},{code.k})"
+        )
+
+    def _guard_buckets(self, osds: Set[int]) -> None:
         """Refuse faults beyond n - k failures within the failure domain.
 
-        Counts the *failure-domain buckets* the spec would take out, plus
-        any already-injected ones, against the pool's tolerance m = n - k.
+        Counts the *failure-domain buckets* holding ``osds`` or an OSD
+        this injector already holds against the pool's tolerance
+        m = n - k, then the same buckets beside silent and stale damage.
         """
         pool = self.cluster.pool
         tolerance = pool.code.fault_tolerance()
-        if spec.level == "corrupt":
-            if spec.count > tolerance:
-                raise FaultToleranceError(
-                    f"{spec.count} corrupted chunks in one stripe would "
-                    f"exceed the guaranteed tolerance m={tolerance} of "
-                    f"{pool.code.plugin_name}({pool.code.n},{pool.code.k})"
-                )
-            return
-        if spec.level == "slow_device":
-            # A limping device costs performance, not availability: it
-            # consumes none of the tolerance budget.  Selection still
-            # enforces that enough un-slowed candidates exist.
-            self._select_slow_devices(spec)
-            return
-        if spec.level in ("byz_corrupt_data", "byz_false_ack"):
-            # Guarded per stripe like honest corruption: a lying shard
-            # counts against the code's tolerance m exactly the same.
-            self._stripe_victims(spec)
-            return
-        if spec.level in GEO_LEVELS:
-            self._validate_geo(spec)
-            return
         domain = pool.failure_domain
         hit = {
             self.cluster.topology.bucket_of(osd_id, domain)
-            for osd_id in self._osds_for(spec) | self.injected_osds
+            for osd_id in osds | self.injected_osds
         }
         if len(hit) > tolerance:
-            raise FaultToleranceError(
-                f"{len(hit)} failed {domain} buckets would exceed the "
-                f"guaranteed tolerance m={tolerance} of "
-                f"{pool.code.plugin_name}({pool.code.n},{pool.code.k})"
-            )
+            raise self._refuse(f"{len(hit)} failed {domain} buckets")
         # Crash-over-corruption guard, the converse of the stripe guard in
         # _stripe_victims: each crashed bucket can take one more shard
         # from the stripe already carrying the most unrepaired silent
@@ -290,11 +268,9 @@ class FaultInjector:
         # guaranteed-recoverable.
         corrupt = self._max_silent_damage()
         if corrupt and len(hit) + corrupt > tolerance:
-            raise FaultToleranceError(
+            raise self._refuse(
                 f"{len(hit)} failed {domain} buckets on top of {corrupt} "
-                f"unrepaired corrupt chunks in one stripe would exceed the "
-                f"guaranteed tolerance m={tolerance} of "
-                f"{pool.code.plugin_name}({pool.code.n},{pool.code.k})"
+                f"unrepaired corrupt chunks in one stripe"
             )
         # Crash-over-staleness guard: shards that missed a degraded write
         # hold old content and cannot serve repairs, so they are damage
@@ -303,18 +279,16 @@ class FaultInjector:
         # stale shard inside an already-doomed bucket adds nothing.
         dirty = self._max_dirty_damage(hit, domain)
         if dirty > tolerance:
-            raise FaultToleranceError(
+            raise self._refuse(
                 f"{dirty} damaged chunks in one stripe (crashed buckets + "
-                f"stale/corrupt shards from degraded writes) would exceed "
-                f"the guaranteed tolerance m={tolerance} of "
-                f"{pool.code.plugin_name}({pool.code.n},{pool.code.k})"
+                f"stale/corrupt shards from degraded writes)"
             )
 
-    def _validate_geo(self, spec: FaultSpec) -> None:
+    def _guard_regions(self, regions: List[int]) -> None:
         """Stripe-level white-box guard for region faults.
 
         For every populated PG: the shards standing in (or cut off
-        behind) the target regions or held by this injector, unioned
+        behind) the target ``regions`` or held by this injector, unioned
         with the stripe's damaged shards
         (:meth:`~repro.cluster.ceph.CephCluster.damaged_shards`), must
         stay within the code's guaranteed tolerance for every stored
@@ -325,7 +299,7 @@ class FaultInjector:
         pool = cluster.pool
         tolerance = pool.code.fault_tolerance()
         topology = cluster.topology
-        hit_regions = set(self._select_regions(spec))
+        hit_regions = set(regions)
         worst = 0
         worst_pg = None
         for pg in pool.pgs.values():
@@ -349,22 +323,18 @@ class FaultInjector:
             if damage > worst:
                 worst, worst_pg = damage, pg.pgid
         if worst > tolerance:
-            raise FaultToleranceError(
+            raise self._refuse(
                 f"{worst} damaged chunks in stripe {worst_pg} (regions "
-                f"{sorted(hit_regions)} + live damage) would exceed the "
-                f"guaranteed tolerance m={tolerance} of "
-                f"{pool.code.plugin_name}({pool.code.n},{pool.code.k})"
+                f"{sorted(hit_regions)} + live damage)"
             )
         # Silent corruption (honest or Byzantine) can sit in any stripe;
         # a region fault may remove its repair headroom (same guard as
         # crash levels).
         corrupt = self._max_silent_damage()
         if corrupt and worst + corrupt > tolerance:
-            raise FaultToleranceError(
+            raise self._refuse(
                 f"{worst} region-damaged chunks on top of {corrupt} "
-                f"unrepaired corrupt chunks in one stripe would exceed "
-                f"the guaranteed tolerance m={tolerance} of "
-                f"{pool.code.plugin_name}({pool.code.n},{pool.code.k})"
+                f"unrepaired corrupt chunks in one stripe"
             )
 
     def _max_dirty_damage(self, hit: Set, domain: str) -> int:
@@ -422,35 +392,30 @@ class FaultInjector:
             worst = max(worst, len(damage))
         return worst
 
-    def _osds_for(self, spec: FaultSpec) -> Set[int]:
-        """OSDs a spec can make unavailable (resolving target selection).
-
-        ``net_degrade`` is host-scoped like ``node`` (the NIC is shared);
-        ``flap`` is device-scoped like ``device``.  Both count in full —
-        an intermittently-unavailable shard must be assumed unavailable
-        for the tolerance guarantee to hold.
-        """
-        if spec.level in ("node", "net_degrade"):
-            hosts = self._select_hosts(spec)
-            out: Set[int] = set()
-            for host_id in hosts:
-                out |= set(self.cluster.topology.hosts[host_id].osd_ids)
-            return out
-        if spec.level == "byz_stale_map":
-            # A stale-gossip liar misroutes ops aimed at its shards until
-            # the monitor rejects its epoch, so it counts as unavailable
-            # for the tolerance guarantee exactly like a flapping OSD.
-            return set(self._select_byz_liars(spec))
-        if spec.level == "correlated_crash":
-            out = set()
-            for bucket in self._select_correlated_buckets(spec):
-                out |= set(
-                    self.cluster.topology.osds_in_bucket(bucket, spec.domain)
-                )
-            return out
-        return set(self._select_devices(spec))
-
     # -- target selection ----------------------------------------------------------------
+
+    def _pick(self, spec: FaultSpec, stream: str, candidates: List[int],
+              known: Iterable[int], ids: str, what: str) -> List[int]:
+        """Explicit targets, checked against ``known``, or a seeded draw.
+
+        ``ids`` names the id space of explicit targets ("host ids") and
+        ``what`` the candidates ("hosts hold data").  Each picker draws
+        from its own stream, which restarts on every call, so one call
+        is one fault's victims.
+        """
+        if spec.targets is not None:
+            targets = list(spec.targets)[: spec.count]
+            bad = sorted(set(targets) - set(known))
+            if bad:
+                raise ValueError(
+                    f"{spec.level} targets are {ids}; {bad} unknown"
+                )
+            return targets
+        if len(candidates) < spec.count:
+            raise ValueError(
+                f"only {len(candidates)} {what}, need {spec.count}"
+            )
+        return self.seeds.stream(stream).sample(candidates, spec.count)
 
     def _healthy_data_osds(self) -> List[int]:
         """Candidate OSDs: hold chunks, still up, not already injected."""
@@ -462,72 +427,37 @@ class FaultInjector:
             and self.cluster.osds[osd_id].is_up()
         ]
 
-    def _select_slow_devices(self, spec: FaultSpec) -> List[int]:
-        """Targets for a slow_device fault (device-scoped selection)."""
-        devices = self._select_devices(spec)
-        already = [osd_id for osd_id in devices if osd_id in self.slowed_osds]
-        if already:
-            raise ValueError(f"devices already slowed: {sorted(already)}")
-        return devices
-
-    def _data_hosts(self) -> List[int]:
-        """Hosts that store chunks (so faults actually trigger recovery)."""
-        return sorted(
-            {
-                self.cluster.topology.osds[o].host_id
-                for o in self._healthy_data_osds()
-            }
-        )
-
     def _select_hosts(self, spec: FaultSpec) -> List[int]:
-        if spec.targets is not None:
-            return list(spec.targets)[: spec.count]
-        rng = self.seeds.stream("fault-hosts")
-        candidates = self._data_hosts()
-        if len(candidates) < spec.count:
-            raise ValueError(
-                f"only {len(candidates)} hosts hold data, need {spec.count}"
-            )
-        return rng.sample(candidates, spec.count)
+        """Hosts for a node or net_degrade fault, among those storing chunks."""
+        topology = self.cluster.topology
+        candidates = sorted(
+            {topology.osds[o].host_id for o in self._healthy_data_osds()}
+        )
+        return self._pick(
+            spec, "fault-hosts", candidates, topology.hosts,
+            "host ids", "hosts hold data",
+        )
 
     def _select_correlated_buckets(self, spec: FaultSpec) -> List[int]:
-        """Pick the failure-domain buckets a correlated_crash takes out.
+        """Buckets at ``spec.domain`` a correlated_crash takes out.
 
-        Explicit ``targets`` are bucket ids at ``spec.domain``; otherwise
-        buckets are sampled from those still holding reachable data so
-        the correlated loss actually triggers recovery.  Draws from its
-        own seeded stream — validate and inject replay the same picks.
+        Sampled from those still holding reachable data, so the
+        correlated loss actually triggers recovery.
         """
         topology = self.cluster.topology
-        all_buckets = set(topology.buckets(spec.domain))
-        if spec.targets is not None:
-            buckets = list(spec.targets)[: spec.count]
-            bad = sorted(set(buckets) - all_buckets)
-            if bad:
-                raise ValueError(
-                    f"correlated_crash targets are {spec.domain} bucket "
-                    f"ids; {bad} unknown"
-                )
-            return buckets
-        rng = self.seeds.stream("fault-correlated")
-        candidates = sorted(
-            {
-                topology.bucket_of(osd_id, spec.domain)
-                for osd_id in self._healthy_data_osds()
-            }
+        candidates = sorted({
+            topology.bucket_of(o, spec.domain) for o in self._healthy_data_osds()
+        })
+        return self._pick(
+            spec, "fault-correlated", candidates,
+            topology.buckets(spec.domain), f"{spec.domain} bucket ids",
+            f"{spec.domain} buckets hold data",
         )
-        if len(candidates) < spec.count:
-            raise ValueError(
-                f"only {len(candidates)} {spec.domain} buckets hold data, "
-                f"need {spec.count}"
-            )
-        return rng.sample(candidates, spec.count)
 
     def _select_regions(self, spec: FaultSpec) -> List[int]:
-        """Pick target regions for a geo-level fault.
+        """Target regions for a geo-level fault.
 
-        Explicit ``targets`` are region ids; otherwise regions are
-        sampled from those still holding reachable data, so the fault
+        Sampled from those still holding reachable data, so the fault
         actually exercises cross-region recovery.
         """
         topology = self.cluster.topology
@@ -536,29 +466,14 @@ class FaultInjector:
                 f"{spec.level} faults need a multi-region topology "
                 "(num_regions > 1)"
             )
-        all_regions = set(topology.buckets("region"))
-        if spec.targets is not None:
-            regions = list(spec.targets)[: spec.count]
-            bad = sorted(set(regions) - all_regions)
-            if bad:
-                raise ValueError(
-                    f"{spec.level} targets are region ids; {bad} unknown"
-                )
-            return regions
-        rng = self.seeds.stream("fault-regions")
         candidates = sorted(
-            {
-                topology.region_of(osd_id)
-                for osd_id in self._healthy_data_osds()
-            }
+            {topology.region_of(o) for o in self._healthy_data_osds()}
             - self.partitioned_regions
         )
-        if len(candidates) < spec.count:
-            raise ValueError(
-                f"only {len(candidates)} regions hold reachable data, "
-                f"need {spec.count}"
-            )
-        return rng.sample(candidates, spec.count)
+        return self._pick(
+            spec, "fault-regions", candidates, topology.buckets("region"),
+            "region ids", "regions hold reachable data",
+        )
 
     def _select_devices(self, spec: FaultSpec) -> List[int]:
         """Pick device-fault targets, EC-aware.
@@ -570,16 +485,20 @@ class FaultInjector:
         exploration §3.2 describes.  The colocation constraint (same
         host vs different hosts) is applied within the acting set.
         """
-        if spec.targets is not None:
-            return list(spec.targets)[: spec.count]
+        healthy = self._healthy_data_osds()
         rng = self.seeds.stream("fault-devices")
-        healthy = set(self._healthy_data_osds())
-        if spec.count > 1:
-            chosen = self._co_occurring_targets(spec, healthy, rng)
+        if spec.targets is None and spec.count > 1:
+            chosen = self._co_occurring_targets(spec, set(healthy), rng)
             if chosen is not None:
                 return chosen
+        if spec.targets is not None or spec.colocation == Colocation.ANY:
+            # Nothing was drawn yet, so _pick's restarted stream is rng.
+            return self._pick(
+                spec, "fault-devices", healthy, self.cluster.topology.osds,
+                "OSD ids", "data-bearing OSDs",
+            )
         by_host: Dict[int, List[int]] = {}
-        for osd_id in sorted(healthy):
+        for osd_id in healthy:
             by_host.setdefault(
                 self.cluster.topology.osds[osd_id].host_id, []
             ).append(osd_id)
@@ -592,19 +511,13 @@ class FaultInjector:
                 )
             host = rng.choice(sorted(hosts))
             return rng.sample(by_host[host], spec.count)
-        if spec.colocation == Colocation.DIFFERENT_HOSTS:
-            hosts = sorted(by_host)
-            if len(hosts) < spec.count:
-                raise ValueError(
-                    f"only {len(hosts)} data-bearing hosts, need {spec.count}"
-                )
-            chosen_hosts = rng.sample(hosts, spec.count)
-            return [rng.choice(sorted(by_host[h])) for h in chosen_hosts]
-        if len(healthy) < spec.count:
+        hosts = sorted(by_host)
+        if len(hosts) < spec.count:
             raise ValueError(
-                f"only {len(healthy)} data-bearing OSDs, need {spec.count}"
+                f"only {len(hosts)} data-bearing hosts, need {spec.count}"
             )
-        return rng.sample(sorted(healthy), spec.count)
+        chosen_hosts = rng.sample(hosts, spec.count)
+        return [rng.choice(sorted(by_host[h])) for h in chosen_hosts]
 
     def _co_occurring_targets(self, spec: FaultSpec, healthy: Set[int], rng):
         """Targets from a single PG's acting set honouring colocation.
@@ -698,17 +611,14 @@ class FaultInjector:
             pg = rng.choice(populated)
             obj = rng.choice(pg.objects)
             shards = rng.sample(range(pool.code.n), spec.count)
-        tolerance = pool.code.fault_tolerance()
         damaged = cluster.damaged_shards(pg, obj) | set(shards) | {
             s for s, osd_id in enumerate(pg.acting) if osd_id in self.injected_osds
         }
-        if len(damaged) > tolerance:
+        if len(damaged) > pool.code.fault_tolerance():
             lies = " (Byzantine lies count like crash damage)" if byzantine else ""
-            raise FaultToleranceError(
+            raise self._refuse(
                 f"{len(damaged)} damaged chunks in stripe "
-                f"{pg.pgid}/{obj.name}{lies} would exceed the guaranteed "
-                f"tolerance m={tolerance} of "
-                f"{pool.code.plugin_name}({pool.code.n},{pool.code.k})"
+                f"{pg.pgid}/{obj.name}{lies}"
             )
         if spec.level == "byz_false_ack":
             if pg.log is None:
@@ -725,186 +635,172 @@ class FaultInjector:
 
     def _select_byz_liars(self, spec: FaultSpec) -> List[int]:
         """OSD daemons that will gossip a stale osdmap epoch."""
-        if spec.targets is not None:
-            return list(spec.targets)[: spec.count]
-        rng = self.seeds.stream("fault-byz-map")
-        candidates = sorted(self._healthy_data_osds())
+        candidates = self._healthy_data_osds()
         byz = self.cluster.byzantine
         if byz is not None:
             candidates = [
                 osd_id for osd_id in candidates
                 if not byz.gossiping_stale(osd_id)
             ]
-        if len(candidates) < spec.count:
-            raise ValueError(
-                f"only {len(candidates)} candidate OSDs for stale-map "
-                f"gossip, need {spec.count}"
-            )
-        return rng.sample(candidates, spec.count)
+        return self._pick(
+            spec, "fault-byz-map", candidates, self.cluster.topology.osds,
+            "OSD ids", "candidate OSDs for stale-map gossip",
+        )
 
     # -- application --------------------------------------------------------------------
 
     def inject(self, spec: FaultSpec) -> List[int]:
-        """Validate and apply a fault; returns the affected OSD ids."""
-        self.validate(spec)
-        if spec.level == "corrupt":
-            pg, obj, shards, rng = self._stripe_victims(spec)
-            affected = []
-            for shard in sorted(shards):
-                osd_id = pg.acting[shard]
-                host_id = self.cluster.topology.osds[osd_id].host_id
-                self.workers[host_id].corrupt_chunk(
+        """Guard and apply a fault; returns the affected OSD ids.
+
+        The fault's targets are resolved once, the white-box guard judges
+        exactly that set, and the Workers apply it through one of three
+        scope paths: a stripe, a set of OSDs, or a set of hosts.
+
+        ``injected_osds`` grows per target as each fault lands, not in
+        one batch after the loop: if a multi-target inject dies half-way
+        (a missing subsystem, a device already flapping), the OSDs
+        already taken down still count against later guards.
+        """
+        if spec.level in _STRIPE_STREAMS:
+            return self._inject_stripe(spec)
+        if spec.level in _DEVICE_LEVELS:
+            return self._inject_devices(spec)
+        return self._inject_hosts(spec)
+
+    def _inject_stripe(self, spec: FaultSpec) -> List[int]:
+        """``corrupt``, ``byz_corrupt_data``, ``byz_false_ack``.
+
+        The victims' daemons stay up and the fault is silent, so nothing
+        joins ``injected_osds``: crash faults may still target them, and
+        the stripe guard bounds the combined damage instead.
+        """
+        code = self.cluster.pool.code
+        if spec.level == "corrupt" and spec.count > code.fault_tolerance():
+            # Ahead of the draw, which cannot sample more shards than n.
+            raise self._refuse(f"{spec.count} corrupted chunks in one stripe")
+        pg, obj, shards, rng = self._stripe_victims(spec)
+        if spec.level != "corrupt":
+            state = ensure_byzantine(self.cluster)
+            now = self.cluster.env.now
+        for shard in sorted(shards):
+            osd_id = pg.acting[shard]
+            worker = self._worker_of(osd_id)
+            if spec.level == "corrupt":
+                worker.corrupt_chunk(
                     pg.pgid, obj.name, shard, spec.corruption, rng
                 )
-                affected.append(osd_id)
-            # Corrupted OSDs stay up (the fault is silent), so they are
-            # not added to injected_osds — crash faults may still target
-            # them, and the stripe guard above bounds combined damage.
-            return sorted(affected)
-        if spec.level == "byz_corrupt_data":
-            pg, obj, shards, rng = self._stripe_victims(spec)
-            state = ensure_byzantine(self.cluster)
-            affected = []
-            now = self.cluster.env.now
-            for shard in sorted(shards):
-                osd_id = pg.acting[shard]
-                host_id = self.cluster.topology.osds[osd_id].host_id
-                self.workers[host_id].byz_corrupt_chunk(
-                    pg.pgid, obj.name, shard, osd_id, rng
-                )
+            elif spec.level == "byz_corrupt_data":
+                worker.byz_corrupt_chunk(pg.pgid, obj.name, shard, osd_id, rng)
                 state.add_corrupt(osd_id, pg.pgid, obj.name, shard, now)
-                affected.append(osd_id)
-            # Like honest corruption: the daemon stays up and the fault
-            # is silent, so nothing joins injected_osds — the stripe
-            # guard bounds combined damage instead.
-            return sorted(affected)
-        if spec.level == "byz_false_ack":
-            pg, obj, shards, rng = self._stripe_victims(spec)
-            state = ensure_byzantine(self.cluster)
-            affected = []
-            now = self.cluster.env.now
-            for shard in sorted(shards):
-                osd_id = pg.acting[shard]
-                host_id = self.cluster.topology.osds[osd_id].host_id
-                self.workers[host_id].byz_false_ack(
-                    pg.pgid, obj.name, shard
-                )
+            else:
+                worker.byz_false_ack(pg.pgid, obj.name, shard)
                 state.add_false_ack(osd_id, pg.pgid, obj.name, shard, now)
-                affected.append(osd_id)
-            return sorted(affected)
+        return sorted(pg.acting[shard] for shard in shards)
+
+    def _inject_devices(self, spec: FaultSpec) -> List[int]:
+        """``device``, ``flap``, ``byz_stale_map`` and ``slow_device``.
+
+        A flapping OSD counts in full against the tolerance budget — an
+        intermittently unavailable shard must be assumed unavailable —
+        and so does a stale-map liar, whose misrouted ops make its shards
+        unreliable until the monitor rejects its epoch.  A limping device
+        costs performance, not availability: ``slow_device`` consumes
+        none of the budget and is only kept from slowing a device twice.
+        """
         if spec.level == "byz_stale_map":
-            liars = self._select_byz_liars(spec)
-            state = ensure_byzantine(self.cluster)
-            affected = []
-            now = self.cluster.env.now
-            # Capture the previous epoch once: every liar gossips the
-            # same old map, as if they all missed the same incremental.
-            stale_epoch = max(0, self.cluster.monitor.osdmap_epoch - 1)
-            for osd_id in sorted(liars):
-                host_id = self.cluster.topology.osds[osd_id].host_id
-                self.workers[host_id].byz_stale_map(osd_id, stale_epoch)
-                state.add_stale_map(osd_id, stale_epoch, now)
-                affected.append(osd_id)
-                # Misrouted ops make the liar's shards unreliable until
-                # the monitor pushes a fresh map: budgeted like a flap.
-                self.injected_osds.add(osd_id)
-            return sorted(affected)
-        # injected_osds is updated per target as each fault lands, not in
-        # one batch after the loop: if a multi-target inject dies half-way
-        # (bad explicit target, missing subsystem), the OSDs already taken
-        # down must still count against the tolerance budget — otherwise a
-        # later validate() under-counts live damage and can authorise a
-        # fault combination that exceeds the code's guarantee.
+            osds = sorted(self._select_byz_liars(spec))
+        else:
+            osds = self._select_devices(spec)
         if spec.level == "slow_device":
-            devices = self._select_slow_devices(spec)
-            affected = []
-            for osd_id in devices:
-                host_id = self.cluster.topology.osds[osd_id].host_id
-                self.workers[host_id].slow_device(osd_id, spec.factor)
-                affected.append(osd_id)
-                self.slowed_osds.add(osd_id)
-            return sorted(affected)
-        if spec.level == "node":
-            hosts = self._select_hosts(spec)
-            affected: List[int] = []
-            for host_id in hosts:
-                self.workers[host_id].shutdown_node()
-                host_osds = self.cluster.topology.hosts[host_id].osd_ids
-                affected.extend(host_osds)
-                self.injected_osds |= set(host_osds)
-        elif spec.level == "net_degrade":
-            hosts = self._select_hosts(spec)
-            degradation = spec.net_degradation()
-            affected = []
-            for host_id in hosts:
-                self.workers[host_id].degrade_network(degradation)
-                host_osds = self.cluster.topology.hosts[host_id].osd_ids
-                affected.extend(host_osds)
-                self.injected_osds |= set(host_osds)
-        elif spec.level == "region_outage":
-            regions = self._select_regions(spec)
-            affected = []
-            for region in regions:
-                for host in sorted(
-                    self.cluster.topology.hosts_in_region(region),
-                    key=lambda h: h.host_id,
-                ):
-                    self.workers[host.host_id].shutdown_node()
-                    affected.extend(host.osd_ids)
-                    self.injected_osds |= set(host.osd_ids)
-        elif spec.level == "correlated_crash":
-            buckets = self._select_correlated_buckets(spec)
-            affected = []
-            for bucket in sorted(buckets):
-                # The shared switch/PDU dies: every host in the bucket
-                # goes down as one event, not a staggered sequence.
-                hosts = sorted(
-                    {
-                        self.cluster.topology.osds[osd_id].host_id
-                        for osd_id in self.cluster.topology.osds_in_bucket(
-                            bucket, spec.domain
-                        )
-                    }
-                )
-                for host_id in hosts:
-                    self.workers[host_id].shutdown_node()
-                    host_osds = self.cluster.topology.hosts[host_id].osd_ids
-                    affected.extend(host_osds)
-                    self.injected_osds |= set(host_osds)
-        elif spec.level == "wan_partition":
-            regions = self._select_regions(spec)
-            wan = self.cluster.topology.wan
-            affected = []
-            for region in regions:
-                wan.partition_region(region)
-                self.partitioned_regions.add(region)
-                # Hosts behind a severed uplink stay up, but their
-                # shards are unreachable for cross-region repair — they
-                # count against the tolerance budget like a partition.
-                for host in self.cluster.topology.hosts_in_region(region):
-                    affected.extend(host.osd_ids)
-                    self.injected_osds |= set(host.osd_ids)
-        elif spec.level == "flap":
-            devices = self._select_devices(spec)
-            affected = []
-            for osd_id in devices:
-                host_id = self.cluster.topology.osds[osd_id].host_id
+            already = sorted(o for o in osds if o in self.slowed_osds)
+            if already:
+                raise ValueError(f"devices already slowed: {already}")
+            held = self.slowed_osds
+        else:
+            self._guard_buckets(set(osds))
+            held = self.injected_osds
+        if spec.level == "byz_stale_map":
+            state = ensure_byzantine(self.cluster)
+            now = self.cluster.env.now
+            # Every liar gossips the same old map, as if they all missed
+            # the same incremental.
+            stale_epoch = max(0, self.cluster.monitor.osdmap_epoch - 1)
+        for osd_id in osds:
+            worker = self._worker_of(osd_id)
+            if spec.level == "device":
+                worker.remove_device(osd_id)
+            elif spec.level == "flap":
                 # One seeded stream per target keeps flap phasing
                 # deterministic and independent across OSDs.
-                self.workers[host_id].start_flap(
-                    osd_id, spec.flap_interval, self.seeds.stream(f"flap-{osd_id}")
+                worker.start_flap(
+                    osd_id, spec.flap_interval,
+                    self.seeds.stream(f"flap-{osd_id}"),
                 )
-                affected.append(osd_id)
-                self.injected_osds.add(osd_id)
+            elif spec.level == "slow_device":
+                worker.slow_device(osd_id, spec.factor)
+            else:
+                worker.byz_stale_map(osd_id, stale_epoch)
+                state.add_stale_map(osd_id, stale_epoch, now)
+            held.add(osd_id)
+        return sorted(osds)
+
+    def _inject_hosts(self, spec: FaultSpec) -> List[int]:
+        """``node``, ``net_degrade``, ``correlated_crash``, region levels.
+
+        Each target is a group of hosts: one host (``node``,
+        ``net_degrade``, whose NIC all its OSDs share), a failure-domain
+        bucket's hosts (``correlated_crash``: the shared switch or PDU
+        dies, every host at once) or a region's hosts.  A severed WAN
+        uplink leaves its hosts up, but their shards are unreachable for
+        cross-region repair, so they count against the budget like a
+        partition.
+        """
+        topology = self.cluster.topology
+        if spec.level in GEO_LEVELS:
+            targets = self._select_regions(spec)
+            groups = [
+                sorted(host.host_id for host in topology.hosts_in_region(r))
+                for r in targets
+            ]
+        elif spec.level == "correlated_crash":
+            targets = sorted(self._select_correlated_buckets(spec))
+            groups = [
+                sorted({
+                    topology.osds[osd_id].host_id
+                    for osd_id in topology.osds_in_bucket(b, spec.domain)
+                })
+                for b in targets
+            ]
         else:
-            devices = self._select_devices(spec)
-            affected = []
-            for osd_id in devices:
-                host_id = self.cluster.topology.osds[osd_id].host_id
-                self.workers[host_id].remove_device(osd_id)
-                affected.append(osd_id)
-                self.injected_osds.add(osd_id)
+            targets = self._select_hosts(spec)
+            groups = [[host_id] for host_id in targets]
+        affected = [
+            osd_id
+            for hosts in groups
+            for host_id in hosts
+            for osd_id in topology.hosts[host_id].osd_ids
+        ]
+        if spec.level in GEO_LEVELS:
+            self._guard_regions(targets)
+        else:
+            self._guard_buckets(set(affected))
+        if spec.level == "net_degrade":
+            degradation = spec.net_degradation()
+        for target, hosts in zip(targets, groups):
+            if spec.level == "wan_partition":
+                topology.wan.partition_region(target)
+                self.partitioned_regions.add(target)
+            for host_id in hosts:
+                worker = self.workers[host_id]
+                if spec.level == "net_degrade":
+                    worker.degrade_network(degradation)
+                elif spec.level != "wan_partition":
+                    worker.shutdown_node()
+                self.injected_osds |= set(worker.host.osd_ids)
         return sorted(affected)
+
+    def _worker_of(self, osd_id: int) -> Worker:
+        return self.workers[self.cluster.topology.osds[osd_id].host_id]
 
     def restore_all(self) -> None:
         """Undo every injected fault via the owning workers.

@@ -28,6 +28,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
+from ..cluster.ceph import CephCluster
 from ..cluster.client import ClientLoadGenerator, RadosClient
 from ..core.fault_injector import FaultSpec
 from ..core.profile import ExperimentProfile
@@ -266,6 +267,29 @@ class Measurement:
         )
 
 
+def _probe_outage(
+    profile: ExperimentProfile,
+    probe: "ReadProbe | TenantProbe",
+    seeds: SeedSequence,
+    crush_stream: str,
+) -> Tuple[Environment, CephCluster]:
+    """A fresh cluster for a DES probe, with one data-holding host failed.
+
+    CRUSH is seeded from the probe's own ``crush_stream``; the host
+    holding PG 0's first shard goes down with the probe's objects in.
+    """
+    env = Environment()
+    cluster = profile.build_cluster(
+        env, seeds.stream(crush_stream).randrange(2**31)
+    )
+    for index in range(probe.objects):
+        cluster.ingest_object(f"probe-{index}", probe.object_size)
+    victim = cluster.topology.osds[cluster.pool.pgs[0].acting[0]].host_id
+    for osd_id in cluster.topology.hosts[victim].osd_ids:
+        cluster.osds[osd_id].host_running = False
+    return env, cluster
+
+
 def measure_degraded_p99(
     profile: ExperimentProfile, probe: ReadProbe, seed: int
 ) -> float:
@@ -277,18 +301,9 @@ def measure_degraded_p99(
     samples (over all samples if the load happened to dodge the outage).
     """
     seeds = SeedSequence(seed)
-    env = Environment()
-    cluster = profile.build_cluster(
-        env, seeds.stream("tuner-probe-crush").randrange(2**31)
-    )
-    for index in range(probe.objects):
-        cluster.ingest_object(f"probe-{index}", probe.object_size)
-    client = RadosClient(cluster)
-    victim = cluster.topology.osds[cluster.pool.pgs[0].acting[0]].host_id
-    for osd_id in cluster.topology.hosts[victim].osd_ids:
-        cluster.osds[osd_id].host_running = False
+    env, cluster = _probe_outage(profile, probe, seeds, "tuner-probe-crush")
     generator = ClientLoadGenerator(
-        client,
+        RadosClient(cluster),
         interval=probe.interval,
         seeds=SeedSequence(seeds.stream("tuner-probe-load").randrange(2**31)),
     )
@@ -312,15 +327,7 @@ def measure_tenant_slo_p99(
     well mClock protects the SLO tenant under this configuration.
     """
     seeds = SeedSequence(seed)
-    env = Environment()
-    cluster = profile.build_cluster(
-        env, seeds.stream("tuner-tenant-crush").randrange(2**31)
-    )
-    for index in range(probe.objects):
-        cluster.ingest_object(f"probe-{index}", probe.object_size)
-    victim = cluster.topology.osds[cluster.pool.pgs[0].acting[0]].host_id
-    for osd_id in cluster.topology.hosts[victim].osd_ids:
-        cluster.osds[osd_id].host_running = False
+    env, cluster = _probe_outage(profile, probe, seeds, "tuner-tenant-crush")
     fleet_spec = TenantFleetSpec(
         tenants=(
             TenantSpec(

@@ -250,6 +250,21 @@ def test_load_corpus_reproduces_the_saved_records(tmp_path):
     assert loaded.considered == len(report.corpus.entries)
 
 
+def test_saving_a_smaller_corpus_drops_the_older_entries(tmp_path):
+    from repro.adversary import load_corpus
+
+    larger = Corpus()
+    for pair in (PAIR_A, PAIR_B, ("flap", "clay", "degraded")):
+        larger.consider(entry(SPEC, {}, {pair}))
+    larger.save(tmp_path)
+    (tmp_path / "repro-7-00.json").write_text("{}\n")
+    smaller = Corpus()
+    smaller.consider(entry(SPEC, {}, {PAIR_A}))
+    smaller.save(tmp_path)
+    assert len(load_corpus(tmp_path).entries) == 1
+    assert (tmp_path / "repro-7-00.json").exists()
+
+
 def test_corpus_in_resumed_session_is_deterministic(tmp_path):
     first_dir = tmp_path / "session-1"
     run_fuzz(root_seed=5, budget=4, corpus_dir=first_dir)

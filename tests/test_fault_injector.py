@@ -424,3 +424,31 @@ def test_restore_all_with_mixed_byz_and_crash_faults():
     assert injector.injected_osds == set()
     assert all(osd.is_up() for osd in cluster.osds.values())
     assert not cluster.byzantine.quiescent()  # the lie survived restore
+
+
+#: One known and one unknown explicit target per level: host ids for
+#: node and net_degrade faults, OSD ids for the device-scoped ones.
+UNKNOWN_TARGETS = {
+    "node": FaultSpec(level="node", count=2, targets=[0, 99]),
+    "net_degrade": FaultSpec(
+        level="net_degrade", count=2, loss=0.1, targets=[0, 99]
+    ),
+    "device": FaultSpec(level="device", count=2, targets=[0, 99]),
+    "flap": FaultSpec(level="flap", count=2, targets=[0, 99]),
+    "slow_device": FaultSpec(level="slow_device", count=2, targets=[0, 99]),
+    "byz_stale_map": FaultSpec(level="byz_stale_map", count=2,
+                               targets=[0, 99]),
+}
+
+
+@pytest.mark.parametrize("level", sorted(UNKNOWN_TARGETS))
+def test_unknown_explicit_targets_refused_before_any_worker_acts(level):
+    cluster, injector = build()
+    logged = sum(len(log) for log in cluster.all_logs())
+    with pytest.raises(ValueError, match=r"\[99\] unknown"):
+        injector.inject(UNKNOWN_TARGETS[level])
+    cluster.env.run(until=1.0)
+    assert all(osd.is_up() for osd in cluster.osds.values())
+    assert sum(len(log) for log in cluster.all_logs()) == logged
+    assert injector.injected_osds == set()
+    assert injector.slowed_osds == set()
