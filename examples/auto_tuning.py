@@ -24,10 +24,11 @@ import argparse
 
 from repro.analysis import rank_axes
 from repro.cluster import autoscale_advice
-from repro.core import ExperimentProfile, FaultSpec, SweepRunner, SweepSpec, format_table
+from repro.core import ExperimentProfile, FaultSpec, format_table
 from repro.tuner import (
     CategoricalAxis,
     EcVariantAxis,
+    Evaluator,
     Fidelity,
     SuccessiveHalving,
     TuningSpace,
@@ -36,7 +37,6 @@ from repro.tuner import (
     pool_width_fits,
     tune,
 )
-from repro.workload import Workload
 
 MB = 1024 * 1024
 
@@ -49,7 +49,7 @@ def main() -> None:
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--wa-budget", type=float, default=1.55)
     parser.add_argument("--verify-exhaustive", action="store_true",
-                        help="also run the old exhaustive grid and compare")
+                        help="also evaluate the exhaustive grid and compare")
     args = parser.parse_args()
 
     base = ExperimentProfile(name="tuning-base", stripe_unit=4 * MB)
@@ -121,29 +121,18 @@ def main() -> None:
           f"({outcome.simulations} simulations for {grid} configurations)")
 
     if args.verify_exhaustive:
-        print("\nverifying against the old exhaustive sweep...")
-        spec = SweepSpec(
-            base=base,
-            axes={
-                "pg_num": [16, 256],
-                "cache_scheme": ["kv-optimized", "autotune"],
-            },
-            ec_variants=[
-                ("jerasure", {"k": 9, "m": 3}),
-                ("clay", {"k": 9, "m": 3, "d": 11}),
-            ],
-        )
-        runner = SweepRunner(
-            Workload(num_objects=args.objects, object_size=64 * MB),
+        print("\nverifying against the exhaustive grid...")
+        grid_evaluator = Evaluator(
+            space,
+            object_size=64 * MB,
             faults=[FaultSpec(level="node")],
-            runs=args.runs,
             base_seed=args.seed,
         )
-        results = runner.run(spec)
+        results = grid_evaluator.evaluate_many(space.enumerate(), full)
         exhaustive_best = min(
-            (r for r in results if r.wa_actual <= args.wa_budget),
-            key=lambda r: r.recovery_time,
-            default=min(results, key=lambda r: r.recovery_time),
+            (m for m in results if m.wa_actual <= args.wa_budget),
+            key=lambda m: m.recovery_time,
+            default=min(results, key=lambda m: m.recovery_time),
         )
         chosen = outcome.recommendation.chosen
         print(f"exhaustive best: {exhaustive_best.label} "

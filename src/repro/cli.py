@@ -5,8 +5,8 @@ Subcommands::
     ecfault run          one fault-injection experiment
     ecfault inject       a gray-failure experiment under client load
     ecfault scrub        a silent-corruption + deep-scrub experiment
-    ecfault sweep        a configuration sweep, persisted as JSON
-    ecfault analyze      sensitivity analysis over saved sweep results
+    ecfault sweep        the exhaustive configuration grid, as a tuning report
+    ecfault analyze      sensitivity analysis over a sweep or tuning report
     ecfault tune         budgeted configuration search (resumable)
     ecfault twin         analytical twin prediction (instant, no DES run)
     ecfault repair-plan  repair I/O a code performs for a loss pattern
@@ -19,8 +19,9 @@ Subcommands::
     ecfault geo          a stretch-cluster experiment with WAN egress ledger
     ecfault cascade      a correlated-failure cascade under a recovery policy
 
-Every command prints plain text; ``sweep`` and ``tune`` write
-machine-readable JSON so results can be analysed later or elsewhere.
+Every command prints plain text; ``sweep`` and ``tune`` write one
+machine-readable JSON format, the tuning report, so results can be
+analysed later or elsewhere.
 """
 
 from __future__ import annotations
@@ -43,7 +44,6 @@ from .core.fault_injector import (
 )
 from .core.profile import ExperimentProfile
 from .core.report import format_table
-from .core.sweep import SweepRunner, SweepSpec
 from .core.wa import estimate_wa, theoretical_wa
 from .ec.base import create_plugin
 from .workload.generator import Workload
@@ -247,37 +247,72 @@ def cmd_scrub(args) -> int:
     return 0
 
 
-def cmd_sweep(args) -> int:
-    base = _profile_from_args(args)
-    axes = {}
+def _grid_axes(args, ec_variants=None) -> list:
+    """The tuning axes named by ``--sweep-*`` (and ``--ec-variants``)."""
+    from .tuner import CategoricalAxis, EcVariantAxis
+
+    axes = []
     if args.sweep_pg_num:
-        axes["pg_num"] = [int(v) for v in args.sweep_pg_num.split(",")]
+        axes.append(CategoricalAxis(
+            "pg_num", tuple(int(v) for v in args.sweep_pg_num.split(","))
+        ))
     if args.sweep_stripe_unit:
-        axes["stripe_unit"] = [parse_size(v) for v in args.sweep_stripe_unit.split(",")]
+        axes.append(CategoricalAxis(
+            "stripe_unit",
+            tuple(parse_size(v) for v in args.sweep_stripe_unit.split(",")),
+        ))
     if args.sweep_cache_scheme:
-        axes["cache_scheme"] = args.sweep_cache_scheme.split(",")
+        axes.append(CategoricalAxis(
+            "cache_scheme", tuple(args.sweep_cache_scheme.split(","))
+        ))
+    if ec_variants:
+        axes.append(EcVariantAxis(variants=tuple(
+            (plugin, tuple(sorted(params.items())))
+            for plugin, params in ec_variants
+        )))
+    return axes
+
+
+def _print_progress(measurement, evaluator) -> None:
+    """One stderr line per fresh measurement of ``sweep`` and ``tune``."""
+    remaining = (
+        f", {evaluator.remaining} of {evaluator.budget} object-runs left"
+        if evaluator.budget is not None else ""
+    )
+    print(
+        f"[{evaluator.simulations}] {measurement.label} "
+        f"@{measurement.fidelity.label or measurement.fidelity.key()}: "
+        f"recovery {measurement.recovery_time:.1f}s{remaining}",
+        file=sys.stderr,
+    )
+
+
+def cmd_sweep(args) -> int:
+    from .tuner import Fidelity, GridSearch, TuningSpace, tune
+
+    axes = _grid_axes(args)
     if not axes:
         print("nothing to sweep: pass at least one --sweep-* option",
               file=sys.stderr)
         return 2
-    spec = SweepSpec(base=base, axes=axes)
-    runner = SweepRunner(
-        Workload(num_objects=args.objects, object_size=args.object_size),
-        runs=args.runs,
-        base_seed=args.seed,
-        progress=lambda label, i, n: print(f"[{i + 1}/{n}] {label}", file=sys.stderr),
+    outcome = tune(
+        TuningSpace(_profile_from_args(args), axes=axes),
+        GridSearch(Fidelity(args.objects, runs=args.runs)),
+        seed=args.seed,
+        object_size=args.object_size,
         workers=args.workers,
+        artifact_path=args.output,
+        on_progress=_print_progress,
     )
-    results = runner.run(spec)
-    SweepRunner.save(results, args.output)
+    rows = outcome.evaluations
     print(
         format_table(
-            f"sweep results ({len(results)} cells; saved to {args.output})",
+            f"sweep results ({len(rows)} cells; saved to {args.output})",
             ["configuration", "recovery (s)", "checking %", "WA"],
             [
-                [r.label, f"{r.recovery_time:.1f}",
-                 f"{r.checking_fraction * 100:.1f}", f"{r.wa_actual:.3f}"]
-                for r in results
+                [m.label, f"{m.recovery_time:.1f}",
+                 f"{m.checking_fraction * 100:.1f}", f"{m.wa_actual:.3f}"]
+                for m in rows
             ],
         )
     )
@@ -285,7 +320,25 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_analyze(args) -> int:
-    results = SweepRunner.load(args.results)
+    from .tuner import (
+        TuningArtifactError,
+        load_tuning_artifact,
+        top_fidelity_measurements,
+    )
+
+    try:
+        artifact = load_tuning_artifact(args.results)
+    except TuningArtifactError as exc:
+        print(f"analyze: {exc}", file=sys.stderr)
+        return 2
+    results = [
+        m.to_sweep_result()
+        for m in top_fidelity_measurements(artifact.evaluations)
+    ]
+    if not results:
+        print(f"analyze: {args.results} holds no measurements",
+              file=sys.stderr)
+        return 2
     axes = args.axes.split(",") if args.axes else ["pg_num", "stripe_unit", "cache_scheme"]
     impacts = rank_axes(results, axes)
     print(
@@ -325,9 +378,7 @@ def _parse_ec_variants(text: str) -> list:
 
 def cmd_tune(args) -> int:
     from .tuner import (
-        CategoricalAxis,
         CoordinateDescent,
-        EcVariantAxis,
         Fidelity,
         RandomSearch,
         ReadProbe,
@@ -342,25 +393,7 @@ def cmd_tune(args) -> int:
     )
 
     base = _profile_from_args(args)
-    axes = []
-    if args.sweep_pg_num:
-        axes.append(CategoricalAxis(
-            "pg_num", tuple(int(v) for v in args.sweep_pg_num.split(","))
-        ))
-    if args.sweep_stripe_unit:
-        axes.append(CategoricalAxis(
-            "stripe_unit",
-            tuple(parse_size(v) for v in args.sweep_stripe_unit.split(",")),
-        ))
-    if args.sweep_cache_scheme:
-        axes.append(CategoricalAxis(
-            "cache_scheme", tuple(args.sweep_cache_scheme.split(","))
-        ))
-    if args.ec_variants_list:
-        axes.append(EcVariantAxis(variants=tuple(
-            (plugin, tuple(sorted(params.items())))
-            for plugin, params in args.ec_variants_list
-        )))
+    axes = _grid_axes(args, args.ec_variants_list)
     if not axes:
         print("nothing to tune: pass at least one --sweep-* option "
               "or --ec-variants", file=sys.stderr)
@@ -394,18 +427,6 @@ def cmd_tune(args) -> int:
     else:
         strategy = CoordinateDescent(full, screen=max(2, args.samples // 2))
 
-    def progress(measurement, evaluator):
-        remaining = (
-            f", {evaluator.remaining} of {evaluator.budget} object-runs left"
-            if evaluator.budget is not None else ""
-        )
-        print(
-            f"[{evaluator.simulations}] {measurement.label} "
-            f"@{measurement.fidelity.label or measurement.fidelity.key()}: "
-            f"recovery {measurement.recovery_time:.1f}s{remaining}",
-            file=sys.stderr,
-        )
-
     try:
         outcome = tune(
             space,
@@ -425,7 +446,7 @@ def cmd_tune(args) -> int:
             ),
             artifact_path=args.output,
             resume=args.resume,
-            on_progress=progress,
+            on_progress=_print_progress,
         )
     except TuningArtifactError as exc:
         print(f"tune: {exc}", file=sys.stderr)
@@ -1007,7 +1028,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="materialise real chunk bytes (small objects only)")
     scrub.set_defaults(func=cmd_scrub)
 
-    sweep = sub.add_parser("sweep", help="run a configuration sweep")
+    sweep = sub.add_parser("sweep", help="run the full configuration grid")
     _add_profile_arguments(sweep)
     sweep.add_argument("--sweep-pg-num", help="comma list, e.g. 1,16,256")
     sweep.add_argument("--sweep-stripe-unit", help="comma list, e.g. 4KB,4MB,64MB")
@@ -1018,8 +1039,8 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--output", default="sweep.json")
     sweep.set_defaults(func=cmd_sweep)
 
-    analyze = sub.add_parser("analyze", help="sensitivity analysis of a sweep")
-    analyze.add_argument("results", help="JSON written by 'ecfault sweep'")
+    analyze = sub.add_parser("analyze", help="sensitivity analysis of a report")
+    analyze.add_argument("results", help="report written by 'ecfault sweep' or 'tune'")
     analyze.add_argument("--axes", help="comma list of settings to rank")
     analyze.add_argument("--wa-budget", type=float, default=None)
     analyze.set_defaults(func=cmd_analyze)

@@ -56,7 +56,7 @@ from ..sim.rng import SeedSequence
 from .ceph import CephCluster
 from .devices import DiskFailedError
 from .network import TransferDroppedError
-from .osd import coding_time
+from .osd import coding_time, sequential_ops
 from .pool import PlacementGroup, StoredObject
 from .retry import retry_backoff
 
@@ -491,7 +491,7 @@ class RadosClient:
                 nbytes=layout.chunk_stored_bytes,
                 work=1.0,
                 fragments=layout.units * code.sub_chunk_count,
-                cpu_cost_factor=getattr(code, "cpu_cost_factor", 1.0),
+                cpu_cost_factor=code.cpu_cost_factor,
             )
             yield primary.cpu.request(decode)
         return _AttemptResult(
@@ -557,7 +557,7 @@ class RadosClient:
             if grant is not None:
                 yield grant
             yield source.disk.submit(
-                source.sequential_ops(nbytes), nbytes, write=False
+                sequential_ops(source.config, nbytes), nbytes, write=False
             )
             yield self.cluster.topology.fabric.transfer(
                 self.cluster.topology.nic_of(source.osd_id),
@@ -708,7 +708,7 @@ class RadosClient:
             nbytes=layout.chunk_stored_bytes * code.m,
             work=1.0,
             fragments=layout.units * code.sub_chunk_count * code.m,
-            cpu_cost_factor=getattr(code, "cpu_cost_factor", 1.0),
+            cpu_cost_factor=code.cpu_cost_factor,
         )
         yield primary.cpu.request(encode)
         targets = [s for s in up if s not in landed]
@@ -792,7 +792,7 @@ class RadosClient:
         bad = [r for r in results if not r.ok]
         if bad:
             return _WriteAttempt(ok=False, reason=bad[0].reason)
-        cost_factor = getattr(code, "cpu_cost_factor", 1.0)
+        cost_factor = code.cpu_cost_factor
         if needs_decode:
             decode = coding_time(
                 primary.config,

@@ -371,36 +371,18 @@ class OsdDaemon:
 
     # -- recovery I/O ------------------------------------------------------------
 
-    def sequential_ops(self, nbytes: int) -> int:
-        """Disk operations for a sequential transfer of ``nbytes``."""
-        return sequential_ops(self.config, nbytes)
-
     def read_chunk(self, nbytes: int) -> Event:
         """Sequential recovery read of a full chunk, plus metadata misses."""
-        ops = self.sequential_ops(nbytes) + self.backend.read_overhead_ops(nbytes)
+        ops = sequential_ops(self.config, nbytes) + self.backend.read_overhead_ops(nbytes)
         return self.disk.submit(max(1, round(ops)), nbytes, write=False)
-
-    def subchunk_profile(
-        self, units: int, unit_bytes: int, fraction: float, runs_per_unit: int
-    ) -> "SubchunkReadProfile":
-        """Resolve a fractional (sub-packetised) read against min-IO.
-
-        Every stripe-unit extent contributes ``unit_bytes * fraction``
-        wanted bytes spread over ``runs_per_unit`` contiguous runs.  A run
-        reads at least ``min_io_bytes``; when the runs would cover the
-        whole extent anyway, the read *degenerates* to a full sequential
-        extent read — Clay's bandwidth saving evaporates at small stripe
-        units, which is the §4.2 "subpacketization overhead" effect.
-        """
-        return resolve_subchunk_read(
-            self.config, units, unit_bytes, fraction, runs_per_unit
-        )
 
     def read_subchunks(
         self, units: int, unit_bytes: int, fraction: float, runs_per_unit: int
     ) -> Event:
         """Scattered sub-chunk recovery read (Clay single-failure repair)."""
-        profile = self.subchunk_profile(units, unit_bytes, fraction, runs_per_unit)
+        profile = resolve_subchunk_read(
+            self.config, units, unit_bytes, fraction, runs_per_unit
+        )
         ops = profile.disk_ops + self.backend.read_overhead_ops(
             profile.disk_bytes, profile.scatter_runs
         )
@@ -408,7 +390,7 @@ class OsdDaemon:
 
     def write_chunk(self, nbytes: int) -> Event:
         """Recovery write of a rebuilt chunk, after deferred coalescing."""
-        ops = self.sequential_ops(nbytes) * self.backend.write_coalescing()
+        ops = sequential_ops(self.config, nbytes) * self.backend.write_coalescing()
         return self.disk.submit(max(1, round(ops)), nbytes, write=True)
 
     # -- recovery QoS (the binding constraint on recovery speed) ------------------

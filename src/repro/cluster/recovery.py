@@ -51,7 +51,7 @@ from .crush import PlacementError
 from .devices import DiskFailedError
 from .logs import NodeLog
 from .network import TransferDroppedError
-from .osd import CephConfig, OsdDaemon, coding_time
+from .osd import CephConfig, OsdDaemon, coding_time, resolve_subchunk_read
 from .pool import PlacementGroup, Pool, StoredObject
 from .retry import retry_backoff
 from .topology import ClusterTopology
@@ -1052,7 +1052,7 @@ class RecoveryManager:
             nbytes=layout.chunk_stored_bytes * len(lost_shards),
             work=plan.decode_work,
             fragments=fragments,
-            cpu_cost_factor=getattr(code, "cpu_cost_factor", 1.0),
+            cpu_cost_factor=code.cpu_cost_factor,
         )
         yield primary.cpu.request(decode)
         pushes = {
@@ -1171,8 +1171,9 @@ class RecoveryManager:
                 yield source.read_chunk(nbytes)
             else:
                 nbytes = int(layout.chunk_stored_bytes * read.fraction)
-                profile = source.subchunk_profile(
-                    layout.units, layout.stripe_unit, read.fraction, read.io_ops
+                profile = resolve_subchunk_read(
+                    source.config, layout.units, layout.stripe_unit,
+                    read.fraction, read.io_ops,
                 )
                 # The grant covers what the device must move (full extents
                 # when the read degenerated); only the wanted sub-chunks

@@ -788,7 +788,7 @@ class ScrubManager:
             nbytes=region,
             work=plan.decode_work,
             fragments=fragments,
-            cpu_cost_factor=getattr(code, "cpu_cost_factor", 1.0),
+            cpu_cost_factor=code.cpu_cost_factor,
         )
         yield primary.cpu.request(decode)
         target = self.osds[pg.acting[shard]]

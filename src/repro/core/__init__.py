@@ -23,7 +23,7 @@ from .logbus import BusMessage, LogBus
 from .logger import ClassifiedRecord, LogCollector, NodeLogger, classify
 from .profile import PAPER_CLAY_PROFILE, PAPER_RS_PROFILE, ExperimentProfile
 from .report import Series, format_grouped_bars, format_table, normalise
-from .sweep import SweepRunner, SweepSpec, SweepResult, run_cell
+from .sweep import SweepResult, run_cell
 from .timeline import (
     FlapTimeline,
     RecoveryTimeline,
@@ -69,9 +69,7 @@ __all__ = [
     "PAPER_CLAY_PROFILE",
     "PAPER_RS_PROFILE",
     "ExperimentProfile",
-    "SweepRunner",
     "run_cell",
-    "SweepSpec",
     "SweepResult",
     "Series",
     "format_grouped_bars",

@@ -43,6 +43,7 @@ floor.
 """
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Set
 
@@ -660,7 +661,16 @@ class FaultInjector:
         one batch after the loop: if a multi-target inject dies half-way
         (a missing subsystem, a device already flapping), the OSDs
         already taken down still count against later guards.
+
+        Explicit targets that repeat an id are refused first, for every
+        level: a repeat would apply the same fault to one target twice.
         """
+        if spec.targets is not None:
+            repeated = sorted(
+                t for t, uses in Counter(spec.targets).items() if uses > 1
+            )
+            if repeated:
+                raise ValueError(f"{spec.level} targets repeat {repeated}")
         if spec.level in _STRIPE_STREAMS:
             return self._inject_stripe(spec)
         if spec.level in _DEVICE_LEVELS:
@@ -675,9 +685,14 @@ class FaultInjector:
         the stripe guard bounds the combined damage instead.
         """
         code = self.cluster.pool.code
+        # Both counts are refused ahead of the draw, which cannot sample
+        # more shards than the stripe has.
         if spec.level == "corrupt" and spec.count > code.fault_tolerance():
-            # Ahead of the draw, which cannot sample more shards than n.
             raise self._refuse(f"{spec.count} corrupted chunks in one stripe")
+        if spec.count > code.n:
+            raise self._refuse(
+                f"{spec.count} {spec.level} chunks in a {code.n}-chunk stripe"
+            )
         pg, obj, shards, rng = self._stripe_victims(spec)
         if spec.level != "corrupt":
             state = ensure_byzantine(self.cluster)

@@ -1,82 +1,23 @@
-"""Configuration sweeps: grids of profiles run through one harness.
+"""One grid cell: a configuration's measurements averaged over seeds.
 
-The paper's method is inherently a sweep — "systematically inject faults
-to trigger EC recovery under various configurations" — and its §6 future
-work asks for broader coverage.  This module provides the machinery the
-benchmarks and the sensitivity analysis build on:
-
-* :class:`SweepSpec` — a base profile plus per-axis value lists; the
-  cartesian product defines the experiment grid.
-* :class:`SweepRunner` — runs every cell (optionally repeated over
-  seeds), collects :class:`SweepResult` rows, and can persist/reload
-  them as JSON so long sweeps are resumable and results are shareable.
+:func:`run_cell` is the single-configuration quantum the tuner's
+evaluator runs for every point of a grid (``ecfault sweep`` is the
+tuner's :class:`~repro.tuner.GridSearch`), and :class:`SweepResult` is
+the row it returns, which :func:`~repro.twin.twin_run_cell` and
+:func:`~repro.analysis.rank_axes` speak too.
 """
 
 from __future__ import annotations
 
-import itertools
-import json
-import os
-import pathlib
-import tempfile
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterator, List, Mapping, Optional, Sequence
+from dataclasses import dataclass
+from typing import Any, Dict, List
 
 from ..workload.generator import Workload
-from .experiment import run_experiment
+from .experiment import repeat_experiment
 from .fault_injector import FaultSpec
 from .profile import ExperimentProfile
 
-__all__ = ["SweepSpec", "SweepResult", "SweepRunner", "run_cell"]
-
-
-@dataclass(frozen=True)
-class SweepSpec:
-    """A grid of configurations around a base profile.
-
-    ``axes`` maps a profile field name (e.g. ``"pg_num"``,
-    ``"stripe_unit"``, ``"cache_scheme"``) to the values to sweep; the
-    grid is the cartesian product.  ``ec_variants`` optionally sweeps
-    whole (plugin, params) pairs as an extra axis.
-    """
-
-    base: ExperimentProfile
-    axes: Mapping[str, Sequence[Any]] = field(default_factory=dict)
-    ec_variants: Sequence[tuple] = ()
-
-    def __post_init__(self):
-        for axis in self.axes:
-            if not hasattr(self.base, axis):
-                raise ValueError(f"unknown profile field {axis!r}")
-            if not self.axes[axis]:
-                raise ValueError(f"axis {axis!r} has no values")
-
-    def cells(self) -> Iterator[ExperimentProfile]:
-        """Yield one profile per grid cell."""
-        axis_names = sorted(self.axes)
-        value_lists = [self.axes[name] for name in axis_names]
-        ec_list = list(self.ec_variants) or [
-            (self.base.ec_plugin, dict(self.base.ec_params))
-        ]
-        for plugin, params in ec_list:
-            for values in itertools.product(*value_lists):
-                overrides = dict(zip(axis_names, values))
-                overrides["ec_plugin"] = plugin
-                overrides["ec_params"] = dict(params)
-                label_parts = [plugin] + [
-                    f"{name}={value}" for name, value in overrides.items()
-                    if name not in ("ec_plugin", "ec_params")
-                ]
-                overrides["name"] = "/".join(label_parts)
-                yield self.base.with_overrides(**overrides)
-
-    def size(self) -> int:
-        """Number of grid cells."""
-        cells = 1
-        for values in self.axes.values():
-            cells *= len(values)
-        return cells * max(1, len(self.ec_variants) or 1)
+__all__ = ["SweepResult", "run_cell"]
 
 
 @dataclass(frozen=True)
@@ -90,27 +31,6 @@ class SweepResult:
     wa_actual: float
     runs: int
 
-    def to_json(self) -> Dict[str, Any]:
-        return {
-            "label": self.label,
-            "settings": self.settings,
-            "recovery_time": self.recovery_time,
-            "checking_fraction": self.checking_fraction,
-            "wa_actual": self.wa_actual,
-            "runs": self.runs,
-        }
-
-    @classmethod
-    def from_json(cls, blob: Mapping[str, Any]) -> "SweepResult":
-        return cls(
-            label=blob["label"],
-            settings=dict(blob["settings"]),
-            recovery_time=blob["recovery_time"],
-            checking_fraction=blob["checking_fraction"],
-            wa_actual=blob["wa_actual"],
-            runs=blob["runs"],
-        )
-
 
 def run_cell(
     profile: ExperimentProfile,
@@ -121,22 +41,17 @@ def run_cell(
 ) -> SweepResult:
     """Run one grid cell: ``runs`` experiments averaged into a result row.
 
-    This is the single-configuration quantum both the sweep grid and the
-    tuner's budgeted evaluator are built from (module-level so worker
-    processes can pickle it).
+    The runs are :func:`~repro.core.experiment.repeat_experiment`'s, so
+    run ``r`` uses seed ``base_seed + r``.  Module-level so the tuner's
+    worker processes can pickle it.
     """
-    times: List[float] = []
-    fractions: List[float] = []
-    was: List[float] = []
-    for run in range(runs):
-        outcome = run_experiment(
-            profile, workload, faults,
-            seed=base_seed + run,
-        )
-        was.append(outcome.wa.actual)
-        if outcome.timeline is not None:
-            times.append(outcome.timeline.total_recovery)
-            fractions.append(outcome.timeline.checking_fraction)
+    outcomes = repeat_experiment(
+        profile, workload, faults, runs=runs, base_seed=base_seed
+    ).outcomes
+    timelines = [o.timeline for o in outcomes if o.timeline is not None]
+    times = [timeline.total_recovery for timeline in timelines]
+    fractions = [timeline.checking_fraction for timeline in timelines]
+    was = [o.wa.actual for o in outcomes]
     settings = {
         "ec_plugin": profile.ec_plugin,
         "ec_params": dict(profile.ec_params),
@@ -153,99 +68,3 @@ def run_cell(
         wa_actual=sum(was) / len(was),
         runs=runs,
     )
-
-
-def _cell_worker(args) -> SweepResult:
-    """Unpack one (profile, workload, faults, runs, seed) work item."""
-    return run_cell(*args)
-
-
-class SweepRunner:
-    """Executes a sweep, one fresh cluster per cell per seed.
-
-    With ``workers > 1`` grid cells run in a
-    :class:`~concurrent.futures.ProcessPoolExecutor`.  Results are
-    collected via ``executor.map`` — keyed by grid index, never by
-    completion order — and every cell derives its seeds from
-    ``base_seed`` alone, so a parallel sweep is bit-identical to a
-    serial one on the same spec and seeds.
-    """
-
-    def __init__(
-        self,
-        workload: Workload,
-        faults: Optional[Sequence[FaultSpec]] = None,
-        runs: int = 1,
-        base_seed: int = 0,
-        progress: Optional[Callable[[str, int, int], None]] = None,
-        workers: int = 1,
-    ):
-        if runs < 1:
-            raise ValueError("runs must be >= 1")
-        if workers < 1:
-            raise ValueError(f"workers must be >= 1, got {workers}")
-        self.workload = workload
-        self.faults = list(faults) if faults is not None else [FaultSpec(level="node")]
-        self.runs = runs
-        self.base_seed = base_seed
-        self.progress = progress
-        self.workers = workers
-
-    def run(self, spec: SweepSpec) -> List[SweepResult]:
-        """Run every cell; returns results in grid order."""
-        cells = list(spec.cells())
-        if self.workers == 1:
-            results: List[SweepResult] = []
-            for index, profile in enumerate(cells):
-                if self.progress is not None:
-                    self.progress(profile.name, index, len(cells))
-                results.append(self._run_cell(profile))
-            return results
-        items = [
-            (profile, self.workload, self.faults, self.runs, self.base_seed)
-            for profile in cells
-        ]
-        if self.progress is not None:
-            for index, profile in enumerate(cells):
-                self.progress(profile.name, index, len(cells))
-        with ProcessPoolExecutor(max_workers=self.workers) as executor:
-            return list(executor.map(_cell_worker, items))
-
-    def _run_cell(self, profile: ExperimentProfile) -> SweepResult:
-        return run_cell(
-            profile, self.workload, self.faults, self.runs, self.base_seed
-        )
-
-    # -- persistence ---------------------------------------------------------------
-
-    @staticmethod
-    def save(results: Sequence[SweepResult], path) -> None:
-        """Write results as a JSON document (atomically).
-
-        The document lands via a temp file in the destination directory
-        plus ``os.replace``, so a sweep killed mid-write never leaves a
-        truncated, unresumable results file behind.
-        """
-        blob = {"version": 1, "results": [r.to_json() for r in results]}
-        target = pathlib.Path(path)
-        fd, tmp_name = tempfile.mkstemp(
-            prefix=f".{target.name}.", suffix=".tmp", dir=target.parent or "."
-        )
-        try:
-            with os.fdopen(fd, "w") as handle:
-                handle.write(json.dumps(blob, indent=2))
-            os.replace(tmp_name, target)
-        except BaseException:
-            try:
-                os.unlink(tmp_name)
-            except OSError:
-                pass
-            raise
-
-    @staticmethod
-    def load(path) -> List[SweepResult]:
-        """Reload results written by :meth:`save`."""
-        blob = json.loads(pathlib.Path(path).read_text())
-        if blob.get("version") != 1:
-            raise ValueError(f"unsupported sweep file version: {blob.get('version')!r}")
-        return [SweepResult.from_json(r) for r in blob["results"]]

@@ -94,6 +94,8 @@ class ErasureCode(ABC):
 
     #: Registry name, set by the :func:`register_plugin` decorator.
     plugin_name: str = ""
+    #: Relative CPU cost of one byte of encode/decode work.
+    cpu_cost_factor: float = 1.0
 
     def __init__(self, k: int, m: int):
         if k < 1 or m < 1:

@@ -8,14 +8,14 @@ good configurations under a simulation budget":
   cross-axis constraints;
 * :mod:`~repro.tuner.evaluator` — a budget-accounted, memoising,
   parallel-safe evaluator over the simulator;
-* :mod:`~repro.tuner.strategies` — seeded random search, coordinate
-  descent (axis order from the sensitivity analysis), and successive
-  halving;
+* :mod:`~repro.tuner.strategies` — the exhaustive grid, seeded random
+  search, coordinate descent (axis order from the sensitivity
+  analysis), and successive halving;
 * :mod:`~repro.tuner.pareto` — multi-objective fronts and scalarised
   recommendations under user budgets;
 * :mod:`~repro.tuner.artifact` / :mod:`~repro.tuner.runner` — resumable
   JSON tuning reports and the end-to-end :func:`tune` loop behind
-  ``ecfault tune``.
+  ``ecfault tune`` and ``ecfault sweep``.
 """
 
 from .artifact import (
@@ -46,7 +46,7 @@ from .pareto import (
     pareto_front,
     recommend,
 )
-from .runner import TuningOutcome, tune
+from .runner import TuningOutcome, top_fidelity_measurements, tune
 from .space import (
     Axis,
     CategoricalAxis,
@@ -61,6 +61,7 @@ from .space import (
 )
 from .strategies import (
     CoordinateDescent,
+    GridSearch,
     RandomSearch,
     Strategy,
     SuccessiveHalving,
@@ -91,6 +92,7 @@ __all__ = [
     "pareto_front",
     "recommend",
     "TuningOutcome",
+    "top_fidelity_measurements",
     "tune",
     "Axis",
     "CategoricalAxis",
@@ -103,6 +105,7 @@ __all__ = [
     "pool_width_fits",
     "stripe_unit_divides",
     "Strategy",
+    "GridSearch",
     "RandomSearch",
     "CoordinateDescent",
     "SuccessiveHalving",

@@ -3,9 +3,9 @@
 The tuner's cost model is the simulation itself: evaluating a point at
 :class:`Fidelity` ``(objects, runs)`` simulates ``objects * runs``
 object-runs, and that product is what gets charged against the budget.
-Low fidelity (few objects) is cheap and noisy; full fidelity matches
-what an exhaustive :class:`~repro.core.sweep.SweepRunner` grid would
-measure for the same base seed.
+Low fidelity (few objects) is cheap and noisy; full fidelity is what the
+exhaustive :class:`~repro.tuner.strategies.GridSearch` measures for the
+same base seed.
 
 Guarantees the strategies and the resume logic rely on:
 
@@ -13,8 +13,8 @@ Guarantees the strategies and the resume logic rely on:
   fidelity)``; a configuration is never simulated twice at one fidelity,
   and cache hits charge nothing.
 * **Determinism** — the seed of each evaluation derives from the base
-  seed alone (exactly like ``SweepRunner``), never from evaluation
-  order, so any strategy path reaching a point measures the same floats.
+  seed alone, never from evaluation order, so any strategy path
+  reaching a point measures the same floats.
 * **Serial/parallel equivalence** — with ``workers > 1`` a batch runs
   through a :class:`~concurrent.futures.ProcessPoolExecutor` keyed by
   input order, so artifacts are byte-identical to a ``workers=1`` run.

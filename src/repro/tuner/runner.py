@@ -24,7 +24,7 @@ from .pareto import Objective, ParetoRecommendation, default_objectives, recomme
 from .space import TuningSpace
 from .strategies import Strategy
 
-__all__ = ["TuningOutcome", "tune"]
+__all__ = ["TuningOutcome", "top_fidelity_measurements", "tune"]
 
 MB = 1024 * 1024
 
@@ -45,15 +45,15 @@ class TuningOutcome:
         return self.artifact.budget
 
 
-def _top_fidelity_measurements(
+def top_fidelity_measurements(
     evaluations: Sequence[Measurement],
 ) -> List[Measurement]:
     """The measurements taken at the most expensive fidelity present.
 
     Fronts must compare like with like: recovery time scales with the
     simulated object count, so mixing rungs would crown low-fidelity
-    noise.  The recommendation is therefore made only over the final
-    (highest-cost) rung.
+    noise.  The recommendation, and ``ecfault analyze``, therefore use
+    only the final (highest-cost) rung.
     """
     if not evaluations:
         return []
@@ -156,7 +156,7 @@ def tune(
 
     strategy.search(space, evaluator, seed)
 
-    finals = _top_fidelity_measurements(log)
+    finals = top_fidelity_measurements(log)
     recommendation = recommend(finals, objectives) if finals else None
     final_artifact = state["artifact"]
     final_artifact = TuningArtifact(

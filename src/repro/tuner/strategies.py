@@ -1,8 +1,11 @@
 """Search strategies: how to spend a simulation budget on a space.
 
-Three strategies behind one :class:`Strategy` interface, all seeded and
+Four strategies behind one :class:`Strategy` interface, all seeded and
 deterministic:
 
+* :class:`GridSearch` — the exhaustive grid: every valid point at one
+  fidelity (``ecfault sweep``), the reference the budgeted strategies
+  are measured against.
 * :class:`RandomSearch` — the classic strong baseline: distinct valid
   points sampled uniformly, each evaluated at one fidelity.
 * :class:`CoordinateDescent` — hill climbing one axis at a time.  The
@@ -31,6 +34,7 @@ from .space import EC_AXIS, TuningSpace
 __all__ = [
     "by_recovery_time",
     "Strategy",
+    "GridSearch",
     "RandomSearch",
     "CoordinateDescent",
     "SuccessiveHalving",
@@ -59,6 +63,32 @@ class Strategy:
     def _rank(self, measurements: Sequence[Measurement]) -> List[Measurement]:
         """Objective-ascending, signature-tiebroken (deterministic)."""
         return sorted(measurements, key=lambda m: (self.objective(m), m.signature))
+
+
+class GridSearch(Strategy):
+    """Every valid point of the space, in grid order, at one fidelity.
+
+    The grid is one batch, admitted or refused whole by the budget, so
+    it either measures every point or none.
+    """
+
+    name = "grid"
+
+    def __init__(
+        self,
+        fidelity: Fidelity,
+        objective: Callable[[Measurement], float] = by_recovery_time,
+    ):
+        super().__init__(objective)
+        self.fidelity = fidelity
+
+    def search(
+        self, space: TuningSpace, evaluator: Evaluator, seed: int
+    ) -> List[Measurement]:
+        try:
+            return evaluator.evaluate_many(space.enumerate(), self.fidelity)
+        except BudgetExhaustedError:
+            return []
 
 
 class RandomSearch(Strategy):

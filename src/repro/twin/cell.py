@@ -1,9 +1,9 @@
 """Drop-in analytical replacement for :func:`repro.core.sweep.run_cell`.
 
 Same signature, same :class:`~repro.core.sweep.SweepResult` row shape, so
-every consumer of the DES cell quantum — the sweep grid, the tuner's
-evaluator, artifact serialisation — can be pointed at the twin without
-knowing the difference.  The twin is deterministic, so ``runs`` and
+every consumer of the DES cell quantum — the tuner's evaluator, which
+also runs the sweep grid, and artifact serialisation — can be pointed
+at the twin without knowing the difference.  The twin is deterministic, so ``runs`` and
 ``base_seed`` do not change the numbers; they are kept in the signature
 (and ``runs`` echoed into the row) for interface fidelity.
 """

@@ -404,7 +404,7 @@ class AnalyticalTwin:
         chunk = layout.chunk_stored_bytes
         disk = profile.disk_spec()
         nic = M5_NIC
-        cpu_cost = getattr(code, "cpu_cost_factor", 1.0)
+        cpu_cost = code.cpu_cost_factor
         costs = _RepairCosts()
         p_affected = sum(p for j, p in loss_dist if j >= 1)
         if p_affected <= 0:
@@ -829,7 +829,7 @@ class AnalyticalTwin:
             chunk,
             1.0,
             layout.units * code.sub_chunk_count,
-            getattr(code, "cpu_cost_factor", 1.0),
+            code.cpu_cost_factor,
         )
         latency = (
             RadosClient.request_overhead

@@ -79,15 +79,18 @@ def test_sweep_requires_an_axis(capsys):
 
 def test_sweep_and_analyze_pipeline(tmp_path, capsys):
     output = tmp_path / "sweep.json"
-    code, out, _ = run_cli(
+    code, out, err = run_cli(
         capsys, "sweep", "--objects", "30", "--object-size", "8MB",
         "--hosts", "15", "--sweep-pg-num", "4,16",
         "--output", str(output),
     )
     assert code == 0
     assert "sweep results (2 cells" in out
+    assert "jerasure(k=9,m=3)/cache_scheme=autotune/failure_domain=host/pg_num=4/" in out
+    # One progress line after each cell.
+    assert err.count("@objects=30,runs=1: recovery") == 2
     blob = json.loads(output.read_text())
-    assert len(blob["results"]) == 2
+    assert len(blob["evaluations"]) == 2
 
     code, out, _ = run_cli(
         capsys, "analyze", str(output), "--axes", "pg_num",
@@ -95,6 +98,33 @@ def test_sweep_and_analyze_pipeline(tmp_path, capsys):
     assert code == 0
     assert "configuration-axis impact" in out
     assert "recommended configuration" in out
+
+    # analyze reads what tune writes, too.
+    tuning = tmp_path / "tuning.json"
+    assert tune_small(capsys, tuning)[0] == 0
+    code, out, _ = run_cli(
+        capsys, "analyze", str(tuning), "--axes", "pg_num",
+    )
+    assert code == 0
+    assert "configuration-axis impact" in out
+    assert "recommended configuration" in out
+
+
+@pytest.mark.parametrize("blob, message", [
+    # The sweep file format that tuning reports replaced.
+    ({"version": 1, "results": []},
+     "not a ecfault-tuning-report artifact (format=None)"),
+    ({"format": "ecfault-tuning-report", "version": 99},
+     "unsupported artifact version 99"),
+])
+def test_analyze_refuses_anything_but_a_tuning_report(
+    tmp_path, capsys, blob, message
+):
+    path = tmp_path / "results.json"
+    path.write_text(json.dumps(blob))
+    code, _, err = run_cli(capsys, "analyze", str(path))
+    assert code == 2
+    assert message in err
 
 
 def test_bad_ec_params_message():
@@ -160,11 +190,19 @@ def test_sweep_json_schema(tmp_path, capsys):
     )
     assert code == 0
     blob = json.loads(output.read_text())
-    assert set(blob) >= {"results"}
-    for row in blob["results"]:
-        assert {"label", "recovery_time", "checking_fraction",
-                "wa_actual"} <= set(row)
+    assert blob["format"] == "ecfault-tuning-report"
+    assert blob["strategy"] == "grid"
+    assert blob["complete"] is True
+    assert blob["budget"] is None
+    assert [axis["name"] for axis in blob["space"]["axes"]] == ["pg_num"]
+    assert blob["space"]["constraints"] == []
+    assert [row["settings"]["pg_num"] for row in blob["evaluations"]] == [4, 8]
+    for row in blob["evaluations"]:
+        assert {"signature", "settings", "recovery_time", "checking_fraction",
+                "wa_actual", "cost"} <= set(row)
+        assert row["fidelity"] == {"objects": 20, "runs": 1, "label": ""}
         assert isinstance(row["recovery_time"], float)
+    assert blob["recommendation"]["signature"] in blob["front"]
 
 
 # -- tune -----------------------------------------------------------------------

@@ -52,9 +52,11 @@ def test_configuration_sweep_example_small():
 
 
 def test_auto_tuning_example_small():
-    proc = run_example("auto_tuning.py", "--objects", "60")
+    proc = run_example("auto_tuning.py", "--objects", "60",
+                       "--verify-exhaustive")
     assert proc.returncode == 0, proc.stderr
     assert "recommended configuration" in proc.stdout
+    assert "tuner matched the exhaustive recommendation" in proc.stdout
     assert "autoscaler view" in proc.stdout
 
 

@@ -452,3 +452,36 @@ def test_unknown_explicit_targets_refused_before_any_worker_acts(level):
     assert sum(len(log) for log in cluster.all_logs()) == logged
     assert injector.injected_osds == set()
     assert injector.slowed_osds == set()
+
+
+#: Explicit targets naming one id twice, on each scope path: host ids,
+#: OSD ids and stripe shard indices.
+REPEATED_TARGETS = {
+    "node": FaultSpec(level="node", count=2, targets=[3, 3]),
+    "device": FaultSpec(level="device", count=2, targets=[5, 5]),
+    "corrupt": FaultSpec(level="corrupt", count=2, targets=[1, 1]),
+}
+
+
+@pytest.mark.parametrize("level", sorted(REPEATED_TARGETS))
+def test_repeated_explicit_targets_refused_before_any_worker_acts(level):
+    cluster, injector = build(integrity=IntegrityConfig(enabled=True))
+    logged = sum(len(log) for log in cluster.all_logs())
+    with pytest.raises(ValueError, match=rf"{level} targets repeat \[\d\]"):
+        injector.inject(REPEATED_TARGETS[level])
+    cluster.env.run(until=1.0)
+    assert all(osd.is_up() for osd in cluster.osds.values())
+    assert sum(len(log) for log in cluster.all_logs()) == logged
+    assert injector.injected_osds == set()
+    assert not any(
+        cluster.integrity.corrupt_shards(pg.pgid, obj.name)
+        for pg in cluster.pool.pgs.values() for obj in pg.objects
+    )
+
+
+@pytest.mark.parametrize("level", ["byz_corrupt_data", "byz_false_ack"])
+def test_byzantine_stripe_fault_wider_than_the_code_is_refused(level):
+    _, injector = build_byz()
+    with pytest.raises(FaultToleranceError,
+                       match=rf"7 {level} chunks in a 6-chunk stripe"):
+        injector.inject(FaultSpec(level=level, count=7))

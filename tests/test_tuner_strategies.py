@@ -21,6 +21,7 @@ from repro.tuner import (
     EcVariantAxis,
     Evaluator,
     Fidelity,
+    GridSearch,
     RandomSearch,
     SuccessiveHalving,
     TuningSpace,
@@ -85,6 +86,22 @@ def make_evaluator(space=None, **kwargs):
 
 def best_of(measured):
     return min(measured, key=lambda m: m.recovery_time)
+
+
+# -- grid search ----------------------------------------------------------------
+
+
+def test_grid_search_measures_every_point_or_none():
+    space = make_space()
+    measured = GridSearch(Fidelity(8)).search(space, make_evaluator(), seed=0)
+    assert [m.signature for m in measured] == [
+        space.signature(point) for point in space.enumerate()
+    ]
+    # The grid is one batch: a budget short of it measures nothing.
+    assert GridSearch(Fidelity(8)).search(
+        space, make_evaluator(budget=8 * 12 - 1), seed=0
+    ) == []
+    assert len(CALLS) == 12
 
 
 # -- random search --------------------------------------------------------------
@@ -211,6 +228,8 @@ def test_resume_replays_without_resimulating(tmp_path):
         )
     )
     save_tuning_artifact(truncated, path)
+    # The stale complete report was replaced in place: no temp file stays.
+    assert [p.name for p in tmp_path.iterdir()] == ["tuning.json"]
 
     CALLS.clear()
     outcome = tune(make_space(), strategy, resume=True, **kwargs)
