@@ -30,6 +30,7 @@ from repro.tuner import (
     EcVariantAxis,
     Evaluator,
     Fidelity,
+    GridSearch,
     SuccessiveHalving,
     TuningSpace,
     WRITE_AMPLIFICATION,
@@ -122,13 +123,12 @@ def main() -> None:
 
     if args.verify_exhaustive:
         print("\nverifying against the exhaustive grid...")
-        grid_evaluator = Evaluator(
+        results = GridSearch(full).search(
             space,
-            object_size=64 * MB,
-            faults=[FaultSpec(level="node")],
-            base_seed=args.seed,
+            Evaluator(space, object_size=64 * MB,
+                      faults=[FaultSpec(level="node")], base_seed=args.seed),
+            args.seed,
         )
-        results = grid_evaluator.evaluate_many(space.enumerate(), full)
         exhaustive_best = min(
             (m for m in results if m.wa_actual <= args.wa_budget),
             key=lambda m: m.recovery_time,

@@ -251,20 +251,15 @@ def _grid_axes(args, ec_variants=None) -> list:
     """The tuning axes named by ``--sweep-*`` (and ``--ec-variants``)."""
     from .tuner import CategoricalAxis, EcVariantAxis
 
-    axes = []
-    if args.sweep_pg_num:
-        axes.append(CategoricalAxis(
-            "pg_num", tuple(int(v) for v in args.sweep_pg_num.split(","))
-        ))
-    if args.sweep_stripe_unit:
-        axes.append(CategoricalAxis(
-            "stripe_unit",
-            tuple(parse_size(v) for v in args.sweep_stripe_unit.split(",")),
-        ))
-    if args.sweep_cache_scheme:
-        axes.append(CategoricalAxis(
-            "cache_scheme", tuple(args.sweep_cache_scheme.split(","))
-        ))
+    axes = [
+        CategoricalAxis(name, tuple(parse(v) for v in text.split(",")))
+        for name, text, parse in (
+            ("pg_num", args.sweep_pg_num, int),
+            ("stripe_unit", args.sweep_stripe_unit, parse_size),
+            ("cache_scheme", args.sweep_cache_scheme, str),
+        )
+        if text
+    ]
     if ec_variants:
         axes.append(EcVariantAxis(variants=tuple(
             (plugin, tuple(sorted(params.items())))
@@ -351,8 +346,12 @@ def cmd_analyze(args) -> int:
             ],
         )
     )
-    budget = args.wa_budget
-    recommendation = recommend_configuration(results, wa_budget=budget)
+    try:
+        recommendation = recommend_configuration(results, wa_budget=args.wa_budget)
+    except ValueError as exc:  # as tune does: warn and fall back
+        print(f"analyze: WARNING: {exc}; recommending the fastest "
+              "configuration instead", file=sys.stderr)
+        recommendation = recommend_configuration(results)
     print()
     print(recommendation.summary())
     return 0
@@ -389,6 +388,7 @@ def cmd_tune(args) -> int:
         default_objectives,
         pool_width_fits,
         stripe_unit_divides,
+        top_fidelity_measurements,
         tune,
     )
 
@@ -463,9 +463,8 @@ def cmd_tune(args) -> int:
           f"(exhaustive full-fidelity grid: {exhaustive}; "
           f"saved {max(0.0, 1 - outcome.spent / exhaustive) * 100:.0f}%)")
     finals = sorted(
-        {m.signature: m for m in outcome.evaluations
-         if m.fidelity.cost == max(e.fidelity.cost for e in outcome.evaluations)
-         }.values(),
+        {m.signature: m
+         for m in top_fidelity_measurements(outcome.evaluations)}.values(),
         key=lambda m: m.recovery_time,
     )
     if finals:

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import statistics
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import Iterator, List, Optional, Sequence
 
 from ..workload.generator import Workload
 from .controller import Controller
@@ -21,7 +21,9 @@ from .coordinator import ExperimentOutcome
 from .fault_injector import FaultSpec
 from .profile import ExperimentProfile
 
-__all__ = ["run_experiment", "repeat_experiment", "RepeatedResult"]
+__all__ = [
+    "run_experiment", "iter_experiments", "repeat_experiment", "RepeatedResult",
+]
 
 
 def run_experiment(
@@ -71,6 +73,24 @@ class RepeatedResult:
         )
 
 
+def iter_experiments(
+    profile: ExperimentProfile,
+    workload: Workload,
+    faults: Sequence[FaultSpec],
+    runs: int = 3,
+    base_seed: int = 0,
+    **options,
+) -> Iterator[ExperimentOutcome]:
+    """:func:`run_experiment` ``runs`` times, run ``r`` at seed
+    ``base_seed + r``, each outcome yielded before the next run starts."""
+    if runs < 1:
+        raise ValueError("runs must be >= 1")
+    for run in range(runs):
+        yield run_experiment(
+            profile, workload, faults, seed=base_seed + run, **options
+        )
+
+
 def repeat_experiment(
     profile: ExperimentProfile,
     workload: Workload,
@@ -81,17 +101,7 @@ def repeat_experiment(
     max_sim_time: float = 200_000.0,
 ) -> RepeatedResult:
     """Run the same configuration ``runs`` times with distinct seeds."""
-    if runs < 1:
-        raise ValueError("runs must be >= 1")
-    outcomes = tuple(
-        run_experiment(
-            profile,
-            workload,
-            faults,
-            seed=base_seed + run,
-            settle_time=settle_time,
-            max_sim_time=max_sim_time,
-        )
-        for run in range(runs)
-    )
-    return RepeatedResult(outcomes=outcomes)
+    return RepeatedResult(outcomes=tuple(iter_experiments(
+        profile, workload, faults, runs, base_seed,
+        settle_time=settle_time, max_sim_time=max_sim_time,
+    )))

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Any, Dict, List
 
 from ..workload.generator import Workload
-from .experiment import repeat_experiment
+from .experiment import iter_experiments
 from .fault_injector import FaultSpec
 from .profile import ExperimentProfile
 
@@ -41,17 +41,21 @@ def run_cell(
 ) -> SweepResult:
     """Run one grid cell: ``runs`` experiments averaged into a result row.
 
-    The runs are :func:`~repro.core.experiment.repeat_experiment`'s, so
-    run ``r`` uses seed ``base_seed + r``.  Module-level so the tuner's
-    worker processes can pickle it.
+    The runs are :func:`~repro.core.experiment.iter_experiments`'s, so
+    run ``r`` uses seed ``base_seed + r``, and only their floats are
+    kept.  Module-level so the tuner's worker processes can pickle it.
     """
-    outcomes = repeat_experiment(
+    times: List[float] = []
+    fractions: List[float] = []
+    was: List[float] = []
+    for outcome in iter_experiments(
         profile, workload, faults, runs=runs, base_seed=base_seed
-    ).outcomes
-    timelines = [o.timeline for o in outcomes if o.timeline is not None]
-    times = [timeline.total_recovery for timeline in timelines]
-    fractions = [timeline.checking_fraction for timeline in timelines]
-    was = [o.wa.actual for o in outcomes]
+    ):
+        was.append(outcome.wa.actual)
+        if outcome.timeline is not None:
+            times.append(outcome.timeline.total_recovery)
+            fractions.append(outcome.timeline.checking_fraction)
+        del outcome  # release this run's cluster before the next is built
     settings = {
         "ec_plugin": profile.ec_plugin,
         "ec_params": dict(profile.ec_params),

@@ -25,6 +25,7 @@ Guarantees the strategies and the resume logic rely on:
 from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import ExitStack
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
@@ -554,28 +555,32 @@ class Evaluator:
             )
             for _, point in todo
         ]
-        if self.workers == 1 or len(items) <= 1:
-            raw = [_evaluate_item(item) for item in items]
-        else:
-            with ProcessPoolExecutor(max_workers=self.workers) as executor:
-                raw = list(executor.map(_evaluate_item, items))
-        for (key, point), (recovery, fraction, wa, p99, tenant_p99) in zip(
-            todo, raw
-        ):
-            measurement = Measurement(
-                signature=key[0],
-                settings=self.space.settings(point),
-                fidelity=fidelity,
-                recovery_time=recovery,
-                checking_fraction=fraction,
-                wa_actual=wa,
-                degraded_p99=p99,
-                cost=self.cost_of(fidelity),
-                tenant_slo_p99=tenant_p99,
-            )
-            self._cache[key] = measurement
-            self.spent += measurement.cost
-            self.simulations += 1
-            if self.on_result is not None:
-                self.on_result(measurement)
+        with ExitStack() as stack:
+            if self.workers == 1 or len(items) <= 1:
+                raw = map(_evaluate_item, items)
+            else:
+                raw = stack.enter_context(
+                    ProcessPoolExecutor(max_workers=self.workers)
+                ).map(_evaluate_item, items)
+            # raw is lazy: each result is cached, charged and reported
+            # (progress, checkpoint) as its cell finishes.
+            for (key, point), (recovery, fraction, wa, p99, tenant_p99) in zip(
+                todo, raw
+            ):
+                measurement = Measurement(
+                    signature=key[0],
+                    settings=self.space.settings(point),
+                    fidelity=fidelity,
+                    recovery_time=recovery,
+                    checking_fraction=fraction,
+                    wa_actual=wa,
+                    degraded_p99=p99,
+                    cost=self.cost_of(fidelity),
+                    tenant_slo_p99=tenant_p99,
+                )
+                self._cache[key] = measurement
+                self.spent += measurement.cost
+                self.simulations += 1
+                if self.on_result is not None:
+                    self.on_result(measurement)
         return [self._cache[key] for key in keys]

@@ -74,12 +74,8 @@ class GridSearch(Strategy):
 
     name = "grid"
 
-    def __init__(
-        self,
-        fidelity: Fidelity,
-        objective: Callable[[Measurement], float] = by_recovery_time,
-    ):
-        super().__init__(objective)
+    def __init__(self, fidelity: Fidelity):
+        super().__init__()
         self.fidelity = fidelity
 
     def search(

@@ -99,6 +99,16 @@ def test_sweep_and_analyze_pipeline(tmp_path, capsys):
     assert "configuration-axis impact" in out
     assert "recommended configuration" in out
 
+    # Every EC layout writes more than it stores, so no point meets WA
+    # 1.0: analyze warns and recommends the fastest, as tune falls back.
+    fastest = min(blob["evaluations"], key=lambda m: m["recovery_time"])
+    code, out, err = run_cli(
+        capsys, "analyze", str(output), "--wa-budget", "1.0",
+    )
+    assert code == 0
+    assert "WARNING: no configuration satisfies WA budget 1.000" in err
+    assert f"recovery time:      {fastest['recovery_time']:.1f}s" in out
+
     # analyze reads what tune writes, too.
     tuning = tmp_path / "tuning.json"
     assert tune_small(capsys, tuning)[0] == 0

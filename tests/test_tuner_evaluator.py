@@ -127,6 +127,28 @@ def test_batch_budget_is_atomic():
     assert evaluator.spent == 0 and CALLS == []
 
 
+def test_each_result_is_reported_before_the_next_cell_runs():
+    # Progress lines and checkpoints follow each cell, not the batch.
+    events = []
+
+    def logging_cell(profile, *args):
+        events.append(("run", profile.pg_num))
+        return stub_cell(profile, *args)
+
+    evaluator = make_evaluator(
+        run_cell_fn=logging_cell,
+        on_result=lambda m: events.append(("result", m.settings["pg_num"])),
+    )
+    evaluator.evaluate_many(
+        [{"pg_num": pg, "cache_scheme": "autotune", "ec": RS}
+         for pg in (16, 64, 256)],
+        Fidelity(8),
+    )
+    assert events == [
+        (kind, pg) for pg in (16, 64, 256) for kind in ("run", "result")
+    ]
+
+
 def test_seed_cache_resumes_without_resimulating():
     evaluator = make_evaluator()
     point = {"pg_num": 64, "cache_scheme": "autotune", "ec": CLAY}
