@@ -64,7 +64,6 @@ MODULES = [
     "repro.core.trace",
     "repro.core.report",
     "repro.workload.generator",
-    "repro.workload.interfaces",
     "repro.workload.iostat",
     "repro.analysis.stats",
     "repro.analysis.figures",

@@ -16,7 +16,7 @@ The most common entry points are re-exported here::
                              [FaultSpec(level="node")])
 """
 
-from .core.experiment import repeat_experiment, run_experiment
+from .core.experiment import run_experiment
 from .core.fault_injector import Colocation, FaultSpec
 from .core.profile import ExperimentProfile
 from .workload.generator import Workload
@@ -28,7 +28,6 @@ __all__ = [
     "ExperimentProfile",
     "FaultSpec",
     "Workload",
-    "repeat_experiment",
     "run_experiment",
     "__version__",
 ]

@@ -3,7 +3,6 @@
 from .figures import (
     render_figure2_panel,
     render_figure3_timeline,
-    render_paper_vs_measured,
     render_table,
 )
 from .sensitivity import (
@@ -14,9 +13,7 @@ from .sensitivity import (
     recommend_configuration,
 )
 from .stats import (
-    crossover_points,
     impact_range_percent,
-    mean_and_stdev,
     normalised_series,
     percentile,
     spearman,
@@ -25,16 +22,13 @@ from .stats import (
 __all__ = [
     "render_figure2_panel",
     "render_figure3_timeline",
-    "render_paper_vs_measured",
     "render_table",
     "AxisImpact",
     "Recommendation",
     "axis_impacts",
     "rank_axes",
     "recommend_configuration",
-    "crossover_points",
     "impact_range_percent",
-    "mean_and_stdev",
     "normalised_series",
     "percentile",
     "spearman",

@@ -9,7 +9,7 @@ output reads like the paper's evaluation section.
 
 from __future__ import annotations
 
-from typing import Mapping, Sequence, Tuple
+from typing import Mapping, Sequence
 
 from ..core.report import Series, format_grouped_bars, format_table
 from ..core.timeline import RecoveryTimeline
@@ -18,8 +18,10 @@ __all__ = [
     "render_figure2_panel",
     "render_figure3_timeline",
     "render_table",
-    "render_paper_vs_measured",
 ]
+
+#: Character columns of the Figure 3 timeline bar.
+TIMELINE_COLUMNS = 60
 
 
 def render_figure2_panel(
@@ -27,27 +29,25 @@ def render_figure2_panel(
     groups: Sequence[str],
     rs_values: Mapping[str, float],
     clay_values: Mapping[str, float],
-    rs_label: str = "RS(12,9)",
-    clay_label: str = "Clay(12,9,11)",
 ) -> str:
     """One Figure 2 panel: normalised recovery time, RS vs Clay bars."""
     return format_grouped_bars(
         f"Figure 2{panel}: Normalized Recovery Time",
         groups,
-        [Series(rs_label, rs_values), Series(clay_label, clay_values)],
+        [Series("RS(12,9)", rs_values), Series("Clay(12,9,11)", clay_values)],
     )
 
 
-def render_figure3_timeline(timeline: RecoveryTimeline, width: int = 60) -> str:
+def render_figure3_timeline(timeline: RecoveryTimeline) -> str:
     """Figure 3: the annotated system-recovery timeline."""
     total = timeline.total_recovery
     if total <= 0:
         raise ValueError("timeline has no duration")
-    check_cols = round(width * timeline.checking_period / total)
+    check_cols = round(TIMELINE_COLUMNS * timeline.checking_period / total)
     lines = [
         "Figure 3: Timeline of System Recovery",
         "=" * 38,
-        f"|{'=' * check_cols}{'-' * (width - check_cols)}|",
+        f"|{'=' * check_cols}{'-' * (TIMELINE_COLUMNS - check_cols)}|",
         f"|<-- System Checking Period ({timeline.checking_period:.0f}s) -->"
         f"<-- EC Recovery Period ({timeline.ec_recovery_period:.0f}s) -->|",
         "",
@@ -64,15 +64,3 @@ def render_figure3_timeline(timeline: RecoveryTimeline, width: int = 60) -> str:
 def render_table(title: str, columns: Sequence[str], rows: Sequence[Sequence[object]]) -> str:
     """Plain-text table, Table 2/3 style."""
     return format_table(title, columns, rows)
-
-
-def render_paper_vs_measured(
-    title: str,
-    rows: Sequence[Tuple[str, object, object]],
-) -> str:
-    """The EXPERIMENTS.md-style record: metric, paper value, measured."""
-    return format_table(
-        title,
-        ["metric", "paper", "measured"],
-        [list(row) for row in rows],
-    )

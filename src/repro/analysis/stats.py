@@ -2,21 +2,18 @@
 
 Small, dependency-light aggregation used by the benchmarks: normalised
 series (Figure 2's presentation), configuration-impact ranges (the
-"101% to 426%" headline), and mean/stdev over repeated runs.
+"101% to 426%" headline), percentiles and rank correlation.
 """
 
 from __future__ import annotations
 
 import math
-import statistics
-from typing import Dict, List, Mapping, Sequence, Tuple
+from typing import Dict, List, Mapping, Sequence
 
 __all__ = [
     "percentile",
-    "mean_and_stdev",
     "normalised_series",
     "impact_range_percent",
-    "crossover_points",
     "spearman",
 ]
 
@@ -39,15 +36,6 @@ def percentile(values: Sequence[float], pct: float) -> float:
     ordered = sorted(values)
     index = max(0, math.ceil(pct / 100 * len(ordered)) - 1)
     return ordered[index]
-
-
-def mean_and_stdev(values: Sequence[float]) -> Tuple[float, float]:
-    """(mean, sample stdev); stdev is 0.0 for fewer than two values."""
-    if not values:
-        raise ValueError("no values")
-    mean = statistics.fmean(values)
-    stdev = statistics.stdev(values) if len(values) > 1 else 0.0
-    return mean, stdev
 
 
 def normalised_series(values: Mapping[str, float]) -> Dict[str, float]:
@@ -111,25 +99,3 @@ def spearman(xs: Sequence[float], ys: Sequence[float]) -> float:
     if var_x <= 0 or var_y <= 0:
         return 0.0
     return cov / math.sqrt(var_x * var_y)
-
-
-def crossover_points(
-    series_a: Mapping[str, float],
-    series_b: Mapping[str, float],
-    groups: Sequence[str],
-) -> List[str]:
-    """Groups where the winner flips relative to the previous group.
-
-    Used to check the paper's qualitative findings, e.g. Clay beating RS
-    for same-host triple failures but losing for different-host ones.
-    """
-    flips: List[str] = []
-    previous = None
-    for group in groups:
-        if group not in series_a or group not in series_b:
-            continue
-        winner = "a" if series_a[group] < series_b[group] else "b"
-        if previous is not None and winner != previous:
-            flips.append(group)
-        previous = winner
-    return flips

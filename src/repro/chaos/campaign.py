@@ -10,7 +10,7 @@ replayable byte-for-byte from its JSON form (the repro-artifact contract).
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field, replace
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, Optional, Tuple
 
 from ..cluster.osd import CephConfig
 from ..core.fault_injector import (

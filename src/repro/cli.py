@@ -30,6 +30,7 @@ import argparse
 import json
 import re
 import sys
+from collections import Counter
 from typing import List, Optional
 
 from .analysis.sensitivity import rank_axes, recommend_configuration
@@ -116,15 +117,38 @@ def _add_profile_arguments(parser) -> None:
     parser.add_argument("--seed", type=int, default=0)
 
 
+def _add_fault_arguments(parser) -> None:
+    """The one crash fault ``run`` and ``twin`` take."""
+    parser.add_argument("--fault", choices=["node", "device", "none"],
+                        default="node")
+    parser.add_argument("--fault-count", type=int, default=1)
+    parser.add_argument("--colocation", choices=list(Colocation.ALL),
+                        default="any")
+
+
+def _faults_from_args(args) -> List[FaultSpec]:
+    """``--fault`` as a fault list, empty for ``none``."""
+    if args.fault == "none":
+        return []
+    return [FaultSpec(level=args.fault, count=args.fault_count,
+                      colocation=args.colocation)]
+
+
+def _add_grid_arguments(parser) -> None:
+    """The grid axes and per-cell settings ``sweep`` and ``tune`` share."""
+    parser.add_argument("--sweep-pg-num", help="comma list, e.g. 1,16,256")
+    parser.add_argument("--sweep-stripe-unit",
+                        help="comma list, e.g. 4KB,4MB,64MB")
+    parser.add_argument("--sweep-cache-scheme", help="comma list of schemes")
+    parser.add_argument("--runs", type=int, default=1)
+    parser.add_argument("--workers", type=int, default=1,
+                        help="parallel worker processes")
+
+
 def cmd_run(args) -> int:
     profile = _profile_from_args(args)
     workload = Workload(num_objects=args.objects, object_size=args.object_size)
-    faults = []
-    if args.fault != "none":
-        faults.append(
-            FaultSpec(level=args.fault, count=args.fault_count,
-                      colocation=args.colocation)
-        )
+    faults = _faults_from_args(args)
     outcome = run_experiment(profile, workload, faults, seed=args.seed)
     print(f"profile: {profile.describe()}")
     if outcome.timeline is not None:
@@ -403,6 +427,16 @@ def cmd_tune(args) -> int:
         axes=axes,
         constraints=[pool_width_fits(), stripe_unit_divides(args.object_size)],
     )
+    if not space.enumerate():
+        violated = Counter(
+            name
+            for point in TuningSpace(base, axes=axes).enumerate()  # whole grid
+            for name in space.violated(point)
+        )
+        counts = ", ".join(f"{name}: {n}" for name, n in sorted(violated.items()))
+        print(f"tune: none of the {space.size()} grid points satisfies the "
+              f"constraints ({counts})", file=sys.stderr)
+        return 2
 
     probe_enabled = args.probe_reads or args.p99_budget is not None
     tenant_probe_enabled = (
@@ -497,12 +531,7 @@ def cmd_twin(args) -> int:
 
     profile = _profile_from_args(args)
     workload = Workload(num_objects=args.objects, object_size=args.object_size)
-    faults = []
-    if args.fault != "none":
-        faults.append(
-            FaultSpec(level=args.fault, count=args.fault_count,
-                      colocation=args.colocation)
-        )
+    faults = _faults_from_args(args)
     twin = AnalyticalTwin()
     prediction = twin.predict(profile, workload, faults)
     if args.json:
@@ -965,9 +994,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     run = sub.add_parser("run", help="run one fault-injection experiment")
     _add_profile_arguments(run)
-    run.add_argument("--fault", choices=["node", "device", "none"], default="node")
-    run.add_argument("--fault-count", type=int, default=1)
-    run.add_argument("--colocation", choices=list(Colocation.ALL), default="any")
+    _add_fault_arguments(run)
     run.set_defaults(func=cmd_run)
 
     inject = sub.add_parser(
@@ -1029,12 +1056,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sweep = sub.add_parser("sweep", help="run the full configuration grid")
     _add_profile_arguments(sweep)
-    sweep.add_argument("--sweep-pg-num", help="comma list, e.g. 1,16,256")
-    sweep.add_argument("--sweep-stripe-unit", help="comma list, e.g. 4KB,4MB,64MB")
-    sweep.add_argument("--sweep-cache-scheme", help="comma list of schemes")
-    sweep.add_argument("--runs", type=int, default=1)
-    sweep.add_argument("--workers", type=int, default=1,
-                       help="parallel worker processes for grid cells")
+    _add_grid_arguments(sweep)
     sweep.add_argument("--output", default="sweep.json")
     sweep.set_defaults(func=cmd_sweep)
 
@@ -1048,13 +1070,11 @@ def build_parser() -> argparse.ArgumentParser:
         "tune", help="budgeted configuration search (resumable)"
     )
     _add_profile_arguments(tune)
+    _add_grid_arguments(tune)
     tune.add_argument("--strategy", choices=["halving", "random", "coordinate"],
                       default="halving")
     tune.add_argument("--budget", type=int, default=None,
                       help="simulation budget in object-runs (hard ceiling)")
-    tune.add_argument("--sweep-pg-num", help="comma list, e.g. 16,64,256")
-    tune.add_argument("--sweep-stripe-unit", help="comma list, e.g. 1MB,4MB")
-    tune.add_argument("--sweep-cache-scheme", help="comma list of schemes")
     tune.add_argument("--ec-variants", dest="ec_variants_list",
                       type=_parse_ec_variants,
                       help="semicolon list, e.g. "
@@ -1069,9 +1089,6 @@ def build_parser() -> argparse.ArgumentParser:
                       help="successive-halving promotion ratio")
     tune.add_argument("--samples", type=int, default=12,
                       help="random-search samples / coordinate screen size")
-    tune.add_argument("--runs", type=int, default=1)
-    tune.add_argument("--workers", type=int, default=1,
-                      help="parallel worker processes for evaluation batches")
     tune.add_argument("--probe-reads", action="store_true",
                       help="also measure degraded-read p99 per point")
     tune.add_argument("--wa-budget", type=float, default=None)
@@ -1094,11 +1111,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="analytical twin prediction (instant, no simulation)",
     )
     _add_profile_arguments(twin)
-    twin.add_argument("--fault", choices=["node", "device", "none"],
-                      default="node")
-    twin.add_argument("--fault-count", type=int, default=1)
-    twin.add_argument("--colocation", choices=list(Colocation.ALL),
-                      default="any")
+    _add_fault_arguments(twin)
     twin.add_argument("--compare", action="store_true",
                       help="also run the DES at --seed and show per-metric "
                            "relative error")

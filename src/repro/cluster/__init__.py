@@ -36,7 +36,7 @@ from .objectstore import ChunkLayout, block_checksums, blocks_in, crc32c, layout
 from .osd import CephConfig, OsdDaemon
 from .pool import PlacementGroup, Pool, StoredObject
 from .recovery import RecoveryManager, RecoveryStats
-from .retry import DEFAULT_BACKOFF_CAP, retry_backoff, retry_schedule
+from .retry import DEFAULT_BACKOFF_CAP, retry_backoff
 from .scrub import (
     CorruptionModel,
     IntegrityConfig,
@@ -102,7 +102,6 @@ __all__ = [
     "RecoveryStats",
     "DEFAULT_BACKOFF_CAP",
     "retry_backoff",
-    "retry_schedule",
     "CorruptionModel",
     "IntegrityConfig",
     "IntegrityStore",

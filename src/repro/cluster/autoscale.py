@@ -77,15 +77,12 @@ class AutoscaleAdvice:
 
 
 def autoscale_advice(
-    current_pg_num: int,
-    num_osds: int,
-    pool_width: int,
-    target_shards_per_osd: int = TARGET_PG_SHARDS_PER_OSD,
+    current_pg_num: int, num_osds: int, pool_width: int
 ) -> AutoscaleAdvice:
     """Evaluate a pool's pg_num the way Ceph's autoscaler would."""
     if current_pg_num < 1:
         raise ValueError("current_pg_num must be positive")
-    recommended = recommended_pg_num(num_osds, pool_width, target_shards_per_osd)
+    recommended = recommended_pg_num(num_osds, pool_width)
     return AutoscaleAdvice(
         current=current_pg_num,
         recommended=recommended,

@@ -270,9 +270,6 @@ class CephCluster:
         """Cluster-wide OSD-level storage usage (WA measurement point)."""
         return sum(osd.used_bytes for osd in self.osds.values())
 
-    def up_osds(self) -> List[int]:
-        return [osd_id for osd_id, osd in self.osds.items() if osd.is_up()]
-
     def all_logs(self) -> List[NodeLog]:
         return [self.mon_log, *self.host_logs.values()]
 

@@ -224,13 +224,10 @@ class WriteStats:
         """Total physical volume committed (WA-attribution numerator)."""
         return sum(s.stored_bytes for s in self.samples)
 
-    def mean_latency(self, kind: Optional[str] = None) -> float:
-        values = [
-            s.latency for s in self.samples if kind is None or s.kind == kind
-        ]
-        if not values:
-            raise ValueError("no samples match the filter")
-        return statistics.fmean(values)
+    def mean_latency(self) -> float:
+        if not self.samples:
+            raise ValueError("no write samples")
+        return statistics.fmean(s.latency for s in self.samples)
 
 
 @dataclass

@@ -39,14 +39,6 @@ class HealthStatus:
     WARN = "HEALTH_WARN"
     ERR = "HEALTH_ERR"
 
-    #: Severity order used by invariant probes (higher is worse).
-    RANK = {OK: 0, WARN: 1, ERR: 2}
-
-    @classmethod
-    def severity(cls, status: str) -> int:
-        """Numeric severity of a health status (raises on unknown)."""
-        return cls.RANK[status]
-
 
 @dataclass(frozen=True)
 class HealthReport:

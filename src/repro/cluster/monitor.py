@@ -414,17 +414,5 @@ class Monitor:
             if now < until
         }
 
-    def detection_time(self, osd_id: int) -> Optional[float]:
-        """When the OSD was marked down, if it has been."""
-        if osd_id in self.down_since:
-            return self.down_since[osd_id]
-        for record in self.log:
-            if (
-                record.message.startswith("no heartbeats")
-                and record.field("osd") == self.osds[osd_id].name
-            ):
-                return record.time
-        return None
-
     def is_out(self, osd_id: int) -> bool:
         return osd_id in self.out_osds

@@ -99,21 +99,6 @@ class ChunkLayout:
     units: int
     chunk_stored_bytes: int
 
-    @property
-    def padding_bytes_total(self) -> int:
-        """Zero-padding across all k data chunks (parity mirrors data)."""
-        return self.k * self.chunk_stored_bytes - self.object_size
-
-    @property
-    def stored_bytes_total(self) -> int:
-        """Bytes stored across all n chunks, before metadata."""
-        return self.n * self.chunk_stored_bytes
-
-    @property
-    def stripe_span(self) -> int:
-        """Client bytes covered by one full stripe row (k * stripe_unit)."""
-        return self.k * self.stripe_unit
-
 
 def layout_object(object_size: int, n: int, k: int, stripe_unit: int) -> ChunkLayout:
     """Apply the division-and-padding policy to one object.

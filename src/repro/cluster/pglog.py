@@ -332,9 +332,3 @@ class PgLog:
             self.tail = oldest.version
             dropped += 1
         return dropped
-
-    def entries_since(self, version: int) -> Optional[List[PgLogEntry]]:
-        """Entries newer than ``version``; None if trimmed past it."""
-        if version < self.tail:
-            return None
-        return [entry for entry in self.entries if entry.version > version]

@@ -158,11 +158,3 @@ class Pool:
         return [
             pg for pg in self.pgs.values() if targets & set(pg.acting)
         ]
-
-    def total_objects(self) -> int:
-        return sum(len(pg.objects) for pg in self.pgs.values())
-
-    def total_logical_bytes(self) -> int:
-        return sum(
-            obj.size for pg in self.pgs.values() for obj in pg.objects
-        )

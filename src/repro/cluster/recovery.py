@@ -339,14 +339,6 @@ class RecoveryManager:
                 self.stats.time_at_min_redundancy += now - since
                 del self._at_min_since[pg_id]
 
-    def pgs_at_tolerance(self) -> int:
-        """PGs currently at margin <= 0 (the benchmark's exposure probe)."""
-        return sum(
-            1
-            for pg_id in sorted(self.pool.pgs)
-            if self.pg_margin(self.pool.pgs[pg_id]) <= 0
-        )
-
     def on_osds_in(self, newly_in: Set[int]) -> None:
         """React to restored OSDs rejoining the map.
 

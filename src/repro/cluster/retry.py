@@ -12,9 +12,7 @@ and byte-identical for a fixed seed.
 from __future__ import annotations
 
 import random
-from typing import List
-
-__all__ = ["DEFAULT_BACKOFF_CAP", "retry_backoff", "retry_schedule"]
+__all__ = ["DEFAULT_BACKOFF_CAP", "retry_backoff"]
 
 #: Upper bound on a single backoff delay (seconds); keeps a long retry
 #: chain from sleeping past the fault window it is waiting out.
@@ -42,18 +40,3 @@ def retry_backoff(
         raise ValueError(f"backoff cap must be positive, got {cap}")
     delay = base * (2.0 ** (attempt - 1)) * (1.0 + 0.5 * rng.random())
     return min(delay, cap)
-
-
-def retry_schedule(
-    attempts: int,
-    base: float,
-    rng: random.Random,
-    cap: float = DEFAULT_BACKOFF_CAP,
-) -> List[float]:
-    """The full delay schedule a retry loop would sleep through."""
-    if attempts < 0:
-        raise ValueError(f"attempts must be >= 0, got {attempts}")
-    return [
-        retry_backoff(attempt, base, rng, cap)
-        for attempt in range(1, attempts + 1)
-    ]

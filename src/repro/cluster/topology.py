@@ -130,10 +130,6 @@ class ClusterTopology:
         return len(self.hosts)
 
     @property
-    def num_osds(self) -> int:
-        return len(self.osds)
-
-    @property
     def wan(self) -> Optional[WanFabric]:
         """The WAN fabric, or None on a single-region topology."""
         return self.fabric if isinstance(self.fabric, WanFabric) else None

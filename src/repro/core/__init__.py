@@ -8,7 +8,7 @@ The public experiment API most users want is
 
 from .controller import Controller
 from .coordinator import Coordinator, ExperimentOutcome, ExperimentTimeout
-from .experiment import RepeatedResult, repeat_experiment, run_experiment
+from .experiment import run_experiment
 from .fault_injector import (
     FAULT_LEVELS,
     GRAY_LEVELS,
@@ -49,8 +49,6 @@ __all__ = [
     "Coordinator",
     "ExperimentOutcome",
     "ExperimentTimeout",
-    "RepeatedResult",
-    "repeat_experiment",
     "run_experiment",
     "FAULT_LEVELS",
     "GRAY_LEVELS",

@@ -161,12 +161,13 @@ class ByzantineState:
                 record.mark_detected(now, "epoch")
                 self.detections["epoch"] += 1
 
-    def detect_corrupt(self, pgid: str, name: str, shard: int, now: float,
-                       by: str = "scrub") -> None:
+    def detect_corrupt(self, pgid: str, name: str, shard: int,
+                       now: float) -> None:
+        """Scrub found a lying shard: its corrupt records are detected."""
         for record in self._corrupt.pop((pgid, name, shard), ()):
             if not record.detected:
-                record.mark_detected(now, by)
-                self.detections[by] += 1
+                record.mark_detected(now, "scrub")
+                self.detections["scrub"] += 1
 
     def reveal_false_acks(self, pg, now: float, by: str) -> int:
         """Version cross-check over one PG: every undetected false ack on

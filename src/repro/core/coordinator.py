@@ -36,11 +36,9 @@ from .timeline import (
     FlapTimeline,
     RecoveryTimeline,
     ScrubTimeline,
-    TenantSloTimeline,
     TimelineError,
     build_flap_timeline,
     build_scrub_timeline,
-    build_tenant_slo_timeline,
     build_timeline,
 )
 from .wa import WaReport, measure_wa
@@ -120,15 +118,6 @@ class ExperimentOutcome:
             return build_flap_timeline(self.collector)
         except TimelineError:
             return None
-
-    def slo_timeline(self) -> TenantSloTimeline:
-        """The per-tenant SLO-violation band (Figure-3 style)."""
-        return build_tenant_slo_timeline(
-            [(report.name, list(report.slo_violations)) for report in self.reports],
-            started_at=self.fleet.started_at or 0.0,
-            duration=self.fleet.duration,
-            fault_window=self.fault_window,
-        )
 
     def digest(self) -> Dict[str, Any]:
         """Canonical JSON-serialisable snapshot (the determinism contract).

@@ -5,15 +5,13 @@ This is the public entry point the examples and benchmarks use::
     result = run_experiment(profile, workload, [FaultSpec(level="node")])
     result.total_recovery_time
 
-``repeat_experiment`` mirrors §4.1's "average recovery time of three
-runs": same configuration, different seeds, averaged.
+:func:`iter_experiments` is the seed loop behind §4.1's "average
+recovery time of three runs": same configuration, different seeds.
 """
 
 from __future__ import annotations
 
-import statistics
-from dataclasses import dataclass
-from typing import Iterator, List, Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from ..workload.generator import Workload
 from .controller import Controller
@@ -21,9 +19,7 @@ from .coordinator import ExperimentOutcome
 from .fault_injector import FaultSpec
 from .profile import ExperimentProfile
 
-__all__ = [
-    "run_experiment", "iter_experiments", "repeat_experiment", "RepeatedResult",
-]
+__all__ = ["run_experiment", "iter_experiments"]
 
 
 def run_experiment(
@@ -47,32 +43,6 @@ def run_experiment(
     )
 
 
-@dataclass(frozen=True)
-class RepeatedResult:
-    """Aggregate over repeated runs of one configuration."""
-
-    outcomes: tuple
-
-    @property
-    def recovery_times(self) -> List[float]:
-        return [o.total_recovery_time for o in self.outcomes]
-
-    @property
-    def mean_recovery_time(self) -> float:
-        return statistics.fmean(self.recovery_times)
-
-    @property
-    def stdev_recovery_time(self) -> float:
-        times = self.recovery_times
-        return statistics.stdev(times) if len(times) > 1 else 0.0
-
-    @property
-    def mean_checking_fraction(self) -> float:
-        return statistics.fmean(
-            o.timeline.checking_fraction for o in self.outcomes
-        )
-
-
 def iter_experiments(
     profile: ExperimentProfile,
     workload: Workload,
@@ -90,18 +60,3 @@ def iter_experiments(
             profile, workload, faults, seed=base_seed + run, **options
         )
 
-
-def repeat_experiment(
-    profile: ExperimentProfile,
-    workload: Workload,
-    faults: Sequence[FaultSpec],
-    runs: int = 3,
-    base_seed: int = 0,
-    settle_time: float = 60.0,
-    max_sim_time: float = 200_000.0,
-) -> RepeatedResult:
-    """Run the same configuration ``runs`` times with distinct seeds."""
-    return RepeatedResult(outcomes=tuple(iter_experiments(
-        profile, workload, faults, runs, base_seed,
-        settle_time=settle_time, max_sim_time=max_sim_time,
-    )))

@@ -50,11 +50,3 @@ class LogBus:
         new = log[offset:]
         self._offsets[key] = len(log)
         return new
-
-    def peek_all(self, topic: str) -> List[BusMessage]:
-        """Every message ever published on a topic (no offset change)."""
-        return list(self._topics.get(topic, []))
-
-    def depth(self, topic: str, group: str = "coordinator") -> int:
-        """Unconsumed backlog for a consumer group."""
-        return len(self._topics.get(topic, [])) - self._offsets.get((topic, group), 0)

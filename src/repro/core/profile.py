@@ -4,9 +4,11 @@ An :class:`ExperimentProfile` captures "all EC-related configurations in
 an experimental profile": the EC plugin and its parameters, the basic
 encoding unit (``stripe_unit``), pool settings (``pg_num``, failure
 domain), and the system features that affect EC operations (backend,
-caching scheme, device class, interface) — i.e., one row through Table 1.
-Profiles validate against the same option space Table 1 lists and know
-how to instantiate their erasure code and cache configuration.
+caching scheme, device class) — i.e., one row through Table 1.  Table
+1's interface row (RADOS, RGW, RBD, CephFS) is not modelled: the
+workload is a stream of RADOS object writes.  Profiles validate against
+the option space Table 1 lists and know how to instantiate their
+erasure code and cache configuration.
 """
 
 from __future__ import annotations
@@ -27,7 +29,6 @@ from ..sim import Environment
 __all__ = ["ExperimentProfile", "PAPER_RS_PROFILE", "PAPER_CLAY_PROFILE"]
 
 _BACKENDS = ("bluestore", "filestore")
-_INTERFACES = ("rados", "rgw", "rbd", "cephfs")
 _DEVICE_CLASSES = ("ssd", "hdd")
 
 KB = 1024
@@ -47,9 +48,6 @@ class ExperimentProfile:
     # Ceph storage backend + cache (Table 1 rows 1-2).
     backend: str = "bluestore"
     cache_scheme: str = "autotune"
-    # Interface (row 3) — recorded for the profile; the object workload
-    # model is interface-agnostic.
-    interface: str = "rados"
     # Pool configuration (row 4).
     pg_num: int = 256
     # EC plugin / technique / parameters (rows 5, 6, 9).
@@ -91,10 +89,6 @@ class ExperimentProfile:
     def __post_init__(self):
         if self.backend not in _BACKENDS:
             raise ValueError(f"unknown backend {self.backend!r}; options: {_BACKENDS}")
-        if self.interface not in _INTERFACES:
-            raise ValueError(
-                f"unknown interface {self.interface!r}; options: {_INTERFACES}"
-            )
         if self.device_class not in _DEVICE_CLASSES:
             raise ValueError(f"unknown device class {self.device_class!r}")
         if self.failure_domain not in FailureDomain.ALL:

@@ -12,6 +12,9 @@ from typing import Dict, Mapping, Optional, Sequence
 
 __all__ = ["normalise", "Series", "format_grouped_bars", "format_table"]
 
+#: Character columns of the longest bar in :func:`format_grouped_bars`.
+BAR_COLUMNS = 40
+
 
 def normalise(values: Mapping[str, float], baseline: Optional[str] = None) -> Dict[str, float]:
     """Divide every value by the baseline (default: the minimum value).
@@ -39,10 +42,12 @@ def format_grouped_bars(
     title: str,
     groups: Sequence[str],
     series: Sequence[Series],
-    unit: str = "x",
-    width: int = 40,
 ) -> str:
-    """ASCII rendition of a grouped bar chart (one Figure 2 panel)."""
+    """ASCII rendition of a grouped bar chart (one Figure 2 panel).
+
+    Bars scale to :data:`BAR_COLUMNS` characters at the peak value;
+    values are ratios, printed with an ``x``.
+    """
     lines = [title, "=" * len(title)]
     peak = max(
         (s.values[g] for s in series for g in groups if g in s.values),
@@ -54,8 +59,8 @@ def format_grouped_bars(
             if group not in s.values:
                 continue
             value = s.values[group]
-            bar = "#" * max(1, round(width * value / peak))
-            lines.append(f"  {s.label:<16} {bar} {value:.2f}{unit}")
+            bar = "#" * max(1, round(BAR_COLUMNS * value / peak))
+            lines.append(f"  {s.label:<16} {bar} {value:.2f}x")
     return "\n".join(lines)
 
 

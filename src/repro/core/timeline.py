@@ -22,12 +22,10 @@ __all__ = [
     "RecoveryTimeline",
     "ScrubTimeline",
     "FlapTimeline",
-    "TenantSloTimeline",
     "TimelineError",
     "build_timeline",
     "build_scrub_timeline",
     "build_flap_timeline",
-    "build_tenant_slo_timeline",
     "first_nonmonotone",
 ]
 
@@ -185,11 +183,6 @@ class FlapTimeline:
     marked_in: Optional[float] = None
     health_ok: Optional[float] = None
 
-    @property
-    def thrash_period(self) -> float:
-        """First markdown -> dampening pin (the detector-thrash window)."""
-        return self.pinned - self.first_markdown
-
     def annotations(self) -> List[Tuple[float, str]]:
         """(relative time, label) pairs for a Figure-3-style gray band."""
         zero = (
@@ -217,74 +210,6 @@ class FlapTimeline:
         if self.health_ok is not None:
             marks.append((self.health_ok - zero, "HEALTH_OK restored"))
         return marks
-
-
-@dataclass(frozen=True)
-class TenantSloTimeline:
-    """Per-tenant SLO-violation bands over one fleet run.
-
-    The Fig-3-style breakdown gains a *tenancy band*: for every tenant
-    that declared an SLO, the windows where it was violated, laid over
-    the run's fault window.  A violation window inside the fault window
-    is *attributable* (the fault cost that tenant its SLO); one outside
-    it is what the chaos fairness invariant flags.
-    """
-
-    #: (tenant name, violation windows) in fleet-spec order.
-    tenants: Tuple[Tuple[str, Tuple[Tuple[float, float], ...]], ...]
-    started_at: float
-    duration: float
-    fault_window: Optional[Tuple[float, float]] = None
-
-    @property
-    def violated_tenants(self) -> List[str]:
-        """Names of tenants with at least one violation window."""
-        return [name for name, windows in self.tenants if windows]
-
-    def annotations(self) -> List[Tuple[float, str]]:
-        """(relative time, label) pairs for a Figure-3-style tenancy band."""
-        zero = self.started_at
-        marks: List[Tuple[float, str]] = [(0.0, "Tenant fleet started")]
-        if self.fault_window is not None:
-            start, end = self.fault_window
-            marks.append((start - zero, "Fault window opened"))
-            marks.append((end - zero, "Fault window closed"))
-        for name, windows in self.tenants:
-            for v_start, v_end in windows:
-                marks.append(
-                    (v_start - zero, f"Tenant {name} SLO violation started")
-                )
-                marks.append(
-                    (v_end - zero, f"Tenant {name} SLO violation ended")
-                )
-        marks.append((self.duration, "Tenant fleet drained"))
-        marks.sort(key=lambda mark: mark[0])
-        return marks
-
-
-def build_tenant_slo_timeline(
-    tenants,
-    started_at: float,
-    duration: float,
-    fault_window: Optional[Tuple[float, float]] = None,
-) -> TenantSloTimeline:
-    """Build the tenancy band from per-tenant violation windows.
-
-    ``tenants`` is a list of ``(name, windows)`` pairs as produced by
-    the tenancy accounting layer.  Raises :class:`TimelineError` when
-    the fleet never ran (zero duration) — there is no band to draw.
-    """
-    if duration <= 0:
-        raise TimelineError("tenant fleet never ran; no band to draw")
-    return TenantSloTimeline(
-        tenants=tuple(
-            (name, tuple(tuple(window) for window in windows))
-            for name, windows in tenants
-        ),
-        started_at=started_at,
-        duration=duration,
-        fault_window=tuple(fault_window) if fault_window is not None else None,
-    )
 
 
 def build_timeline(collector: LogCollector) -> RecoveryTimeline:

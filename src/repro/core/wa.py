@@ -28,7 +28,6 @@ __all__ = [
     "chunk_stored_size",
     "estimate_wa",
     "measure_wa",
-    "overwrite_amplification",
 ]
 
 
@@ -98,23 +97,7 @@ def estimate_wa(
     return (n * s_chunk + meta_bytes) / object_size
 
 
-def overwrite_amplification(cluster: CephCluster) -> float:
-    """Device bytes rewritten per logical overwrite byte.
-
-    Overwrites are ledgered separately from ingest (they change no
-    allocation, so they are excluded from the conservation identity);
-    this is their amplification factor.  A full-stripe overwrite pays
-    ~n/k like ingest; a partial-stripe RMW of one stripe unit rewrites
-    the unit plus every parity unit, amplifying by ~(1 + m).  Returns
-    0.0 when the workload never overwrote anything.
-    """
-    ledger = cluster.ledger
-    if ledger.overwrite_client_bytes == 0:
-        return 0.0
-    return ledger.overwrite_stored_bytes / ledger.overwrite_client_bytes
-
-
-def measure_wa(cluster: CephCluster, workload_bytes: int, label: str = "") -> WaReport:
+def measure_wa(cluster: CephCluster, workload_bytes: int) -> WaReport:
     """Measure the Actual WA Factor on a cluster after workload ingest.
 
     Reads the OSD-level usage (the sum of every OSD's allocations and
@@ -124,7 +107,7 @@ def measure_wa(cluster: CephCluster, workload_bytes: int, label: str = "") -> Wa
         raise ValueError("workload_bytes must be non-negative")
     code = cluster.pool.code
     return WaReport(
-        code_label=label or f"{code.plugin_name}({code.n},{code.k})",
+        code_label=f"{code.plugin_name}({code.n},{code.k})",
         n=code.n,
         k=code.k,
         stripe_unit=cluster.pool.stripe_unit,

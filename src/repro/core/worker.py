@@ -15,7 +15,7 @@ One Worker runs on every DataNode of the target DSS and does two things:
 from __future__ import annotations
 
 import random
-from typing import Dict, Generator, List, Optional
+from typing import Dict, Generator, List
 
 from ..cluster.ceph import CephCluster
 from ..cluster.network import NetDegradation
@@ -260,10 +260,9 @@ class Worker:
             self._net_degraded = False
 
 
-def deploy_workers(cluster: CephCluster, provision: bool = True) -> Dict[int, Worker]:
-    """Stand up one Worker per OSD host, optionally provisioning disks."""
+def deploy_workers(cluster: CephCluster) -> Dict[int, Worker]:
+    """Stand up one Worker per OSD host and provision its disks."""
     workers = {host_id: Worker(cluster, host_id) for host_id in cluster.topology.hosts}
-    if provision:
-        for worker in workers.values():
-            worker.provision_disks()
+    for worker in workers.values():
+        worker.provision_disks()
     return workers

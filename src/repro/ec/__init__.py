@@ -18,12 +18,7 @@ from .base import (
 from .clay import ClayCode
 from .lrc import LocallyRepairableCode
 from .reed_solomon import IsaReedSolomon, ReedSolomon
-from .repair import (
-    RepairTraffic,
-    compare_repair_bandwidth,
-    split_traffic_by_region,
-    traffic_for_plan,
-)
+from .repair import RepairTraffic, traffic_for_plan
 from .shec import ShingledErasureCode
 
 __all__ = [
@@ -41,7 +36,5 @@ __all__ = [
     "IsaReedSolomon",
     "ShingledErasureCode",
     "RepairTraffic",
-    "compare_repair_bandwidth",
-    "split_traffic_by_region",
     "traffic_for_plan",
 ]

@@ -72,17 +72,9 @@ class RepairPlan:
     reads: tuple
     decode_work: float = 1.0
 
-    @property
-    def helpers(self) -> int:
-        return len(self.reads)
-
     def read_fraction_total(self) -> float:
         """Total data read, in units of one chunk."""
         return sum(read.fraction for read in self.reads)
-
-    def repair_bandwidth_ratio(self, k: int) -> float:
-        """Data read relative to the conventional k-chunk RS repair."""
-        return self.read_fraction_total() / float(k)
 
 
 class ErasureCode(ABC):

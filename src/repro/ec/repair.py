@@ -10,16 +10,11 @@ tests, the simulator, and the figures.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable
+from typing import Dict
 
-from .base import ErasureCode, RepairPlan
+from .base import RepairPlan
 
-__all__ = [
-    "RepairTraffic",
-    "traffic_for_plan",
-    "split_traffic_by_region",
-    "compare_repair_bandwidth",
-]
+__all__ = ["RepairTraffic", "traffic_for_plan"]
 
 
 @dataclass(frozen=True)
@@ -36,14 +31,6 @@ class RepairTraffic:
     write_bytes: int
     write_ops: int
     decode_work: float
-
-    @property
-    def total_read_bytes(self) -> int:
-        return sum(self.read_bytes_by_chunk.values())
-
-    @property
-    def total_read_ops(self) -> int:
-        return sum(self.read_ops_by_chunk.values())
 
 
 def traffic_for_plan(
@@ -76,43 +63,3 @@ def traffic_for_plan(
         decode_work=plan.decode_work,
     )
 
-
-def split_traffic_by_region(
-    traffic: RepairTraffic,
-    region_by_chunk: Dict[int, int],
-    primary_region: int,
-) -> Dict[str, int]:
-    """Split a stripe repair's read bytes into local vs cross-region.
-
-    ``region_by_chunk`` maps chunk index -> region of the shard's host;
-    reads whose helper sits outside ``primary_region`` must cross the
-    WAN to reach the decoding primary.  This is the analytical side of
-    the cross-region accounting the recovery manager does live — the geo
-    benchmark and example use it to predict what the DES then measures.
-    """
-    local = 0
-    cross = 0
-    for chunk_index, nbytes in traffic.read_bytes_by_chunk.items():
-        if region_by_chunk.get(chunk_index, primary_region) == primary_region:
-            local += nbytes
-        else:
-            cross += nbytes
-    return {"local_read_bytes": local, "cross_region_read_bytes": cross}
-
-
-def compare_repair_bandwidth(
-    codes: Iterable[ErasureCode], lost: Iterable[int]
-) -> Dict[str, float]:
-    """Repair bandwidth (in chunk units) per code for the same loss set.
-
-    A quick analytical comparison used by examples and ablations: for
-    Clay(12,9,11) vs RS(12,9) and a single loss this reports
-    11 * (1/3) ~= 3.67 vs 9.0 chunk reads.
-    """
-    out: Dict[str, float] = {}
-    lost_list = list(lost)
-    for code in codes:
-        alive = [i for i in range(code.n) if i not in lost_list]
-        plan = code.repair_plan(lost_list, alive)
-        out[f"{code.plugin_name}({code.n},{code.k})"] = plan.read_fraction_total()
-    return out

@@ -7,7 +7,7 @@ event kernel (:mod:`repro.sim.engine`), contention primitives
 """
 
 from .engine import AllOf, AnyOf, Environment, Event, Interrupt, Process, Timeout
-from .resources import Resource, ServiceCenter, Store
+from .resources import Resource, ServiceCenter
 from .rng import SeedSequence, substream_seed
 
 __all__ = [
@@ -20,7 +20,6 @@ __all__ = [
     "Timeout",
     "Resource",
     "ServiceCenter",
-    "Store",
     "SeedSequence",
     "substream_seed",
 ]

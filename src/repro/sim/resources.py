@@ -1,6 +1,6 @@
 """Contention primitives built on the simulation kernel.
 
-Three building blocks cover everything the cluster model needs:
+Two building blocks cover everything the cluster model needs:
 
 * :class:`Resource` — a counted semaphore with a FIFO waiter queue.  OSD
   recovery slots (``osd_recovery_max_active``) and per-host backfill
@@ -11,18 +11,16 @@ Three building blocks cover everything the cluster model needs:
   and the center serialises concurrent users, which is where queueing delay
   — the phenomenon behind most of the paper's configuration effects —
   comes from.
-* :class:`Store` — an unbounded FIFO hand-off queue used by the Kafka-like
-  log bus.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Deque, List
+from typing import Deque
 
 from .engine import Environment, Event, _process_event
 
-__all__ = ["Resource", "ServiceCenter", "Store"]
+__all__ = ["Resource", "ServiceCenter"]
 
 
 class Resource:
@@ -140,12 +138,6 @@ class ServiceCenter:
         job._ok = True
         _process_event(job)
 
-    def utilisation(self, elapsed: float) -> float:
-        """Fraction of one server's time spent busy over ``elapsed``."""
-        if elapsed <= 0:
-            return 0.0
-        return self.busy_time / (elapsed * self.servers)
-
 
 class _Job(Event):
     """One service-center job: the event its submitter waits on."""
@@ -156,36 +148,3 @@ class _Job(Event):
         super().__init__(env)
         self.service_time = service_time
 
-
-class Store:
-    """Unbounded FIFO queue for message hand-off between processes."""
-
-    def __init__(self, env: Environment):
-        self.env = env
-        self._items: Deque[Any] = deque()
-        self._getters: Deque[Event] = deque()
-
-    def __len__(self) -> int:
-        return len(self._items)
-
-    def put(self, item: Any) -> None:
-        """Deposit an item, waking the oldest blocked getter if any."""
-        if self._getters:
-            self._getters.popleft().succeed(item)
-        else:
-            self._items.append(item)
-
-    def get(self) -> Event:
-        """Return an event yielding the next item (blocks until one exists)."""
-        event = self.env.event()
-        if self._items:
-            event.succeed(self._items.popleft())
-        else:
-            self._getters.append(event)
-        return event
-
-    def drain(self) -> List[Any]:
-        """Remove and return all queued items without blocking."""
-        items = list(self._items)
-        self._items.clear()
-        return items

@@ -11,11 +11,8 @@ from __future__ import annotations
 
 import hashlib
 import random
-from typing import Sequence, TypeVar
 
 __all__ = ["SeedSequence", "substream_seed"]
-
-T = TypeVar("T")
 
 
 def substream_seed(root_seed: int, name: str) -> int:
@@ -41,7 +38,3 @@ class SeedSequence:
         universe derived from one run-level seed.
         """
         return SeedSequence(substream_seed(self.root_seed, name))
-
-    def choice_stream(self, name: str, population: Sequence[T]) -> T:
-        """Convenience: one deterministic choice from ``population``."""
-        return self.stream(name).choice(list(population))

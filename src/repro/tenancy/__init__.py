@@ -18,7 +18,6 @@ from .accounting import (
     fleet_reports,
     merge_windows,
     slo_violation_windows,
-    windows_overlap,
 )
 from .experiment import run_tenant_experiment
 from .fleet import TenantFleet, TenantRuntime, install_qos
@@ -51,5 +50,4 @@ __all__ = [
     "run_tenant_experiment",
     "slo_violation_windows",
     "tenant_class_name",
-    "windows_overlap",
 ]

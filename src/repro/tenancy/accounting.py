@@ -26,7 +26,6 @@ __all__ = [
     "fleet_reports",
     "slo_violation_windows",
     "merge_windows",
-    "windows_overlap",
 ]
 
 
@@ -41,14 +40,6 @@ def merge_windows(
         else:
             merged.append((start, end))
     return merged
-
-
-def windows_overlap(
-    window: Tuple[float, float], others: List[Tuple[float, float]]
-) -> bool:
-    """True when ``window`` intersects any window in ``others``."""
-    start, end = window
-    return any(start <= o_end and o_start <= end for o_start, o_end in others)
 
 
 def slo_violation_windows(

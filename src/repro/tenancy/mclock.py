@@ -80,10 +80,6 @@ class QosClassStats:
     total_wait: float = 0.0
     max_wait: float = 0.0
 
-    @property
-    def in_flight(self) -> int:
-        return self.enqueued - self.served
-
 
 @dataclass
 class _Job:
@@ -150,10 +146,6 @@ class MClockScheduler:
     def classes(self) -> Dict[str, QosClassStats]:
         """Per-class stats, keyed by class name (deterministic order)."""
         return {name: state.stats for name, state in sorted(self._classes.items())}
-
-    def queue_length(self, class_name: str) -> int:
-        state = self._classes.get(class_name)
-        return len(state.queue) if state is not None else 0
 
     @property
     def pending(self) -> int:

@@ -52,9 +52,6 @@ from .space import (
     CategoricalAxis,
     Constraint,
     EcVariantAxis,
-    IntRangeAxis,
-    LogScaleAxis,
-    PowerOfTwoAxis,
     TuningSpace,
     pool_width_fits,
     stripe_unit_divides,
@@ -98,9 +95,6 @@ __all__ = [
     "CategoricalAxis",
     "Constraint",
     "EcVariantAxis",
-    "IntRangeAxis",
-    "LogScaleAxis",
-    "PowerOfTwoAxis",
     "TuningSpace",
     "pool_width_fits",
     "stripe_unit_divides",

@@ -2,12 +2,12 @@
 
 The paper sweeps hand-picked grids; the tuner searches *spaces*.  A
 :class:`TuningSpace` pairs a base :class:`ExperimentProfile` with typed
-axes — categorical values, integer ranges, powers of two, log-scale
-grids, and whole EC variants — plus cross-axis :class:`Constraint`\\ s
-(``k+m <= num_osds``, stripe-unit divisibility, ...).  The space can
-enumerate every valid point, rejection-sample valid points from a seeded
-RNG, validate arbitrary points, and render any point as a runnable
-profile or as a canonical signature string the evaluator memoises by.
+axes — categorical values and whole EC variants — plus cross-axis
+:class:`Constraint`\\ s (``k+m <= num_osds``, stripe-unit divisibility,
+...).  The space can enumerate every valid point, rejection-sample valid
+points from a seeded RNG, validate arbitrary points, and render any
+point as a runnable profile or as a canonical signature string the
+evaluator memoises by.
 
 A *point* is a plain ``dict`` mapping axis names to values; the special
 axis name ``"ec"`` carries a ``(plugin, params)`` pair and expands to the
@@ -25,9 +25,6 @@ from ..core.profile import ExperimentProfile
 __all__ = [
     "Axis",
     "CategoricalAxis",
-    "IntRangeAxis",
-    "PowerOfTwoAxis",
-    "LogScaleAxis",
     "EcVariantAxis",
     "Constraint",
     "pool_width_fits",
@@ -39,6 +36,9 @@ __all__ = [
 
 #: The reserved axis name that sweeps whole (plugin, params) EC variants.
 EC_AXIS = "ec"
+
+#: Draws :meth:`TuningSpace.sample` makes before it gives up.
+SAMPLE_ATTEMPTS = 10_000
 
 
 class Axis:
@@ -82,81 +82,6 @@ class CategoricalAxis(Axis):
 
     def values(self) -> Tuple[Any, ...]:
         return self.choices
-
-
-@dataclass(frozen=True)
-class IntRangeAxis(Axis):
-    """Integers ``lo..hi`` inclusive, stepped by ``step``."""
-
-    name: str
-    lo: int
-    hi: int
-    step: int = 1
-
-    def __post_init__(self):
-        if self.step < 1:
-            raise ValueError(f"axis {self.name!r}: step must be >= 1")
-        if self.hi < self.lo:
-            raise ValueError(f"axis {self.name!r}: hi < lo")
-
-    def values(self) -> Tuple[int, ...]:
-        return tuple(range(self.lo, self.hi + 1, self.step))
-
-
-@dataclass(frozen=True)
-class PowerOfTwoAxis(Axis):
-    """Every power of two in ``[lo, hi]`` (pg_num-shaped axes)."""
-
-    name: str
-    lo: int
-    hi: int
-
-    def __post_init__(self):
-        if self.lo < 1 or self.hi < self.lo:
-            raise ValueError(f"axis {self.name!r}: need 1 <= lo <= hi")
-        if not self.values():
-            raise ValueError(f"axis {self.name!r}: no powers of two in range")
-
-    def values(self) -> Tuple[int, ...]:
-        out: List[int] = []
-        power = 1
-        while power <= self.hi:
-            if power >= self.lo:
-                out.append(power)
-            power *= 2
-        return tuple(out)
-
-
-@dataclass(frozen=True)
-class LogScaleAxis(Axis):
-    """``points`` geometrically spaced integers from ``lo`` to ``hi``.
-
-    Natural for byte-sized axes like ``stripe_unit`` where the paper
-    itself sweeps 4KB/4MB/64MB — three decades, not three steps.
-    """
-
-    name: str
-    lo: int
-    hi: int
-    points: int
-
-    def __post_init__(self):
-        if self.lo < 1 or self.hi < self.lo:
-            raise ValueError(f"axis {self.name!r}: need 1 <= lo <= hi")
-        if self.points < 2 and self.lo != self.hi:
-            raise ValueError(f"axis {self.name!r}: need >= 2 points")
-
-    def values(self) -> Tuple[int, ...]:
-        if self.lo == self.hi:
-            return (self.lo,)
-        ratio = (self.hi / self.lo) ** (1.0 / (self.points - 1))
-        out: List[int] = []
-        for i in range(self.points):
-            value = int(round(self.lo * ratio**i))
-            if not out or value != out[-1]:
-                out.append(value)
-        out[-1] = self.hi
-        return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -353,19 +278,19 @@ class TuningSpace:
 
         yield from expand(0, {})
 
-    def sample(self, rng, count: int, max_attempts: int = 10_000) -> List[Dict[str, Any]]:
+    def sample(self, rng, count: int) -> List[Dict[str, Any]]:
         """``count`` distinct valid points by seeded rejection sampling.
 
         Deterministic for a given RNG stream.  Raises if the space
         cannot yield that many distinct valid points within
-        ``max_attempts`` draws (dense constraint rejection or a space
-        smaller than ``count``).
+        :data:`SAMPLE_ATTEMPTS` draws (dense constraint rejection or a
+        space smaller than ``count``).
         """
         if count < 1:
             raise ValueError("count must be >= 1")
         points: List[Dict[str, Any]] = []
         seen: set = set()
-        for _ in range(max_attempts):
+        for _ in range(SAMPLE_ATTEMPTS):
             if len(points) >= count:
                 return points
             point = {axis.name: axis.sample(rng) for axis in self.axes}
@@ -378,7 +303,7 @@ class TuningSpace:
             return points
         raise ValueError(
             f"could not sample {count} distinct valid points in "
-            f"{max_attempts} attempts (got {len(points)}; space size "
+            f"{SAMPLE_ATTEMPTS} attempts (got {len(points)}; space size "
             f"{self.size()} before constraints)"
         )
 

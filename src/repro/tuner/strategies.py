@@ -25,7 +25,7 @@ what it measured so far; the budget is a hard ceiling, never overdrawn.
 from __future__ import annotations
 
 import math
-from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence
 
 from ..analysis.sensitivity import rank_axes
 from .evaluator import BudgetExhaustedError, Evaluator, Fidelity, Measurement
@@ -255,13 +255,6 @@ class SuccessiveHalving(Strategy):
         self.fidelities = tuple(fidelities)
         self.eta = eta
         self.initial = initial
-
-    def rungs(self, population: int) -> List[int]:
-        """Survivor counts per rung for an initial population."""
-        counts = [population]
-        for _ in self.fidelities[1:]:
-            counts.append(max(1, math.ceil(counts[-1] / self.eta)))
-        return counts
 
     def search(
         self, space: TuningSpace, evaluator: Evaluator, seed: int

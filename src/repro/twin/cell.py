@@ -10,13 +10,13 @@ at the twin without knowing the difference.  The twin is deterministic, so ``run
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import List
 
 from ..core.fault_injector import FaultSpec
 from ..core.profile import ExperimentProfile
 from ..core.sweep import SweepResult
 from ..workload.generator import Workload
-from .model import AnalyticalTwin, TwinCalibration
+from .model import AnalyticalTwin
 
 __all__ = ["twin_run_cell"]
 
@@ -27,11 +27,9 @@ def twin_run_cell(
     faults: List[FaultSpec],
     runs: int,
     base_seed: int,
-    calibration: Optional[TwinCalibration] = None,
 ) -> SweepResult:
     """Evaluate one grid cell analytically; returns a DES-shaped row."""
-    twin = AnalyticalTwin(calibration)
-    prediction = twin.predict(profile, workload, faults)
+    prediction = AnalyticalTwin().predict(profile, workload, faults)
     return SweepResult(
         label=prediction.label,
         settings=prediction.settings,

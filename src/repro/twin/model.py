@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..cluster.bluestore import BlueStore
@@ -875,8 +875,10 @@ class AnalyticalTwin:
     ) -> float:
         """Device bytes rewritten per logical overwrite byte.
 
-        The closed form behind :func:`repro.core.wa.overwrite_amplification`:
-        a partial-stripe RMW of one stripe unit rewrites the data unit
+        The closed form of the WA ledger's measured ratio
+        ``overwrite_stored_bytes / overwrite_client_bytes``
+        (:class:`repro.cluster.ceph.WaLedger`): a partial-stripe RMW of
+        one stripe unit rewrites the data unit
         plus every parity unit — ``1 + m`` — while a full-stripe
         overwrite re-encodes in place at the ingest ratio ``n / k``.
         ``rmw_fraction`` mixes the two (1.0 = all partial RMWs).

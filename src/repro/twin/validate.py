@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..analysis.stats import spearman
 from ..cluster.bluestore import CACHE_SCHEMES
@@ -30,7 +30,6 @@ from ..core.profile import ExperimentProfile
 from ..core.sweep import run_cell
 from ..workload.generator import Workload
 from .cell import twin_run_cell
-from .model import TwinCalibration
 
 __all__ = [
     "DEFAULT_BOUNDS",
@@ -221,24 +220,17 @@ def default_grid(
 
 def run_differential(
     cases: Optional[Sequence[DifferentialCase]] = None,
-    calibration: Optional[TwinCalibration] = None,
-    bounds: Optional[Dict[str, float]] = None,
-    runs: int = 1,
-    progress: Optional[Callable[[str], None]] = None,
 ) -> CalibrationReport:
-    """Run every case through DES and twin; summarise the error envelope."""
+    """Run every case once through DES and twin, at the case's seed,
+    and summarise the error envelope against :data:`DEFAULT_BOUNDS`."""
     cases = list(cases) if cases is not None else default_grid()
-    bounds = dict(bounds) if bounds is not None else dict(DEFAULT_BOUNDS)
     results: List[CaseResult] = []
     for case in cases:
-        if progress:
-            progress(case.name)
         des_row = run_cell(
-            case.profile, case.workload, list(case.faults), runs, case.seed
+            case.profile, case.workload, list(case.faults), 1, case.seed
         )
         twin_row = twin_run_cell(
-            case.profile, case.workload, list(case.faults), runs, case.seed,
-            calibration=calibration,
+            case.profile, case.workload, list(case.faults), 1, case.seed
         )
         results.append(
             CaseResult(
@@ -260,7 +252,7 @@ def run_differential(
             )
         )
     summaries: Dict[str, MetricSummary] = {}
-    for metric, bound in bounds.items():
+    for metric, bound in DEFAULT_BOUNDS.items():
         errors = [r.rel_error(metric) for r in results]
         # Rank agreement only means something across cases the DES
         # actually distinguishes (drop the zero-recovery gray cases).

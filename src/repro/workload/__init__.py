@@ -1,28 +1,12 @@
 """Workload generation and I/O statistics collection."""
 
-from .generator import (
-    PAPER_DEFAULT,
-    FixedSize,
-    LognormalSizes,
-    MixtureSizes,
-    ObjectWrite,
-    SizeModel,
-    Workload,
-)
-from .interfaces import INTERFACES, InterfaceModel, interface_stream
+from .generator import PAPER_DEFAULT, ObjectWrite, Workload
 from .iostat import IoSample, IostatCollector
 
 __all__ = [
     "PAPER_DEFAULT",
     "ObjectWrite",
-    "SizeModel",
-    "FixedSize",
-    "LognormalSizes",
-    "MixtureSizes",
     "Workload",
-    "INTERFACES",
-    "InterfaceModel",
-    "interface_stream",
     "IoSample",
     "IostatCollector",
 ]

@@ -1,114 +1,22 @@
 """Workload specification and generation.
 
 The paper's default workload is 10,000 x 64 MB object writes (§4.1,
-"comparable to previous work").  At simulation scale that volume is
-parameterised by ``scale`` so the benchmarks stay fast while the figures
-— which the paper reports normalised — keep their shape; the §4.3
-breakdown sweep varies workload size explicitly.
+"comparable to previous work").  The benchmarks write fewer objects so
+they stay fast while the figures — which the paper reports normalised —
+keep their shape; the §4.3 breakdown sweep varies workload size
+explicitly.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Iterator, Optional, Tuple
+from typing import Iterator, Optional
 
 from ..sim.rng import SeedSequence
 
-__all__ = [
-    "ObjectWrite",
-    "Workload",
-    "PAPER_DEFAULT",
-    "SizeModel",
-    "FixedSize",
-    "LognormalSizes",
-    "MixtureSizes",
-]
+__all__ = ["ObjectWrite", "Workload", "PAPER_DEFAULT"]
 
 MB = 1024 * 1024
-
-
-class SizeModel:
-    """Base class for object-size distributions.
-
-    The paper's workload is fixed-size (§4.1), but its §4.4 WA formula is
-    validated "with a variety of object size" — these models generate
-    realistic mixes for that validation and for the WA sweeps.
-    """
-
-    def sample(self, rng) -> int:
-        raise NotImplementedError
-
-    def mean(self) -> float:
-        """Expected object size (used for capacity planning in sweeps)."""
-        raise NotImplementedError
-
-
-@dataclass(frozen=True)
-class FixedSize(SizeModel):
-    """Every object the same size."""
-
-    size: int
-
-    def __post_init__(self):
-        if self.size <= 0:
-            raise ValueError("size must be positive")
-
-    def sample(self, rng) -> int:
-        return self.size
-
-    def mean(self) -> float:
-        return float(self.size)
-
-
-@dataclass(frozen=True)
-class LognormalSizes(SizeModel):
-    """Log-normal sizes — the classic object-store size distribution.
-
-    Parameterised by the distribution's *median* (e^mu) and the shape
-    ``sigma``; samples are clamped to at least one byte.
-    """
-
-    median: int
-    sigma: float = 1.0
-
-    def __post_init__(self):
-        if self.median < 1:
-            raise ValueError("median must be >= 1")
-        if self.sigma <= 0:
-            raise ValueError("sigma must be positive")
-
-    def sample(self, rng) -> int:
-        return max(1, round(rng.lognormvariate(math.log(self.median), self.sigma)))
-
-    def mean(self) -> float:
-        return self.median * math.exp(self.sigma**2 / 2)
-
-
-@dataclass(frozen=True)
-class MixtureSizes(SizeModel):
-    """A weighted mixture of size models (e.g. many small + few huge)."""
-
-    components: Tuple[Tuple[float, SizeModel], ...]
-
-    def __post_init__(self):
-        if not self.components:
-            raise ValueError("mixture needs at least one component")
-        if any(weight <= 0 for weight, _ in self.components):
-            raise ValueError("weights must be positive")
-
-    def sample(self, rng) -> int:
-        total = sum(weight for weight, _ in self.components)
-        draw = rng.uniform(0, total)
-        for weight, model in self.components:
-            draw -= weight
-            if draw <= 0:
-                return model.sample(rng)
-        return self.components[-1][1].sample(rng)
-
-    def mean(self) -> float:
-        total = sum(weight for weight, _ in self.components)
-        return sum(w * m.mean() for w, m in self.components) / total
 
 
 @dataclass(frozen=True)
@@ -125,15 +33,13 @@ class Workload:
 
     ``size_jitter`` adds +/- that fraction of uniform size variation so
     padding effects are exercised on non-round sizes too (0 disables it,
-    matching the paper's fixed-size workload).  A ``size_model`` replaces
-    the fixed size entirely with a distribution (log-normal, mixtures).
+    matching the paper's fixed-size workload).
     """
 
     num_objects: int = 10_000
     object_size: int = 64 * MB
     size_jitter: float = 0.0
     name_prefix: str = "obj"
-    size_model: Optional[SizeModel] = None
 
     def __post_init__(self):
         if self.num_objects < 0:
@@ -147,29 +53,14 @@ class Workload:
     def total_bytes(self) -> int:
         return self.num_objects * self.object_size
 
-    def scaled(self, scale: float) -> "Workload":
-        """Same per-object shape, ``scale`` times the object count."""
-        if scale <= 0:
-            raise ValueError("scale must be positive")
-        return Workload(
-            num_objects=max(1, round(self.num_objects * scale)),
-            object_size=self.object_size,
-            size_jitter=self.size_jitter,
-            name_prefix=self.name_prefix,
-            size_model=self.size_model,
-        )
-
     def writes(self, seeds: Optional[SeedSequence] = None) -> Iterator[ObjectWrite]:
         """Generate the write stream (deterministic for a given seed)."""
         rng = (seeds or SeedSequence(0)).stream("workload")
         for index in range(self.num_objects):
-            if self.size_model is not None:
-                size = self.size_model.sample(rng)
-            else:
-                size = self.object_size
-                if self.size_jitter:
-                    spread = self.size_jitter * self.object_size
-                    size = max(1, int(self.object_size + rng.uniform(-spread, spread)))
+            size = self.object_size
+            if self.size_jitter:
+                spread = self.size_jitter * self.object_size
+                size = max(1, int(self.object_size + rng.uniform(-spread, spread)))
             yield ObjectWrite(name=f"{self.name_prefix}-{index:08d}", size=size)
 
 

@@ -2,14 +2,14 @@
 
 ECFault runs ``iostat`` on every DSS server; here a kernel timer walks
 the simulated disks on a fixed interval and records deltas, yielding the
-same per-device time series (ops/s, bytes/s, utilisation) the real
+same per-device time series (ops and bytes per interval) the real
 framework parses.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from ..sim import Environment
 from ..cluster.devices import Disk
@@ -28,10 +28,6 @@ class IoSample:
     read_bytes: int
     written_bytes: int
     interval: float
-
-    @property
-    def read_bytes_per_sec(self) -> float:
-        return self.read_bytes / self.interval if self.interval else 0.0
 
 
 class IostatCollector:
@@ -77,21 +73,3 @@ class IostatCollector:
             )
         ranked = sorted(totals, key=lambda name: totals[name], reverse=True)
         return ranked[:top]
-
-    def device_series(self, device: str) -> List[IoSample]:
-        """All samples of one device, in time order."""
-        return [s for s in self.samples if s.device == device]
-
-    def window(
-        self, start: float, end: float, device: Optional[str] = None
-    ) -> List[IoSample]:
-        """Samples taken in ``[start, end]``, optionally for one device.
-
-        Lets analyses attribute I/O to experiment phases — e.g. the read
-        traffic a deep-scrub pass generates between two timeline marks.
-        """
-        return [
-            s
-            for s in self.samples
-            if start <= s.time <= end and (device is None or s.device == device)
-        ]

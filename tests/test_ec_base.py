@@ -70,9 +70,8 @@ def test_default_repair_plan_reads_k_full_chunks():
     code = ReedSolomon(9, 3)
     alive = [i for i in range(12) if i != 3]
     plan = code.repair_plan([3], alive)
-    assert plan.helpers == 9
+    assert len(plan.reads) == 9
     assert plan.read_fraction_total() == pytest.approx(9.0)
-    assert plan.repair_bandwidth_ratio(code.k) == pytest.approx(1.0)
     assert plan.lost == (3,)
     assert all(r.fraction == 1.0 and r.io_ops == 1 for r in plan.reads)
 
@@ -100,9 +99,8 @@ def test_repair_plan_dataclass_helpers():
         ),
         decode_work=1.5,
     )
-    assert plan.helpers == 2
+    assert len(plan.reads) == 2
     assert plan.read_fraction_total() == pytest.approx(1.0)
-    assert plan.repair_bandwidth_ratio(4) == pytest.approx(0.25)
 
 
 def test_decode_roundtrip_via_base_decode():

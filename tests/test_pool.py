@@ -52,8 +52,7 @@ def test_put_object_records_and_layout(pool):
     obj = pg.objects[0]
     assert obj.layout.k == 9
     assert obj.layout.chunk_stored_bytes % 4096 == 0
-    assert pool.total_objects() == 1
-    assert pool.total_logical_bytes() == 64 * 1024 * 1024
+    assert obj.size == 64 * 1024 * 1024
 
 
 def test_shards_on(pool):

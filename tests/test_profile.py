@@ -27,8 +27,6 @@ def test_paper_profiles():
 def test_invalid_options_rejected():
     with pytest.raises(ValueError, match="backend"):
         ExperimentProfile(backend="zfs")
-    with pytest.raises(ValueError, match="interface"):
-        ExperimentProfile(interface="nfs")
     with pytest.raises(ValueError, match="device class"):
         ExperimentProfile(device_class="tape")
     with pytest.raises(ValueError, match="failure domain"):

@@ -2,21 +2,22 @@
 
 import pytest
 
-from repro.ec import (
-    ClayCode,
-    ReedSolomon,
-    compare_repair_bandwidth,
-    split_traffic_by_region,
-    traffic_for_plan,
-)
+from repro.ec import ClayCode, ReedSolomon, traffic_for_plan
+
+
+def chunks_read(code, lost):
+    """Repair bandwidth in chunk units for ``lost`` with every other
+    chunk alive."""
+    alive = [i for i in range(code.n) if i not in lost]
+    return code.repair_plan(lost, alive).read_fraction_total()
 
 
 def test_rs_traffic_full_chunks():
     code = ReedSolomon(9, 3)
     plan = code.repair_plan([0], list(range(1, 12)))
     traffic = traffic_for_plan(plan, chunk_bytes=1_000_000, units_per_chunk=10)
-    assert traffic.total_read_bytes == 9 * 1_000_000
-    assert traffic.total_read_ops == 9 * 10
+    assert sum(traffic.read_bytes_by_chunk.values()) == 9 * 1_000_000
+    assert sum(traffic.read_ops_by_chunk.values()) == 9 * 10
     assert traffic.write_bytes == 1_000_000
     assert traffic.write_ops == 10
     assert traffic.decode_work == 1.0
@@ -27,28 +28,24 @@ def test_clay_single_failure_traffic_is_fractional():
     plan = clay.repair_plan([0], list(range(1, 12)))
     traffic = traffic_for_plan(plan, chunk_bytes=81_000, units_per_chunk=1)
     # 11 helpers x 1/3 chunk each.
-    assert traffic.total_read_bytes == 11 * 27_000
+    assert sum(traffic.read_bytes_by_chunk.values()) == 11 * 27_000
     assert traffic.write_bytes == 81_000
     # Scattered runs: ops exceed one per helper chunk.
-    assert traffic.total_read_ops >= 11
+    assert sum(traffic.read_ops_by_chunk.values()) >= 11
 
 
 def test_clay_beats_rs_bandwidth_single_failure():
     rs = ReedSolomon(9, 3)
     clay = ClayCode(9, 3, d=11)
-    out = compare_repair_bandwidth([rs, clay], lost=[2])
-    assert out["jerasure(12,9)"] == pytest.approx(9.0)
-    assert out["clay(12,9)"] == pytest.approx(11 / 3)
-    assert out["clay(12,9)"] < out["jerasure(12,9)"]
+    assert chunks_read(rs, [2]) == pytest.approx(9.0)
+    assert chunks_read(clay, [2]) == pytest.approx(11 / 3)
 
 
 def test_clay_advantage_shrinks_with_multi_failure():
     rs = ReedSolomon(9, 3)
     clay = ClayCode(9, 3, d=11)
-    single = compare_repair_bandwidth([rs, clay], lost=[2])
-    triple = compare_repair_bandwidth([rs, clay], lost=[2, 7, 11])
-    ratio_1f = single["clay(12,9)"] / single["jerasure(12,9)"]
-    ratio_3f = triple["clay(12,9)"] / triple["jerasure(12,9)"]
+    ratio_1f = chunks_read(clay, [2]) / chunks_read(rs, [2])
+    ratio_3f = chunks_read(clay, [2, 7, 11]) / chunks_read(rs, [2, 7, 11])
     assert ratio_1f < ratio_3f  # the advantage fades as failures grow
 
 
@@ -68,27 +65,3 @@ def test_multi_loss_write_accounting():
     assert traffic.write_bytes == 1000
     assert traffic.write_ops == 4
 
-
-def test_split_traffic_by_region_partitions_reads():
-    code = ReedSolomon(4, 2)
-    plan = code.repair_plan([0], [1, 2, 3, 4, 5])
-    traffic = traffic_for_plan(plan, chunk_bytes=1_000_000, units_per_chunk=1)
-    split = split_traffic_by_region(
-        traffic, region_by_chunk={i: i % 3 for i in range(6)},
-        primary_region=0,
-    )
-    assert split["local_read_bytes"] + split["cross_region_read_bytes"] == \
-        traffic.total_read_bytes
-    # Helpers 1..4: only chunk 3 lives in the primary's region (3 % 3).
-    assert split["local_read_bytes"] == 1_000_000
-    assert split["cross_region_read_bytes"] == 3_000_000
-
-
-def test_split_traffic_defaults_unknown_chunks_to_local():
-    code = ReedSolomon(4, 2)
-    plan = code.repair_plan([0], [1, 2, 3, 4, 5])
-    traffic = traffic_for_plan(plan, chunk_bytes=500_000, units_per_chunk=1)
-    split = split_traffic_by_region(traffic, region_by_chunk={},
-                                    primary_region=1)
-    assert split["cross_region_read_bytes"] == 0
-    assert split["local_read_bytes"] == traffic.total_read_bytes

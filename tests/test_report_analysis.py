@@ -3,13 +3,10 @@
 import pytest
 
 from repro.analysis import (
-    crossover_points,
     impact_range_percent,
-    mean_and_stdev,
     normalised_series,
     render_figure2_panel,
     render_figure3_timeline,
-    render_paper_vs_measured,
     render_table,
 )
 from repro.core import Series, format_grouped_bars, format_table, normalise
@@ -33,33 +30,11 @@ def test_normalise_guards():
         normalise({"a": 0.0})
 
 
-def test_mean_and_stdev():
-    mean, stdev = mean_and_stdev([1.0, 2.0, 3.0])
-    assert mean == pytest.approx(2.0)
-    assert stdev == pytest.approx(1.0)
-    assert mean_and_stdev([5.0]) == (5.0, 0.0)
-    with pytest.raises(ValueError):
-        mean_and_stdev([])
-
-
 def test_impact_range_percent_matches_headline_semantics():
     """'426%' means worst config takes 4.26x the best's time."""
     assert impact_range_percent({"best": 1.0, "worst": 4.26}) == pytest.approx(426.0)
     with pytest.raises(ValueError):
         impact_range_percent({})
-
-
-def test_crossover_points():
-    rs = {"2same": 1.08, "2diff": 1.08, "3same": 1.49, "3diff": 1.51}
-    clay = {"2same": 1.09, "2diff": 1.12, "3same": 1.45, "3diff": 1.55}
-    groups = ["2same", "2diff", "3same", "3diff"]
-    flips = crossover_points(rs, clay, groups)
-    # RS wins, wins, loses, wins -> flips at 3same and 3diff.
-    assert flips == ["3same", "3diff"]
-
-
-def test_crossover_skips_missing_groups():
-    assert crossover_points({"a": 1.0}, {"a": 2.0}, ["a", "b"]) == []
 
 
 def test_normalised_series():
@@ -103,11 +78,6 @@ def test_render_figure3_timeline():
     assert "53.4%" in text
     with pytest.raises(ValueError):
         render_figure3_timeline(RecoveryTimeline(None, 1.0, 1.0, 1.0, 1.0, 1.0))
-
-
-def test_render_paper_vs_measured():
-    text = render_paper_vs_measured("T", [("WA RS(12,9)", 1.76, 1.74)])
-    assert "paper" in text and "measured" in text and "1.76" in text
 
 
 def test_render_table_passthrough():

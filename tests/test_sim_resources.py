@@ -1,8 +1,8 @@
-"""Unit tests for Resource, ServiceCenter, and Store."""
+"""Unit tests for Resource and ServiceCenter."""
 
 import pytest
 
-from repro.sim import Environment, Interrupt, Resource, ServiceCenter, Store
+from repro.sim import Environment, Interrupt, Resource, ServiceCenter
 from tests.sim_reference import ProcessServiceCenter
 
 
@@ -109,13 +109,6 @@ def test_service_center_tracks_busy_time_and_jobs():
     env.run()
     assert center.busy_time == 4.0
     assert center.jobs_served == 1
-    assert center.utilisation(8.0) == pytest.approx(0.5)
-
-
-def test_service_center_utilisation_zero_elapsed():
-    env = Environment()
-    center = ServiceCenter(env)
-    assert center.utilisation(0.0) == 0.0
 
 
 # -- ServiceCenter parity with the process-per-job reference ----------------------
@@ -196,63 +189,3 @@ def test_interrupt_detaches_a_waiter_from_a_service_event(center_cls):
     assert trace == [("cancel", 1.0), ("done", 11.0)]
     assert (center.busy_time, center.jobs_served) == (5.0, 1)
 
-
-# -- Store -------------------------------------------------------------------------
-
-
-def test_store_put_then_get():
-    env = Environment()
-    store = Store(env)
-    store.put("x")
-
-    def getter():
-        value = yield store.get()
-        return value
-
-    p = env.process(getter())
-    assert env.run_until_process(p) == "x"
-
-
-def test_store_get_blocks_until_put():
-    env = Environment()
-    store = Store(env)
-    result = []
-
-    def getter():
-        value = yield store.get()
-        result.append((env.now, value))
-
-    def putter():
-        yield env.timeout(5.0)
-        store.put("late")
-
-    env.process(getter())
-    env.process(putter())
-    env.run()
-    assert result == [(5.0, "late")]
-
-
-def test_store_fifo_order():
-    env = Environment()
-    store = Store(env)
-    for item in (1, 2, 3):
-        store.put(item)
-    got = []
-
-    def getter():
-        for _ in range(3):
-            value = yield store.get()
-            got.append(value)
-
-    env.process(getter())
-    env.run()
-    assert got == [1, 2, 3]
-
-
-def test_store_drain():
-    env = Environment()
-    store = Store(env)
-    store.put("a")
-    store.put("b")
-    assert store.drain() == ["a", "b"]
-    assert len(store) == 0

@@ -26,11 +26,3 @@ def test_streams_independent():
     for _ in range(100):
         other.random()
     assert seeds.stream("faults").random() == baseline
-
-
-def test_choice_stream():
-    seeds = SeedSequence(4)
-    pick_a = seeds.choice_stream("x", [1, 2, 3])
-    pick_b = SeedSequence(4).choice_stream("x", [1, 2, 3])
-    assert pick_a == pick_b
-    assert pick_a in (1, 2, 3)

@@ -17,7 +17,6 @@ from repro.core.controller import Controller
 from repro.core.fault_injector import FaultSpec
 from repro.core.gray import run_gray_experiment
 from repro.core.profile import ExperimentProfile
-from repro.core.timeline import TimelineError, build_tenant_slo_timeline
 from repro.tenancy import (
     LEGACY_TENANT_NAME,
     SloSpec,
@@ -27,7 +26,6 @@ from repro.tenancy import (
     run_tenant_experiment,
     slo_violation_windows,
     tenant_class_name,
-    windows_overlap,
 )
 from repro.workload.generator import Workload
 
@@ -144,12 +142,6 @@ def test_merge_windows_coalesces_touching_intervals():
     assert merge_windows([]) == []
 
 
-def test_windows_overlap():
-    assert windows_overlap((5.0, 10.0), [(0.0, 6.0)])
-    assert windows_overlap((5.0, 10.0), [(10.0, 20.0)])  # touching counts
-    assert not windows_overlap((5.0, 10.0), [(11.0, 20.0)])
-    assert not windows_overlap((5.0, 10.0), [])
-
 
 def test_slo_windows_flag_p99_breaches_and_merge():
     slo = SloSpec(p99_latency=0.1, window=10.0)
@@ -186,25 +178,6 @@ def test_slo_spec_validation():
         SloSpec(p99_latency=1.0, throughput_floor=-1.0)
     with pytest.raises(ValueError):
         SloSpec(p99_latency=1.0, window=0.0)
-
-
-# -- SLO timeline ---------------------------------------------------------------
-
-
-def test_tenant_slo_timeline_rejects_empty_span():
-    with pytest.raises(TimelineError):
-        build_tenant_slo_timeline([("a", [])], started_at=0.0, duration=0.0)
-
-
-def test_tenant_slo_timeline_reports_violators():
-    timeline = build_tenant_slo_timeline(
-        [("quiet", []), ("loud", [(60.0, 120.0)])],
-        started_at=50.0,
-        duration=600.0,
-        fault_window=(55.0, 200.0),
-    )
-    assert timeline.violated_tenants == ["loud"]
-    assert timeline.annotations()
 
 
 # -- multi-tenant experiments ---------------------------------------------------
@@ -250,8 +223,7 @@ def test_multi_tenant_qos_experiment():
     digest = outcome.digest()
     assert set(digest["tenants"]) == {"latency", "batch"}
     assert "qos" in digest and "client" not in digest
-    timeline = outcome.slo_timeline()
-    assert {name for name, _ in timeline.tenants} == {"latency", "batch"}
+    assert batch.slo_violations == ()  # no SLO, so never violated
 
 
 def test_multi_tenant_digest_is_deterministic():

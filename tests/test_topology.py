@@ -14,7 +14,7 @@ def topo():
 def test_paper_default_shape():
     topo = ClusterTopology(Environment())
     assert topo.num_hosts == 30
-    assert topo.num_osds == 60
+    assert len(topo.osds) == 60
 
 
 def test_shape_validation():

@@ -7,9 +7,6 @@ from repro.sim.rng import SeedSequence
 from repro.tuner import (
     CategoricalAxis,
     EcVariantAxis,
-    IntRangeAxis,
-    LogScaleAxis,
-    PowerOfTwoAxis,
     TuningSpace,
     pool_width_fits,
     stripe_unit_divides,
@@ -45,29 +42,6 @@ def test_categorical_axis_values_and_validation():
         CategoricalAxis("x", ())
     with pytest.raises(ValueError, match="duplicate"):
         CategoricalAxis("x", ("a", "a"))
-
-
-def test_int_range_axis():
-    assert IntRangeAxis("n", 2, 8, step=3).values() == (2, 5, 8)
-    with pytest.raises(ValueError):
-        IntRangeAxis("n", 5, 2)
-
-
-def test_power_of_two_axis():
-    assert PowerOfTwoAxis("pg_num", 16, 256).values() == (16, 32, 64, 128, 256)
-    assert PowerOfTwoAxis("pg_num", 3, 9).values() == (4, 8)
-    with pytest.raises(ValueError, match="no powers of two"):
-        PowerOfTwoAxis("pg_num", 5, 7)
-
-
-def test_log_scale_axis_hits_endpoints():
-    values = LogScaleAxis("stripe_unit", 4 * 1024, 64 * MB, points=5).values()
-    assert values[0] == 4 * 1024
-    assert values[-1] == 64 * MB
-    assert list(values) == sorted(values)
-    # Geometric, not linear: each step grows by a roughly constant ratio.
-    ratios = [b / a for a, b in zip(values, values[1:])]
-    assert max(ratios) / min(ratios) < 1.5
 
 
 def test_ec_axis_requires_reserved_name():

@@ -159,12 +159,6 @@ def test_coordinate_descent_validates_arguments():
 # -- successive halving ---------------------------------------------------------
 
 
-def test_halving_rung_counts():
-    ladder = [Fidelity(8), Fidelity(24), Fidelity(96)]
-    assert SuccessiveHalving(ladder, eta=4).rungs(24) == [24, 6, 2]
-    assert SuccessiveHalving(ladder, eta=2).rungs(5) == [5, 3, 2]
-
-
 def test_halving_promotes_the_top_survivors():
     space = make_space()
     evaluator = make_evaluator(space)
