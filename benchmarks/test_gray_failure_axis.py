@@ -25,8 +25,8 @@ from repro.core import (
     ExperimentProfile,
     FaultSpec,
     build_timeline,
-    run_gray_experiment,
 )
+from repro.tenancy import TenantFleetSpec, run_tenant_experiment
 from repro.workload import Workload
 
 FACTORS = [1.0, 4.0, 16.0]
@@ -68,8 +68,9 @@ def run_slow_axis():
             faults.append(
                 FaultSpec(level="slow_device", factor=factor, targets=helpers)
             )
-        cells[factor] = run_gray_experiment(
-            profile, workload, faults, seed=SEED, fault_duration=400.0
+        cells[factor] = run_tenant_experiment(
+            profile, workload, TenantFleetSpec.legacy(), faults, seed=SEED,
+            fault_duration=400.0,
         )
     return cells
 
@@ -86,9 +87,10 @@ def run_net_panel():
         ("defended", {"client_op_timeout": 0.4, "client_retry_base": 0.1,
                       "client_hedge_delay": 0.15}),
     ):
-        cells[label] = run_gray_experiment(
+        cells[label] = run_tenant_experiment(
             gray_profile(**overrides),
             workload,
+            TenantFleetSpec.legacy(),
             faults,
             seed=7,
             fault_duration=400.0,

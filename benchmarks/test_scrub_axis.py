@@ -54,8 +54,8 @@ def run_axis():
                     # comparable corruption load across codes is one chunk.
                     [FaultSpec(level="corrupt", count=1, corruption="bit_rot")],
                     seed=7,
-                    settle_time=30.0,
-                    max_sim_time=60_000.0,
+                    warmup=30.0,
+                    settle_time=60_000.0,
                 )
                 cells[(label, interval, csum_block)] = outcome
     return cells

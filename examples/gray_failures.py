@@ -34,8 +34,8 @@ from repro.core import (
     FaultSpec,
     TimelineError,
     build_timeline,
-    run_gray_experiment,
 )
+from repro.tenancy import TenantFleetSpec, run_tenant_experiment
 from repro.workload import Workload
 
 MB = 1024 * 1024
@@ -93,8 +93,9 @@ def scenario_slow_disk(args):
                     level="slow_device", factor=args.factor, targets=helpers
                 )
             )
-        return run_gray_experiment(
-            profile, workload, faults, seed=11, fault_duration=400.0
+        return run_tenant_experiment(
+            profile, workload, TenantFleetSpec.legacy(), faults, seed=11,
+            fault_duration=400.0,
         )
 
     baseline = run(slow=False)
@@ -123,9 +124,10 @@ def scenario_flap(args):
     workload = Workload(num_objects=args.objects, object_size=1 * MB)
 
     def run():
-        return run_gray_experiment(
+        return run_tenant_experiment(
             profile,
             workload,
+            TenantFleetSpec.legacy(),
             [FaultSpec(level="flap", flap_interval=15.0)],
             seed=5,
             fault_duration=900.0,
@@ -166,9 +168,10 @@ def scenario_flaky_net(args):
             if defended
             else {}
         )
-        return run_gray_experiment(
+        return run_tenant_experiment(
             profile_for(**overrides),
             workload,
+            TenantFleetSpec.legacy(),
             faults,
             seed=7,
             fault_duration=400.0,

@@ -56,8 +56,8 @@ def main() -> None:
             [FaultSpec(level="corrupt", count=args.corrupt_chunks,
                        corruption=model)],
             seed=7,
-            settle_time=30.0,
-            max_sim_time=20_000.0,
+            warmup=30.0,
+            settle_time=20_000.0,
         )
         timeline = outcome.scrub_timeline
         stats = outcome.scrub_stats

@@ -51,7 +51,7 @@ def run_outage(args, locality_aware: bool):
         Workload(num_objects=args.objects, object_size=8 * MB),
         [FaultSpec(level="region_outage")],
         seed=args.seed,
-        restore_after=900.0,
+        fault_duration=900.0,
         locality_aware=locality_aware,
     )
 

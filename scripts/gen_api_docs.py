@@ -1,9 +1,9 @@
 """Generate docs/API.md from the package's public API docstrings.
 
-Walks every ``repro`` subpackage, collects the names each module exports
-through ``__all__``, and renders signatures plus first-paragraph
-docstrings into a single markdown reference.  Re-run after changing the
-public API:
+Walks every module of the ``repro`` package tree (packages themselves
+only re-export), collects the names each module exports through
+``__all__``, and renders signatures plus first-paragraph docstrings into
+a single markdown reference.  Re-run after changing the public API:
 
     python scripts/gen_api_docs.py
 """
@@ -13,84 +13,11 @@ from __future__ import annotations
 import importlib
 import inspect
 import pathlib
+import pkgutil
 import re
 import sys
 
-MODULES = [
-    "repro.sim.engine",
-    "repro.sim.resources",
-    "repro.sim.rng",
-    "repro.ec.base",
-    "repro.ec.galois",
-    "repro.ec.matrix",
-    "repro.ec.reed_solomon",
-    "repro.ec.clay",
-    "repro.ec.lrc",
-    "repro.ec.shec",
-    "repro.ec.repair",
-    "repro.cluster.topology",
-    "repro.cluster.devices",
-    "repro.cluster.network",
-    "repro.cluster.nvme",
-    "repro.cluster.crush",
-    "repro.cluster.pool",
-    "repro.cluster.objectstore",
-    "repro.cluster.bluestore",
-    "repro.cluster.osd",
-    "repro.cluster.monitor",
-    "repro.cluster.pglog",
-    "repro.cluster.retry",
-    "repro.cluster.recovery",
-    "repro.cluster.scrub",
-    "repro.cluster.ceph",
-    "repro.cluster.client",
-    "repro.cluster.health",
-    "repro.cluster.autoscale",
-    "repro.cluster.logs",
-    "repro.core.profile",
-    "repro.core.controller",
-    "repro.core.coordinator",
-    "repro.core.experiment",
-    "repro.core.fault_injector",
-    "repro.core.byzantine",
-    "repro.core.worker",
-    "repro.core.logger",
-    "repro.core.logbus",
-    "repro.core.timeline",
-    "repro.core.gray",
-    "repro.core.digest",
-    "repro.core.wa",
-    "repro.core.sweep",
-    "repro.core.trace",
-    "repro.core.report",
-    "repro.workload.generator",
-    "repro.workload.iostat",
-    "repro.analysis.stats",
-    "repro.analysis.figures",
-    "repro.analysis.sensitivity",
-    "repro.geo.wan",
-    "repro.geo.rules",
-    "repro.geo.experiment",
-    "repro.tenancy.mclock",
-    "repro.tenancy.spec",
-    "repro.tenancy.fleet",
-    "repro.tenancy.accounting",
-    "repro.tenancy.experiment",
-    "repro.tuner.space",
-    "repro.tuner.evaluator",
-    "repro.tuner.strategies",
-    "repro.tuner.pareto",
-    "repro.tuner.artifact",
-    "repro.tuner.runner",
-    "repro.twin.model",
-    "repro.twin.cell",
-    "repro.twin.validate",
-    "repro.adversary.fuzzer",
-    "repro.adversary.corpus",
-    "repro.adversary.mutators",
-    "repro.cli",
-]
-
+import repro
 
 #: A function's default repr carries its memory address, which changes
 #: on every run; the docs name the function by its qualified name.
@@ -170,8 +97,9 @@ def main() -> int:
         "*Generated by `scripts/gen_api_docs.py` — do not edit by hand.*",
         "",
     ]
-    for module_name in MODULES:
-        out.extend(render_module(module_name))
+    for info in pkgutil.walk_packages(repro.__path__, "repro."):
+        if not info.ispkg:
+            out.extend(render_module(info.name))
     target = pathlib.Path(__file__).parent.parent / "docs" / "API.md"
     target.write_text("\n".join(out) + "\n")
     print(f"wrote {target} ({len(out)} lines)")

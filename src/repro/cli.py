@@ -27,6 +27,7 @@ analysed later or elsewhere.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import re
 import sys
@@ -35,6 +36,7 @@ from typing import List, Optional
 
 from .analysis.sensitivity import rank_axes, recommend_configuration
 from .cluster.autoscale import autoscale_advice
+from .cluster.crush import PlacementError
 from .core.experiment import run_experiment
 from .core.fault_injector import (
     FAULT_LEVELS,
@@ -145,6 +147,24 @@ def _add_grid_arguments(parser) -> None:
                         help="parallel worker processes")
 
 
+def _refuse_bad_input(command):
+    """Wrap an experiment command: a profile, fault or timing the model
+    refuses (``ValueError``, which includes ``FaultToleranceError``, or
+    ``PlacementError``) prints ``<command>: <message>`` on stderr and
+    exits 2, as the other commands' input checks do."""
+
+    @functools.wraps(command)
+    def run(args) -> int:
+        try:
+            return command(args)
+        except (ValueError, PlacementError) as exc:
+            print(f"{args.command}: {exc}", file=sys.stderr)
+            return 2
+
+    return run
+
+
+@_refuse_bad_input
 def cmd_run(args) -> int:
     profile = _profile_from_args(args)
     workload = Workload(num_objects=args.objects, object_size=args.object_size)
@@ -164,9 +184,10 @@ def cmd_run(args) -> int:
     return 0
 
 
+@_refuse_bad_input
 def cmd_inject(args) -> int:
     from .cluster.osd import CephConfig
-    from .core.gray import run_gray_experiment
+    from .tenancy import TenantFleetSpec, run_tenant_experiment
 
     profile = _profile_from_args(args).with_overrides(
         ceph=CephConfig(
@@ -187,15 +208,15 @@ def cmd_inject(args) -> int:
         flap_interval=args.flap_interval,
     )
     workload = Workload(num_objects=args.objects, object_size=args.object_size)
-    outcome = run_gray_experiment(
+    outcome = run_tenant_experiment(
         profile,
         workload,
+        TenantFleetSpec.legacy(
+            args.read_interval, args.write_fraction, args.rmw_fraction
+        ),
         [spec],
         seed=args.seed,
         fault_duration=args.duration,
-        load_interval=args.read_interval,
-        write_fraction=args.write_fraction,
-        rmw_fraction=args.rmw_fraction,
     )
     print(f"profile: {profile.describe()}")
     print(f"fault: level={args.level} count={args.fault_count} "
@@ -239,6 +260,7 @@ def cmd_inject(args) -> int:
     return 0 if outcome.converged else 1
 
 
+@_refuse_bad_input
 def cmd_scrub(args) -> int:
     profile = _profile_from_args(args).with_overrides(
         scrub_interval=args.scrub_interval,
@@ -526,6 +548,7 @@ def cmd_tune(args) -> int:
     return 0
 
 
+@_refuse_bad_input
 def cmd_twin(args) -> int:
     from .twin import AnalyticalTwin
 
@@ -735,6 +758,7 @@ def cmd_replay(args) -> int:
     return 1
 
 
+@_refuse_bad_input
 def cmd_tenants(args) -> int:
     from .tenancy import (
         SloSpec,
@@ -855,6 +879,7 @@ def cmd_tenants(args) -> int:
     return 0
 
 
+@_refuse_bad_input
 def cmd_geo(args) -> int:
     from .core.fault_injector import GEO_LEVELS
     from .geo import run_stretch_experiment
@@ -881,7 +906,7 @@ def cmd_geo(args) -> int:
         faults,
         seed=args.seed,
         locality_aware=not args.naive,
-        restore_after=args.restore_after,
+        fault_duration=args.restore_after,
     )
     if args.json:
         print(json.dumps(outcome.to_dict(), indent=2, sort_keys=True))

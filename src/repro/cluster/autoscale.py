@@ -36,21 +36,16 @@ def _round_power_of_two(value: float) -> int:
     return power * 2 if value / power > math.sqrt(2.0) else power
 
 
-def recommended_pg_num(
-    num_osds: int,
-    pool_width: int,
-    target_shards_per_osd: int = TARGET_PG_SHARDS_PER_OSD,
-) -> int:
+def recommended_pg_num(num_osds: int, pool_width: int) -> int:
     """The autoscaler's pg_num for a pool of EC width ``pool_width``.
 
-    Sized so that pg_num * width / num_osds ~= the per-OSD shard target,
-    rounded to a power of two within Ceph's bounds.
+    Sized so that pg_num * width / num_osds ~= the per-OSD shard target
+    (:data:`TARGET_PG_SHARDS_PER_OSD`), rounded to a power of two within
+    Ceph's bounds.
     """
     if num_osds < 1 or pool_width < 1:
         raise ValueError("num_osds and pool_width must be positive")
-    if target_shards_per_osd < 1:
-        raise ValueError("target_shards_per_osd must be positive")
-    raw = num_osds * target_shards_per_osd / pool_width
+    raw = num_osds * TARGET_PG_SHARDS_PER_OSD / pool_width
     return max(MIN_PG_NUM, min(MAX_PG_NUM, _round_power_of_two(raw)))
 
 

@@ -151,15 +151,10 @@ class ReadStats:
             raise ValueError("no samples match the filter")
         return percentile(values, pct)
 
-    def mean_latency(self, degraded: Optional[bool] = None) -> float:
-        values = [
-            s.latency
-            for s in self.samples
-            if degraded is None or s.degraded == degraded
-        ]
-        if not values:
-            raise ValueError("no samples match the filter")
-        return statistics.fmean(values)
+    def mean_latency(self) -> float:
+        if not self.samples:
+            raise ValueError("no read samples")
+        return statistics.fmean(s.latency for s in self.samples)
 
 
 @dataclass(frozen=True)

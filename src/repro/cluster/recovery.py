@@ -411,11 +411,11 @@ class RecoveryManager:
     def kick_stale(self) -> bool:
         """Queue delta recovery for every PG with live dirty shards.
 
-        Convergence predicates (gray driver, chaos settle loop) call
-        this to catch staleness with no down->up trigger: an OSD whose
-        fault was restored within the heartbeat grace was never marked
-        down, so no monitor event fires, yet its shards may have missed
-        writes.  Returns True if anything was queued (=> not converged).
+        Convergence predicates (the cycle's restore settle, the chaos
+        settle loop) call this to catch staleness with no down->up
+        trigger: an OSD whose fault was restored within the heartbeat
+        grace was never marked down, so no monitor event fires, yet its
+        shards may have missed writes.  Returns True if anything was queued (=> not converged).
         No-op on read-only runs — nothing is ever dirty.
         """
         queued = False

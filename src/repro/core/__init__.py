@@ -18,7 +18,6 @@ from .fault_injector import (
     FaultSpec,
     FaultToleranceError,
 )
-from .gray import run_gray_experiment
 from .logbus import BusMessage, LogBus
 from .logger import ClassifiedRecord, LogCollector, NodeLogger, classify
 from .profile import PAPER_CLAY_PROFILE, PAPER_RS_PROFILE, ExperimentProfile
@@ -57,7 +56,6 @@ __all__ = [
     "FaultInjector",
     "FaultSpec",
     "FaultToleranceError",
-    "run_gray_experiment",
     "BusMessage",
     "LogBus",
     "ClassifiedRecord",

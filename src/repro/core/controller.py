@@ -10,13 +10,12 @@ loggers, and the log bus.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict
 
 from ..sim import Environment
 from ..sim.rng import SeedSequence
-from ..workload.generator import Workload
-from .coordinator import Coordinator, ExperimentOutcome
-from .fault_injector import FaultInjector, FaultSpec
+from .coordinator import Coordinator
+from .fault_injector import FaultInjector
 from .logbus import LogBus
 from .profile import ExperimentProfile
 from .worker import Worker, deploy_workers
@@ -28,9 +27,9 @@ class Controller:
     """One experiment's control plane over one target DSS instance.
 
     Controllers are single-use: a fault-injection experiment mutates the
-    cluster (failed devices, remapped PGs), so each run of a sweep
-    builds a fresh Controller — exactly how the real framework tears
-    down and redeploys between profile runs.
+    cluster (failed devices, remapped PGs), so the Coordinator runs one
+    cycle and each run of a sweep builds a fresh Controller — exactly
+    how the real framework tears down and redeploys between profile runs.
     """
 
     def __init__(self, profile: ExperimentProfile, seed: int = 0):
@@ -49,29 +48,4 @@ class Controller:
         self.fault_injector = FaultInjector(self.cluster, self.workers, self.seeds)
         self.coordinator = Coordinator(
             self.cluster, self.fault_injector, self.bus, self.seeds
-        )
-        self._used = False
-
-    def run_experiment(
-        self,
-        workload: Workload,
-        faults: Optional[List[FaultSpec]] = None,
-        settle_time: float = 60.0,
-        max_sim_time: float = 200_000.0,
-    ) -> ExperimentOutcome:
-        """Run the profile's experiment once (single use per Controller).
-
-        The faults are held: ``settle_time`` is the warmup before them and
-        ``max_sim_time`` the budget of each polled wait.
-        """
-        if self._used:
-            raise RuntimeError(
-                "Controller already ran an experiment; build a fresh one"
-            )
-        self._used = True
-        return self.coordinator.run(
-            workload,
-            faults or (),
-            warmup=settle_time,
-            settle_time=max_sim_time,
         )

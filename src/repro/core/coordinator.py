@@ -6,14 +6,15 @@ workloads execution, fault injection, and log collection."
 the workload, warm up, inject the faults, then either *hold* them (the
 paper's cycle: wait for mark-out, re-replication and scrub repair) or
 *restore* them after a fault window and settle, and finally collect the
-logs and build the timelines.  Every experiment entry point is a preset
-of it, and :class:`ExperimentOutcome` is the one outcome type.
+logs and build the timelines.  :func:`~repro.core.experiment.
+run_experiment` builds the cluster and calls it; every preset calls
+that, and :class:`ExperimentOutcome` is the one outcome type.
 """
 
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
-from typing import TYPE_CHECKING, Any, Dict, Generator, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Any, Dict, Generator, List, Optional, Sequence
 
 from ..cluster.ceph import CephCluster
 from ..cluster.client import WRITE_STAT_KEYS, ClientOpStats, ReadStats, WriteStats
@@ -81,9 +82,6 @@ class ExperimentOutcome:
     fleet_spec: Optional["TenantFleetSpec"] = None
     fleet: Optional["TenantFleet"] = None
     reports: List["TenantReport"] = field(default_factory=list)
-    #: First injection to the end of the cycle (None without faults): the
-    #: window SLO violations are attributed to.
-    fault_window: Optional[Tuple[float, float]] = None
 
     @property
     def total_recovery_time(self) -> float:
@@ -188,6 +186,7 @@ class Coordinator:
             NodeLogger(node_log, self.bus) for node_log in cluster.all_logs()
         ]
         self.collector = LogCollector(self.bus)
+        self._ran = False
 
     def run(
         self,
@@ -215,10 +214,18 @@ class Coordinator:
         before the monitor tick due at the same instant, so the kernel's
         insertion-order tie-break runs its poll ahead of that tick; the
         pinned outcomes, ``finished_at`` included, depend on that order.
+
+        The cycle mutates the cluster, so it runs once: a second call
+        raises ``RuntimeError``.
         """
+        if self._ran:
+            raise RuntimeError(
+                "this cluster already ran an experiment; build a fresh Controller"
+            )
         self.check_timing(warmup, fault_duration, settle_time)
         if fault_duration is None:
             self._check_holdable(faults, fleet_spec)
+        self._ran = True
         env = self.cluster.env
         disks = {osd.name: osd.disk for osd in self.cluster.osds.values()}
         iostat = IostatCollector(env, disks)
@@ -262,8 +269,7 @@ class Coordinator:
             if spec.level in GEO_LEVELS:
                 raise ValueError(
                     f"{spec.level} faults mark no OSD out, so holding them "
-                    "waits for nothing: restore them (fault_duration, or "
-                    "restore_after for a stretch experiment)"
+                    "waits for nothing: restore them (set fault_duration)"
                 )
         if (
             any(spec.level == "corrupt" for spec in faults)
@@ -307,7 +313,6 @@ class Coordinator:
         # daemon up — only deep scrub will find them.  Gray faults
         # degrade without a guaranteed mark-out (a flapping or
         # partitioned OSD may never *stay* out), so no wait blocks on them.
-        fault_start = env.now if faults else None
         injected: List[int] = []
         crash_victims: List[int] = []
         has_corrupt = False
@@ -358,7 +363,6 @@ class Coordinator:
             fleet_spec=fleet_spec,
             fleet=fleet,
             reports=fleet_reports(fleet) if fleet is not None else [],
-            fault_window=(fault_start, env.now) if fault_start is not None else None,
         )
 
     def _timeline(self, build, held: bool):

@@ -13,8 +13,8 @@ import hashlib
 from dataclasses import asdict, dataclass, replace
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from ..core.controller import Controller
 from ..core.digest import canonical_json
+from ..core.experiment import run_experiment
 from ..core.fault_injector import FaultSpec
 from ..core.profile import ExperimentProfile
 from ..workload.generator import Workload
@@ -68,9 +68,9 @@ def run_stretch_experiment(
     faults: Optional[Sequence[FaultSpec]] = None,
     seed: int = 0,
     locality_aware: bool = True,
-    settle_time: float = 60.0,
-    max_sim_time: float = 200_000.0,
-    restore_after: Optional[float] = None,
+    warmup: float = 60.0,
+    fault_duration: Optional[float] = None,
+    settle_time: float = 200_000.0,
 ) -> GeoOutcome:
     """Run one experiment on a stretch cluster and harvest the WAN ledger.
 
@@ -80,35 +80,34 @@ def run_stretch_experiment(
     preference, which is the A/B the geo benchmark and the
     ``stretch_cluster`` example compare.
 
-    ``restore_after``, when set, restores every fault that many sim
-    seconds after injection and gives the cluster ``max_sim_time`` to
-    settle until it converges — the shape region-level faults need,
-    since a spread-wide region outage leaves displaced PGs unplaceable
-    until the region returns.  ``None`` holds the faults (wait for the
-    victims' mark-out and full recovery, ``max_sim_time`` per wait),
-    which suits permanent node/device faults.  Either way
-    ``settle_time`` is the warmup before the faults.
+    The timing is :func:`~repro.core.experiment.run_experiment`'s.  A
+    ``fault_duration`` restores every fault that many sim seconds after
+    injection and gives the cluster ``settle_time`` to converge — the
+    shape region-level faults need, since a spread-wide region outage
+    leaves displaced PGs unplaceable until the region returns.  ``None``
+    holds the faults (wait for the victims' mark-out and full recovery,
+    ``settle_time`` per wait), which suits permanent node/device faults.
     """
     if profile.num_regions <= 1:
         raise ValueError(
             "run_stretch_experiment needs a multi-region profile "
             f"(num_regions={profile.num_regions})"
         )
-    if restore_after is not None and restore_after <= 0:
-        raise ValueError("restore_after must be positive")
     profile = profile.with_overrides(
         ceph=replace(profile.ceph, recovery_locality_aware=locality_aware)
     )
-    outcome = Controller(profile, seed=seed).coordinator.run(
+    outcome = run_experiment(
+        profile,
         workload,
-        faults or (),
-        warmup=settle_time,
-        fault_duration=restore_after,
-        settle_time=max_sim_time,
+        faults,
+        seed=seed,
+        warmup=warmup,
+        fault_duration=fault_duration,
+        settle_time=settle_time,
     )
     cluster = outcome.cluster
     stats = outcome.recovery_stats
-    if restore_after is None:
+    if fault_duration is None:
         recovery_time = (
             outcome.timeline.total_recovery
             if outcome.timeline is not None

@@ -1,7 +1,7 @@
 """The restore-timing preset of the experiment cycle, with a tenant fleet.
 
-:func:`run_tenant_experiment` runs :meth:`~repro.core.coordinator.
-Coordinator.run` with a restore: the fleet's streams run through the
+:func:`run_tenant_experiment` runs :func:`~repro.core.experiment.
+run_experiment` with a restore: the fleet's streams run through the
 fault window, and each tenant's samples fold into a
 :class:`~repro.tenancy.accounting.TenantReport`.  A legacy-equivalent
 fleet digests as the pre-tenancy single client did; a real fleet adds a
@@ -12,8 +12,8 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
-from ..core.controller import Controller
-from ..core.coordinator import Coordinator, ExperimentOutcome
+from ..core.coordinator import ExperimentOutcome
+from ..core.experiment import run_experiment
 from ..core.fault_injector import FaultSpec
 from ..core.profile import ExperimentProfile
 from ..workload.generator import Workload
@@ -42,9 +42,13 @@ def run_tenant_experiment(
     QoS-off/on baseline comparisons); with no ``fleet_spec`` the cycle
     runs without client load.  A bad timing is rejected before any
     cluster is built.
+
+    A gray-failure experiment passes ``TenantFleetSpec.legacy(interval,
+    write_fraction, rmw_fraction)``: one open-loop client stream whose
+    defenses (``client_op_timeout``, ``client_hedge_delay``, the retry
+    knobs) are set through ``profile.ceph`` and default off.
     """
-    Coordinator.check_timing(warmup, fault_duration, settle_time)
-    return Controller(profile, seed=seed).coordinator.run(
-        workload, faults, fleet_spec, warmup=warmup,
-        fault_duration=fault_duration, settle_time=settle_time,
+    return run_experiment(
+        profile, workload, faults, seed=seed, fleet_spec=fleet_spec,
+        warmup=warmup, fault_duration=fault_duration, settle_time=settle_time,
     )

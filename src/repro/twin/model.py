@@ -498,10 +498,26 @@ class AnalyticalTwin:
         workload: Workload,
         faults: Optional[Sequence[FaultSpec]] = None,
     ) -> TwinPrediction:
-        """The full analytical evaluation: WA, repair bytes, timeline."""
+        """The full analytical evaluation: WA, repair bytes, timeline.
+
+        A stripe's ``n`` shards need ``n`` distinct failure-domain
+        buckets; a profile with fewer is refused with ``ValueError``, as
+        the DES refuses to place it.
+        """
         faults = list(faults) if faults is not None else [FaultSpec(level="node")]
         cal = self.calibration
         code = profile.create_code()
+        buckets, kind = {
+            FailureDomain.OSD: (profile.num_hosts * profile.osds_per_host, "OSDs"),
+            FailureDomain.HOST: (profile.num_hosts, "hosts"),
+            FailureDomain.RACK: (profile.num_racks, "racks"),
+            FailureDomain.REGION: (profile.num_regions, "regions"),
+        }[profile.failure_domain]
+        if buckets < code.n:
+            raise ValueError(
+                f"failure domain {profile.failure_domain} has {buckets} "
+                f"{kind}, fewer than the n={code.n} shards of a stripe"
+            )
         config = profile.ceph
         layout = layout_object(
             workload.object_size, code.n, code.k, profile.stripe_unit

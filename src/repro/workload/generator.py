@@ -49,10 +49,6 @@ class Workload:
         if not 0.0 <= self.size_jitter < 1.0:
             raise ValueError("size_jitter must be in [0, 1)")
 
-    @property
-    def total_bytes(self) -> int:
-        return self.num_objects * self.object_size
-
     def writes(self, seeds: Optional[SeedSequence] = None) -> Iterator[ObjectWrite]:
         """Generate the write stream (deterministic for a given seed)."""
         rng = (seeds or SeedSequence(0)).stream("workload")

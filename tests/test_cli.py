@@ -192,6 +192,36 @@ def test_malformed_arguments_exit_2(capsys, argv):
     assert "usage:" in capsys.readouterr().err
 
 
+SMALL_RS42 = ("--ec-params", "k=4,m=2", "--hosts", "8", "--pg-num", "8",
+              "--objects", "4", "--object-size", "1MB")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["run", "--fault", "device", "--fault-count", "5", *SMALL_RS42],
+     "5 failed host buckets would exceed the guaranteed tolerance m=2"),
+    (["run", "--ec-params", "k=4,m=2", "--hosts", "3", "--objects", "4",
+      "--object-size", "1MB"], "region 0 has only 3 host buckets"),
+    (["run", "--cache-scheme", "bogus"], "unknown cache scheme 'bogus'"),
+    (["twin", "--cache-scheme", "bogus"], "unknown cache scheme 'bogus'"),
+    (["twin", "--ec-params", "k=4,m=2", "--hosts", "5"],
+     "host has 5 hosts, fewer than the n=6 shards"),
+    (["scrub", "--fault-count", "5", *SMALL_RS42],
+     "would exceed the guaranteed tolerance m=2"),
+    (["inject", "--duration", "0", *SMALL_RS42],
+     "fault_duration must be positive"),
+    (["tenants", "--warmup", "-1", *SMALL_RS42], "warmup must be >= 0"),
+    (["geo", "--restore-after", "0"], "fault_duration must be positive"),
+], ids=["run-tolerance", "run-placement", "run-cache-scheme",
+        "twin-cache-scheme", "twin-domain", "scrub-tolerance",
+        "inject-duration", "tenants-warmup", "geo-restore-after"])
+def test_experiment_commands_refuse_bad_input(capsys, argv, message):
+    """Each of these ended in a Python traceback."""
+    code, _, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert err.startswith(f"{argv[0]}: ") and message in err
+    assert "Traceback" not in err
+
+
 def test_sweep_json_schema(tmp_path, capsys):
     output = tmp_path / "sweep.json"
     code, _, _ = run_cli(
@@ -309,6 +339,52 @@ def test_scrub_command_small_experiment(capsys):
     assert code == 0
     assert "detection period" in out
     assert "chunks repaired" in out
+
+
+INJECT_SMALL = ("inject", "--level", "slow_device", "--duration", "60",
+                "--objects", "6", "--object-size", "1MB", "--ec-params",
+                "k=4,m=2", "--hosts", "8", "--pg-num", "8")
+
+
+def test_inject_command_small_experiment(capsys):
+    code, out, _ = run_cli(capsys, *INJECT_SMALL)
+    assert code == 0
+    assert "client reads:      30 ok, 0 failed" in out
+    assert "retries/timeouts:  0 / 0" in out
+    assert "client writes:" not in out
+    assert "final health:      HEALTH_OK" in out
+
+
+def test_inject_command_with_writes(capsys):
+    code, out, _ = run_cli(capsys, *INJECT_SMALL, "--write-fraction", "0.5")
+    assert code == 0
+    assert "client reads:      15 ok, 0 failed" in out
+    assert "client writes:     15 ok, 0 failed" in out
+    assert "final health:      HEALTH_OK" in out
+
+
+TWIN_SMALL = ("twin", "--ec-params", "k=4,m=2", "--hosts", "8", "--pg-num",
+              "8", "--objects", "12", "--object-size", "4MB")
+
+
+def test_twin_command_prediction_json_and_compare(capsys):
+    code, out, _ = run_cli(capsys, *TWIN_SMALL)
+    assert code == 0
+    for line in ("checking period:", "EC recovery:", "total recovery:",
+                 "write amplification:", "repair bytes:", "prediction digest:"):
+        assert line in out
+    code, out, _ = run_cli(capsys, *TWIN_SMALL, "--json")
+    assert code == 0
+    assert set(json.loads(out)) == {
+        "label", "settings", "recovery_time", "checking_period",
+        "ec_recovery_period", "checking_fraction", "wa_actual", "used_bytes",
+        "workload_bytes", "repair_bytes_read", "repair_bytes_written",
+        "affected_objects", "lost_chunks",
+    }
+    code, out, _ = run_cli(capsys, *TWIN_SMALL, "--compare")
+    assert code == 0
+    assert "twin vs DES (one seed)" in out
+    assert "recovery_time" in out and "wa_actual" in out
 
 
 # -- chaos + replay ------------------------------------------------------------

@@ -11,6 +11,7 @@ from repro.core import (
 )
 from repro.core.experiment import iter_experiments
 from repro.cluster.osd import CephConfig
+from repro.geo.experiment import run_stretch_experiment
 from repro.tenancy.experiment import run_tenant_experiment
 from repro.workload import Workload
 
@@ -84,9 +85,33 @@ def test_different_seeds_differ():
 
 def test_controller_is_single_use():
     controller = Controller(small_profile())
-    controller.run_experiment(small_workload(10), [])
-    with pytest.raises(RuntimeError, match="fresh"):
-        controller.run_experiment(small_workload(10), [])
+    controller.coordinator.run(small_workload(10))
+    with pytest.raises(RuntimeError, match="fresh Controller"):
+        controller.coordinator.run(small_workload(10))
+
+
+@pytest.mark.parametrize("warmup", [0.0, 25.0])
+def test_every_entry_point_injects_after_its_warmup(monkeypatch, warmup):
+    """``warmup`` is the warmup in ``run_experiment`` and in
+    ``run_stretch_experiment``, which reaches the cycle through it."""
+    workload = Workload(num_objects=12, object_size=4 * MB)
+    direct = run_experiment(
+        small_profile(), workload, [FaultSpec(level="node")], warmup=warmup
+    )
+    outcomes = []
+
+    def keep(*args, **kwargs):
+        outcomes.append(run_experiment(*args, **kwargs))
+        return outcomes[-1]
+
+    monkeypatch.setattr("repro.geo.experiment.run_experiment", keep)
+    run_stretch_experiment(
+        small_profile(num_regions=3), workload, [FaultSpec(level="node")],
+        warmup=warmup,
+    )
+    (stretched,) = outcomes
+    for outcome in (direct, stretched):
+        assert outcome.collector.first_matching("shutdown").time == warmup
 
 
 def test_repeat_experiment_averages():
@@ -130,7 +155,7 @@ def test_device_level_experiment():
 
 def test_logs_flow_through_bus():
     controller = Controller(small_profile())
-    controller.run_experiment(small_workload(), [FaultSpec(level="node")])
+    controller.coordinator.run(small_workload(), [FaultSpec(level="node")])
     collector = controller.coordinator.collector
     assert collector.of_class("failure")
     assert collector.of_class("recovery")
@@ -215,8 +240,8 @@ def test_held_region_fault_is_refused_before_the_warmup(level):
     timing used to return at the injection instant (t=60) with OSDs
     down, no timeline and no PG queued."""
     controller = Controller(stretch_rs42_profile(), seed=3)
-    with pytest.raises(ValueError, match="restore_after"):
-        controller.run_experiment(
+    with pytest.raises(ValueError, match="fault_duration"):
+        controller.coordinator.run(
             Workload(num_objects=12, object_size=4 * MB), [FaultSpec(level=level)]
         )
     assert controller.env.now == 0.0
@@ -227,7 +252,7 @@ def test_corrupt_fault_without_scrubbing_is_refused_before_the_warmup():
     """The check used to fire only after the faults were injected."""
     controller = Controller(rs42_profile(), seed=3)
     with pytest.raises(ValueError, match="scrubbing is disabled"):
-        controller.run_experiment(
+        controller.coordinator.run(
             Workload(num_objects=12, object_size=4 * MB),
             [FaultSpec(level="corrupt")],
         )

@@ -15,9 +15,9 @@ from repro.chaos.engine import campaign_seed, run_campaign
 from repro.chaos.sampler import sample_campaign
 from repro.cluster import CephConfig
 from repro.core.fault_injector import FaultSpec
-from repro.core.gray import run_gray_experiment
 from repro.core.profile import ExperimentProfile
 from repro.geo.experiment import run_stretch_experiment
+from repro.tenancy import TenantFleetSpec, run_tenant_experiment
 from repro.workload.generator import Workload
 
 MB = 1024 * 1024
@@ -43,7 +43,8 @@ DEFENDED = {
     "client_hedge_delay": 0.15,
 }
 
-#: name -> (ceph overrides, faults, run_gray_experiment kwargs, digest).
+#: name -> (ceph overrides, faults, run_tenant_experiment kwargs, digest);
+#: the fleet is ``TenantFleetSpec.legacy()`` unless the kwargs name one.
 GRAY_PINS = {
     "device": (
         {"mon_osd_down_out_interval": 30.0},
@@ -54,8 +55,8 @@ GRAY_PINS = {
     "slow_device_writes": (
         {},
         [FaultSpec(level="slow_device", factor=16.0)],
-        {"seed": 11, "fault_duration": 300.0, "load_interval": 2.0,
-         "write_fraction": 0.4, "rmw_fraction": 0.5},
+        {"seed": 11, "fault_duration": 300.0,
+         "fleet_spec": TenantFleetSpec.legacy(2.0, 0.4, 0.5)},
         "9e622468655c6151f94d7f3eab1dc97049c7efd4a9a19f3dfead3c8f6778d460",
     ),
     "device_net_defended": (
@@ -77,10 +78,11 @@ GRAY_PINS = {
 @pytest.mark.parametrize("name", sorted(GRAY_PINS))
 def test_gray_digest_pinned(name):
     overrides, faults, kwargs, pinned = GRAY_PINS[name]
-    outcome = run_gray_experiment(
+    kwargs = {"fleet_spec": TenantFleetSpec.legacy(), **kwargs}
+    outcome = run_tenant_experiment(
         gray_profile(**overrides),
         Workload(num_objects=12, object_size=1 * MB),
-        faults,
+        faults=faults,
         **kwargs,
     )
     digest = hashlib.sha256(outcome.digest_json().encode("utf-8")).hexdigest()
@@ -112,7 +114,7 @@ def test_stretch_restore_digest_pinned(aware):
         [FaultSpec(level="region_outage")],
         seed=7,
         locality_aware=aware,
-        restore_after=900.0,
+        fault_duration=900.0,
     )
     assert outcome.digest() == STRETCH_RESTORE_PINS[aware]
 

@@ -45,11 +45,11 @@ def test_single_region_profile_rejected():
         run_stretch_experiment(profile, WORKLOAD)
 
 
-@pytest.mark.parametrize("restore_after", [0.0, -5.0])
-def test_non_positive_restore_after_rejected(restore_after):
+@pytest.mark.parametrize("fault_duration", [0.0, -5.0])
+def test_non_positive_fault_duration_rejected(fault_duration):
     profile = stretch_profile("rs", "jerasure", {"k": 4, "m": 2})
-    with pytest.raises(ValueError, match="restore_after"):
-        run_stretch(profile, restore_after=restore_after)
+    with pytest.raises(ValueError, match="fault_duration"):
+        run_stretch(profile, fault_duration=fault_duration)
 
 
 def test_outcome_digest_is_canonical_json_sha256():
@@ -115,9 +115,9 @@ def test_locality_aware_beats_naive_on_region_rebuild():
     pulls next to the surviving shards instead of hauling full reads
     into the recovering region."""
     profile = stretch_profile("clay", "clay", {"k": 4, "m": 2, "d": 5})
-    aware = run_stretch(profile, "region_outage", restore_after=900.0)
+    aware = run_stretch(profile, "region_outage", fault_duration=900.0)
     naive = run_stretch(
-        profile, "region_outage", restore_after=900.0, locality_aware=False
+        profile, "region_outage", fault_duration=900.0, locality_aware=False
     )
     assert aware.objects_recovered == naive.objects_recovered > 0
     assert aware.cross_region_repair_bytes < naive.cross_region_repair_bytes

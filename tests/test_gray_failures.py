@@ -2,8 +2,9 @@
 
 Covers the injector's three gray levels and their white-box budget
 rules, the monitor's flap dampening, the client's retry/timeout/hedge
-defenses, recovery's retry-under-drops behaviour, the gray experiment
-driver's determinism contract, and the chaos sampler's gray rounds.
+defenses, recovery's retry-under-drops behaviour, the determinism
+contract of gray experiments (the cycle with one legacy client stream),
+and the chaos sampler's gray rounds.
 """
 
 import random
@@ -25,11 +26,11 @@ from repro.cluster import (
 from repro.cluster.retry import DEFAULT_BACKOFF_CAP, retry_backoff
 from repro.core import GRAY_LEVELS, FaultSpec, FaultToleranceError
 from repro.core.fault_injector import FaultInjector
-from repro.core.gray import run_gray_experiment
 from repro.core.profile import ExperimentProfile
 from repro.core.worker import deploy_workers
 from repro.ec import ReedSolomon
 from repro.sim import Environment
+from repro.tenancy import TenantFleetSpec, run_tenant_experiment
 from repro.workload.generator import Workload
 
 MB = 1024 * 1024
@@ -352,7 +353,7 @@ def test_recovery_retries_through_lossy_network_and_converges():
     assert all(osd.is_up() for osd in cluster.osds.values())
 
 
-# -- the gray experiment driver -------------------------------------------------
+# -- gray experiments: the cycle with a legacy fleet ----------------------------
 
 
 def _profile(**ceph_overrides):
@@ -369,9 +370,10 @@ def _profile(**ceph_overrides):
 
 
 def test_gray_experiment_slow_device_converges_without_markdown():
-    outcome = run_gray_experiment(
+    outcome = run_tenant_experiment(
         _profile(),
         Workload(num_objects=12, object_size=1 * MB),
+        TenantFleetSpec.legacy(),
         [FaultSpec(level="slow_device", factor=16.0)],
         seed=3,
         fault_duration=300.0,
@@ -383,9 +385,10 @@ def test_gray_experiment_slow_device_converges_without_markdown():
 
 def test_gray_experiment_flap_produces_timeline_and_digest_is_stable():
     def run():
-        return run_gray_experiment(
+        return run_tenant_experiment(
             _profile(mon_osd_markdown_count=3),
             Workload(num_objects=12, object_size=1 * MB),
+            TenantFleetSpec.legacy(),
             [FaultSpec(level="flap", flap_interval=15.0)],
             seed=5,
             fault_duration=900.0,

@@ -22,15 +22,13 @@ def test_recommended_pg_num_power_of_two():
 
 
 def test_recommended_pg_num_bounds():
-    assert recommended_pg_num(1, 200, target_shards_per_osd=1) == 1
+    assert recommended_pg_num(1, 200) == 1
     assert recommended_pg_num(100_000, 1) <= 32768
 
 
 def test_recommended_validation():
     with pytest.raises(ValueError):
         recommended_pg_num(0, 12)
-    with pytest.raises(ValueError):
-        recommended_pg_num(10, 12, target_shards_per_osd=0)
 
 
 def test_autoscale_advice_flags_gross_misconfiguration():

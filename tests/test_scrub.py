@@ -42,11 +42,11 @@ def scrub_profile(**overrides):
 def run_corruption(model, count=1, seed=7, **overrides):
     controller = Controller(scrub_profile(**overrides), seed=seed)
     workload = Workload(num_objects=12, object_size=256 * KB)
-    outcome = controller.run_experiment(
+    outcome = controller.coordinator.run(
         workload,
         faults=[FaultSpec(level="corrupt", count=count, corruption=model)],
-        settle_time=30.0,
-        max_sim_time=20_000.0,
+        warmup=30.0,
+        settle_time=20_000.0,
     )
     return controller, outcome
 
@@ -194,10 +194,10 @@ def test_corrupt_fault_with_scrub_disabled_is_refused():
     # detect the corruption, so the coordinator refuses to run.
     controller = Controller(scrub_profile(scrub_interval=0.0), seed=1)
     with pytest.raises(ValueError, match="scrub"):
-        controller.run_experiment(
+        controller.coordinator.run(
             Workload(num_objects=6, object_size=256 * KB),
             faults=[FaultSpec(level="corrupt")],
-            settle_time=10.0,
+            warmup=10.0,
         )
 
 

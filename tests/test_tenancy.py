@@ -15,7 +15,6 @@ from repro.chaos.sampler import sample_campaign
 from repro.cluster import CephConfig
 from repro.core.controller import Controller
 from repro.core.fault_injector import FaultSpec
-from repro.core.gray import run_gray_experiment
 from repro.core.profile import ExperimentProfile
 from repro.tenancy import (
     LEGACY_TENANT_NAME,
@@ -215,10 +214,6 @@ def test_multi_tenant_qos_experiment():
     assert "recovery" in totals and tenant_class_name("latency") in totals
     for counters in totals.values():
         assert counters["served"] == counters["enqueued"]
-    # Fault window covers injection through settle.
-    assert outcome.fault_window is not None
-    start, end = outcome.fault_window
-    assert start < end == outcome.finished_at
     # Digest carries per-tenant sections + QoS totals, not the legacy shape.
     digest = outcome.digest()
     assert set(digest["tenants"]) == {"latency", "batch"}
@@ -256,16 +251,10 @@ def test_cycle_rejects_negative_timing_before_building(monkeypatch, name):
     def no_build(*_args, **_kwargs):
         raise AssertionError("built a cluster for a rejected cycle")
 
-    monkeypatch.setattr("repro.tenancy.experiment.Controller", no_build)
+    monkeypatch.setattr("repro.core.experiment.Controller", no_build)
     with pytest.raises(ValueError, match=name):
         run_tenant_experiment(
             small_profile(), small_workload(), qos_fleet(), **{name: -1.0}
-        )
-    # The gray preset runs the same cycle: a negative warmup used to
-    # rewind the clock instead of failing.
-    with pytest.raises(ValueError, match=name):
-        run_gray_experiment(
-            small_profile(), small_workload(), [], **{name: -1.0}
         )
 
 

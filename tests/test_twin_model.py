@@ -158,6 +158,20 @@ def test_gray_faults_predict_no_recovery():
     assert prediction.repair_bytes_read == 0.0
 
 
+@pytest.mark.parametrize("overrides, faults, message", [
+    ({"num_hosts": 5}, NODE_FAULT, "host has 5 hosts"),
+    ({"failure_domain": "osd", "num_hosts": 2, "osds_per_host": 2},
+     NODE_FAULT, "osd has 4 OSDs"),
+    ({"failure_domain": "rack", "num_racks": 4},
+     [FaultSpec(level="correlated_crash", domain="rack")], "rack has 4 racks"),
+], ids=["host", "osd", "rack"])
+def test_domain_narrower_than_the_stripe_is_refused(overrides, faults, message):
+    # RS(4,2) needs 6 buckets; the loss distribution used to divide by
+    # C(buckets, 6) = 0.
+    with pytest.raises(ValueError, match=f"{message}, fewer than the n=6"):
+        predict(make_profile(**overrides), Workload(num_objects=4), faults)
+
+
 # -- RMW overwrite amplification ---------------------------------------------------
 
 

@@ -12,7 +12,7 @@ MB = 1024 * 1024
 def test_paper_default_workload():
     assert PAPER_DEFAULT.num_objects == 10_000
     assert PAPER_DEFAULT.object_size == 64 * MB
-    assert PAPER_DEFAULT.total_bytes == 10_000 * 64 * MB
+    assert PAPER_DEFAULT.num_objects * PAPER_DEFAULT.object_size == 10_000 * 64 * MB
 
 
 def test_workload_validation():
