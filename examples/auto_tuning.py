@@ -127,7 +127,6 @@ def main() -> None:
             space,
             Evaluator(space, object_size=64 * MB,
                       faults=[FaultSpec(level="node")], base_seed=args.seed),
-            args.seed,
         )
         exhaustive_best = min(
             (m for m in results if m.wa_actual <= args.wa_budget),

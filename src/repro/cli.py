@@ -64,6 +64,24 @@ def parse_size(text: str) -> int:
     return int(match.group(1)) * {"B": 1, "KB": KB, "MB": MB, "GB": 1024 * MB}[unit]
 
 
+def positive_seconds(text: str) -> float:
+    """A fault window's length: seconds > 0.  argparse turns the
+    ``ValueError`` into an error naming the flag, before any cluster is
+    built."""
+    seconds = float(text)
+    if not seconds > 0:
+        raise ValueError(text)
+    return seconds
+
+
+def non_negative_seconds(text: str) -> float:
+    """A delay before the fault: seconds >= 0, refused as above."""
+    seconds = float(text)
+    if not seconds >= 0:
+        raise ValueError(text)
+    return seconds
+
+
 def _parse_ec(plugin: str, params_text: str) -> dict:
     """'k=9,m=3,d=11' -> {'k': 9, 'm': 3, 'd': 11} (values as ints)."""
     params = {}
@@ -148,9 +166,10 @@ def _add_grid_arguments(parser) -> None:
 
 
 def _refuse_bad_input(command):
-    """Wrap an experiment command: a profile, fault or timing the model
-    refuses (``ValueError``, which includes ``FaultToleranceError``, or
-    ``PlacementError``) prints ``<command>: <message>`` on stderr and
+    """Wrap a command that runs the model or reads a report: a profile,
+    fault, timing, search setting or report it refuses (``ValueError``,
+    which includes ``FaultToleranceError`` and ``TuningArtifactError``,
+    or ``PlacementError``) prints ``<command>: <message>`` on stderr and
     exits 2, as the other commands' input checks do."""
 
     @functools.wraps(command)
@@ -328,6 +347,7 @@ def _print_progress(measurement, evaluator) -> None:
     )
 
 
+@_refuse_bad_input
 def cmd_sweep(args) -> int:
     from .tuner import Fidelity, GridSearch, TuningSpace, tune
 
@@ -360,18 +380,11 @@ def cmd_sweep(args) -> int:
     return 0
 
 
+@_refuse_bad_input
 def cmd_analyze(args) -> int:
-    from .tuner import (
-        TuningArtifactError,
-        load_tuning_artifact,
-        top_fidelity_measurements,
-    )
+    from .tuner import load_tuning_artifact, top_fidelity_measurements
 
-    try:
-        artifact = load_tuning_artifact(args.results)
-    except TuningArtifactError as exc:
-        print(f"analyze: {exc}", file=sys.stderr)
-        return 2
+    artifact = load_tuning_artifact(args.results)
     results = [
         m.to_sweep_result()
         for m in top_fidelity_measurements(artifact.evaluations)
@@ -421,15 +434,13 @@ def _parse_ec_variants(text: str) -> list:
     return variants
 
 
+@_refuse_bad_input
 def cmd_tune(args) -> int:
     from .tuner import (
-        CoordinateDescent,
         Fidelity,
-        RandomSearch,
         ReadProbe,
         SuccessiveHalving,
         TenantProbe,
-        TuningArtifactError,
         TuningSpace,
         default_objectives,
         pool_width_fits,
@@ -465,48 +476,43 @@ def cmd_tune(args) -> int:
         args.probe_tenants or args.tenant_p99_budget is not None
     )
     full = Fidelity(args.objects, runs=args.runs, label="full")
-    screen_objects = args.screen_objects or max(1, args.objects // 8)
+    screen_objects = (
+        max(1, args.objects // 8)
+        if args.screen_objects is None
+        else args.screen_objects
+    )
     screen_backend = "twin" if args.twin_screen else "des"
-    if args.strategy == "halving":
-        mid_objects = max(
-            screen_objects + 1, int(round((screen_objects * args.objects) ** 0.5))
-        )
-        rungs = [Fidelity(screen_objects, runs=args.runs, label="screen",
-                          backend=screen_backend)]
-        if screen_objects < mid_objects < args.objects:
-            rungs.append(Fidelity(mid_objects, runs=args.runs, label="mid",
-                                  backend=screen_backend))
-        rungs.append(full)
-        strategy = SuccessiveHalving(rungs, eta=args.eta)
-    elif args.strategy == "random":
-        strategy = RandomSearch(args.samples, full)
-    else:
-        strategy = CoordinateDescent(full, screen=max(2, args.samples // 2))
+    mid_objects = max(
+        screen_objects + 1, int(round((screen_objects * args.objects) ** 0.5))
+    )
+    rungs = [Fidelity(screen_objects, runs=args.runs, label="screen",
+                      backend=screen_backend)]
+    if screen_objects < mid_objects < args.objects:
+        rungs.append(Fidelity(mid_objects, runs=args.runs, label="mid",
+                              backend=screen_backend))
+    rungs.append(full)
+    strategy = SuccessiveHalving(rungs, eta=args.eta)
 
-    try:
-        outcome = tune(
-            space,
-            strategy,
-            seed=args.seed,
-            object_size=args.object_size,
-            budget=args.budget,
-            workers=args.workers,
-            probe=ReadProbe() if probe_enabled else None,
-            tenant_probe=TenantProbe() if tenant_probe_enabled else None,
-            objectives=default_objectives(
-                wa_budget=args.wa_budget,
-                p99_budget=args.p99_budget,
-                include_p99=probe_enabled,
-                tenant_p99_budget=args.tenant_p99_budget,
-                include_tenant_p99=tenant_probe_enabled,
-            ),
-            artifact_path=args.output,
-            resume=args.resume,
-            on_progress=_print_progress,
-        )
-    except TuningArtifactError as exc:
-        print(f"tune: {exc}", file=sys.stderr)
-        return 2
+    outcome = tune(
+        space,
+        strategy,
+        seed=args.seed,
+        object_size=args.object_size,
+        budget=args.budget,
+        workers=args.workers,
+        probe=ReadProbe() if probe_enabled else None,
+        tenant_probe=TenantProbe() if tenant_probe_enabled else None,
+        objectives=default_objectives(
+            wa_budget=args.wa_budget,
+            p99_budget=args.p99_budget,
+            include_p99=probe_enabled,
+            tenant_p99_budget=args.tenant_p99_budget,
+            include_tenant_p99=tenant_probe_enabled,
+        ),
+        artifact_path=args.output,
+        resume=args.resume,
+        on_progress=_print_progress,
+    )
 
     exhaustive = len(space.enumerate()) * (
         full.cost
@@ -1043,7 +1049,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="net_degrade: full partition instead of loss")
     inject.add_argument("--flap-interval", type=float, default=60.0,
                         help="flap half-period base (s)")
-    inject.add_argument("--duration", type=float, default=600.0,
+    inject.add_argument("--duration", type=positive_seconds, default=600.0,
                         help="how long the fault stays injected (s)")
     inject.add_argument("--read-interval", type=float, default=2.0,
                         help="client load: seconds between ops")
@@ -1096,8 +1102,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_profile_arguments(tune)
     _add_grid_arguments(tune)
-    tune.add_argument("--strategy", choices=["halving", "random", "coordinate"],
-                      default="halving")
     tune.add_argument("--budget", type=int, default=None,
                       help="simulation budget in object-runs (hard ceiling)")
     tune.add_argument("--ec-variants", dest="ec_variants_list",
@@ -1112,8 +1116,6 @@ def build_parser() -> argparse.ArgumentParser:
                            "full-fidelity DES finalist runs")
     tune.add_argument("--eta", type=int, default=4,
                       help="successive-halving promotion ratio")
-    tune.add_argument("--samples", type=int, default=12,
-                      help="random-search samples / coordinate screen size")
     tune.add_argument("--probe-reads", action="store_true",
                       help="also measure degraded-read p99 per point")
     tune.add_argument("--wa-budget", type=float, default=None)
@@ -1247,9 +1249,9 @@ def build_parser() -> argparse.ArgumentParser:
                          choices=["node", "device", "slow_device", "none"],
                          default="node")
     tenants.add_argument("--fault-count", type=int, default=1)
-    tenants.add_argument("--warmup", type=float, default=50.0,
+    tenants.add_argument("--warmup", type=non_negative_seconds, default=50.0,
                          help="seconds before the fault is injected")
-    tenants.add_argument("--duration", type=float, default=600.0,
+    tenants.add_argument("--duration", type=positive_seconds, default=600.0,
                          help="how long the fleet runs under the fault (s)")
     tenants.add_argument("--json", action="store_true",
                          help="emit the per-tenant report as JSON")
@@ -1276,7 +1278,7 @@ def build_parser() -> argparse.ArgumentParser:
                      help="per-region WAN ingress bandwidth (B/s)")
     geo.add_argument("--wan-egress-cost", type=float, default=0.02,
                      help="metered egress price (USD per GiB)")
-    geo.add_argument("--restore-after", type=float, default=None,
+    geo.add_argument("--restore-after", type=positive_seconds, default=None,
                      metavar="SECONDS",
                      help="restore the fault after this many sim seconds and "
                           "settle to convergence (required for region_outage "

@@ -8,9 +8,8 @@ good configurations under a simulation budget":
   cross-axis constraints;
 * :mod:`~repro.tuner.evaluator` — a budget-accounted, memoising,
   parallel-safe evaluator over the simulator;
-* :mod:`~repro.tuner.strategies` — the exhaustive grid, seeded random
-  search, coordinate descent (axis order from the sensitivity
-  analysis), and successive halving;
+* :mod:`~repro.tuner.strategies` — the exhaustive grid and successive
+  halving;
 * :mod:`~repro.tuner.pareto` — multi-objective fronts and scalarised
   recommendations under user budgets;
 * :mod:`~repro.tuner.artifact` / :mod:`~repro.tuner.runner` — resumable
@@ -56,14 +55,7 @@ from .space import (
     pool_width_fits,
     stripe_unit_divides,
 )
-from .strategies import (
-    CoordinateDescent,
-    GridSearch,
-    RandomSearch,
-    Strategy,
-    SuccessiveHalving,
-    by_recovery_time,
-)
+from .strategies import GridSearch, Strategy, SuccessiveHalving
 
 __all__ = [
     "TuningArtifact",
@@ -100,8 +92,5 @@ __all__ = [
     "stripe_unit_divides",
     "Strategy",
     "GridSearch",
-    "RandomSearch",
-    "CoordinateDescent",
     "SuccessiveHalving",
-    "by_recovery_time",
 ]

@@ -1,13 +1,14 @@
 """Resumable JSON tuning reports.
 
 Every ``ecfault tune`` run checkpoints one JSON artifact after each
-evaluation: the space fingerprint, seed, strategy, budget ledger, every
-measurement so far, and — once the run completes — the Pareto front and
-the recommendation.  Because the evaluator is deterministic and memoises
-by configuration signature, a run resumed from a truncated artifact
-replays the strategy's decision sequence against the cached
-measurements, re-simulates nothing it already paid for, and lands on the
-same final recommendation as an uninterrupted run.
+evaluation: the space fingerprint, seed, strategy and its search
+settings, budget ledger, every measurement so far, and — once the run
+completes — the Pareto front and the recommendation.  Because the
+evaluator is deterministic and memoises by configuration signature, a
+run resumed from a truncated artifact replays the strategy's decision
+sequence against the cached measurements, re-simulates nothing it
+already paid for, and lands on the same final recommendation as an
+uninterrupted run.
 
 Writes are atomic (temp file + ``os.replace``), so a tuning process
 killed mid-checkpoint never leaves an unparseable artifact behind.
@@ -51,6 +52,9 @@ class TuningArtifact:
     spent: int
     evaluations: Tuple[Measurement, ...]
     objectives: Tuple[Objective, ...] = ()
+    #: What the search measures: the strategy's fidelities and the
+    #: probe settings (None in a report that predates this key).
+    search: Optional[Dict[str, Any]] = None
     #: Signatures of the non-dominated front (present when complete).
     front: Tuple[str, ...] = ()
     #: The scalarised pick's signature + label (present when complete).
@@ -75,6 +79,7 @@ class TuningArtifact:
             "spent": self.spent,
             "evaluations": [m.to_dict() for m in self.evaluations],
             "objectives": [o.to_dict() for o in self.objectives],
+            "search": self.search,
             "front": list(self.front),
             "recommendation": self.recommendation,
             "complete": self.complete,
@@ -106,6 +111,7 @@ class TuningArtifact:
                 objectives=tuple(
                     Objective.from_dict(o) for o in data.get("objectives", [])
                 ),
+                search=data.get("search"),
                 front=tuple(data.get("front", [])),
                 recommendation=data.get("recommendation"),
                 complete=bool(data.get("complete", False)),

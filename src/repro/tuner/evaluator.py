@@ -515,9 +515,6 @@ class Evaluator:
 
     # -- evaluation -----------------------------------------------------------------
 
-    def evaluate(self, point: Mapping[str, Any], fidelity: Fidelity) -> Measurement:
-        return self.evaluate_many([point], fidelity)[0]
-
     def evaluate_many(
         self, points: Sequence[Mapping[str, Any]], fidelity: Fidelity
     ) -> List[Measurement]:

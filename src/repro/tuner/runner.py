@@ -9,7 +9,8 @@ after every single evaluation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import json
+from dataclasses import dataclass, replace
 from typing import Callable, List, Optional, Sequence, Tuple
 
 from ..core.fault_injector import FaultSpec
@@ -84,7 +85,10 @@ def tune(
     evaluations are replayed into the evaluator's cache and the budget
     ledger is restored, so the strategy re-traces its deterministic
     decision path without re-simulating anything already paid for.  The
-    artifact must match this run's space, seed and strategy.
+    artifact must match this run's space, seed, strategy, search
+    settings (the strategy's fidelities and the probes) and budget;
+    only the objectives, which re-rank the same measurements, may
+    change.
     """
     if objectives is None:
         objectives = default_objectives(
@@ -92,6 +96,13 @@ def tune(
             include_tenant_p99=tenant_probe is not None,
         )
     objectives = tuple(objectives)
+    search = {
+        **strategy.describe(),
+        "probe": probe.to_dict() if probe is not None else None,
+        "tenant_probe": (
+            tenant_probe.to_dict() if tenant_probe is not None else None
+        ),
+    }
 
     prior: Optional[TuningArtifact] = None
     if resume:
@@ -110,6 +121,12 @@ def tune(
             raise TuningArtifactError(
                 f"artifact strategy {prior.strategy!r} != {strategy.name!r}"
             )
+        if prior.search != search:
+            raise TuningArtifactError(
+                "artifact search settings "
+                f"{json.dumps(prior.search, sort_keys=True)} != requested "
+                f"{json.dumps(search, sort_keys=True)}"
+            )
         if prior.budget != budget:
             raise TuningArtifactError(
                 f"artifact budget {prior.budget!r} != requested {budget!r}"
@@ -124,6 +141,7 @@ def tune(
         spent=prior.spent if prior else 0,
         evaluations=tuple(log),
         objectives=objectives,
+        search=search,
     )
 
     state = {"artifact": artifact}
@@ -154,19 +172,14 @@ def tune(
         evaluator.seed_cache(prior.evaluations)
         evaluator.spent = prior.spent
 
-    strategy.search(space, evaluator, seed)
+    strategy.search(space, evaluator)
 
     finals = top_fidelity_measurements(log)
     recommendation = recommend(finals, objectives) if finals else None
-    final_artifact = state["artifact"]
-    final_artifact = TuningArtifact(
-        seed=final_artifact.seed,
-        strategy=final_artifact.strategy,
-        space=final_artifact.space,
-        budget=final_artifact.budget,
+    final_artifact = replace(
+        state["artifact"],
         spent=evaluator.spent,
         evaluations=tuple(log),
-        objectives=objectives,
         front=tuple(m.signature for m in recommendation.front)
         if recommendation
         else (),

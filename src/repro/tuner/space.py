@@ -4,10 +4,9 @@ The paper sweeps hand-picked grids; the tuner searches *spaces*.  A
 :class:`TuningSpace` pairs a base :class:`ExperimentProfile` with typed
 axes — categorical values and whole EC variants — plus cross-axis
 :class:`Constraint`\\ s (``k+m <= num_osds``, stripe-unit divisibility,
-...).  The space can enumerate every valid point, rejection-sample valid
-points from a seeded RNG, validate arbitrary points, and render any
-point as a runnable profile or as a canonical signature string the
-evaluator memoises by.
+...).  The space can enumerate every valid point, validate arbitrary
+points, and render any point as a runnable profile or as a canonical
+signature string the evaluator memoises by.
 
 A *point* is a plain ``dict`` mapping axis names to values; the special
 axis name ``"ec"`` carries a ``(plugin, params)`` pair and expands to the
@@ -37,15 +36,12 @@ __all__ = [
 #: The reserved axis name that sweeps whole (plugin, params) EC variants.
 EC_AXIS = "ec"
 
-#: Draws :meth:`TuningSpace.sample` makes before it gives up.
-SAMPLE_ATTEMPTS = 10_000
-
 
 class Axis:
     """One searchable configuration dimension.
 
-    Subclasses define the value set; the base class provides sampling
-    and membership in terms of :meth:`values`.
+    Subclasses define the value set; the base class provides
+    membership in terms of :meth:`values`.
     """
 
     name: str
@@ -53,11 +49,6 @@ class Axis:
     def values(self) -> Tuple[Any, ...]:
         """Every value this axis can take, in canonical order."""
         raise NotImplementedError
-
-    def sample(self, rng) -> Any:
-        """One uniformly random value from a seeded RNG stream."""
-        options = self.values()
-        return options[rng.randrange(len(options))]
 
     def contains(self, value: Any) -> bool:
         return value in self.values()
@@ -277,35 +268,6 @@ class TuningSpace:
             del partial[axis.name]
 
         yield from expand(0, {})
-
-    def sample(self, rng, count: int) -> List[Dict[str, Any]]:
-        """``count`` distinct valid points by seeded rejection sampling.
-
-        Deterministic for a given RNG stream.  Raises if the space
-        cannot yield that many distinct valid points within
-        :data:`SAMPLE_ATTEMPTS` draws (dense constraint rejection or a
-        space smaller than ``count``).
-        """
-        if count < 1:
-            raise ValueError("count must be >= 1")
-        points: List[Dict[str, Any]] = []
-        seen: set = set()
-        for _ in range(SAMPLE_ATTEMPTS):
-            if len(points) >= count:
-                return points
-            point = {axis.name: axis.sample(rng) for axis in self.axes}
-            signature = self.signature(point)
-            if signature in seen or not self.is_valid(point):
-                continue
-            seen.add(signature)
-            points.append(point)
-        if len(points) >= count:
-            return points
-        raise ValueError(
-            f"could not sample {count} distinct valid points in "
-            f"{SAMPLE_ATTEMPTS} attempts (got {len(points)}; space size "
-            f"{self.size()} before constraints)"
-        )
 
     # -- rendering ------------------------------------------------------------------
 

@@ -176,7 +176,7 @@ def test_no_subcommand_is_an_error(capsys):
     ["replay"],                              # artifact path is required
     ["frobnicate"],                          # unknown subcommand
     ["tune", "--budget", "lots"],            # not an int
-    ["tune", "--strategy", "psychic"],       # not a strategy
+    ["tune", "--eta", "many"],               # not an int
     ["tune", "--ec-variants", "k=9,m=3"],    # missing plugin: prefix
     ["inject", "--level", "node"],           # not a gray fault level
     ["inject", "--factor", "fast"],          # not a float
@@ -184,16 +184,27 @@ def test_no_subcommand_is_an_error(capsys):
     ["fuzz", "--seed", "soon"],              # not an int
     ["cascade", "--priority", "turbo"],      # not a recovery priority
     ["cascade", "--seed", "soon"],           # not an int
+    # Timings are refused as they are parsed, before any cluster exists.
+    pytest.param(["inject", "--duration", "0"], id="inject-duration"),
+    pytest.param(["tenants", "--duration", "0"], id="tenants-duration"),
+    pytest.param(["tenants", "--warmup", "-1"], id="tenants-warmup"),
+    pytest.param(["geo", "--restore-after", "0"], id="geo-restore-after"),
 ])
 def test_malformed_arguments_exit_2(capsys, argv):
     with pytest.raises(SystemExit) as excinfo:
         main(argv)
     assert excinfo.value.code == 2
-    assert "usage:" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "usage:" in err
+    # The message names the flag that was typed.
+    for flag in (arg for arg in argv if arg.startswith("--")):
+        assert f"argument {flag}: " in err
 
 
 SMALL_RS42 = ("--ec-params", "k=4,m=2", "--hosts", "8", "--pg-num", "8",
               "--objects", "4", "--object-size", "1MB")
+SMALL_GRID = ("--sweep-pg-num", "4,8", "--objects", "8", "--object-size", "1MB",
+              "--stripe-unit", "1MB", "--hosts", "15")
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -207,15 +218,23 @@ SMALL_RS42 = ("--ec-params", "k=4,m=2", "--hosts", "8", "--pg-num", "8",
      "host has 5 hosts, fewer than the n=6 shards"),
     (["scrub", "--fault-count", "5", *SMALL_RS42],
      "would exceed the guaranteed tolerance m=2"),
-    (["inject", "--duration", "0", *SMALL_RS42],
-     "fault_duration must be positive"),
-    (["tenants", "--warmup", "-1", *SMALL_RS42], "warmup must be >= 0"),
-    (["geo", "--restore-after", "0"], "fault_duration must be positive"),
+    (["tune", "--eta", "1", *SMALL_GRID], "eta must be >= 2"),
+    (["tune", "--runs", "0", *SMALL_GRID], "runs must be >= 1"),
+    (["tune", "--budget", "0", *SMALL_GRID], "budget must be >= 1"),
+    (["tune", "--workers", "0", *SMALL_GRID], "workers must be >= 1"),
+    (["tune", "--screen-objects", "20", *SMALL_GRID],
+     "fidelities must be ordered cheapest first"),
+    (["tune", "--screen-objects", "0", *SMALL_GRID], "objects must be >= 1"),
+    (["sweep", "--runs", "0", *SMALL_GRID], "runs must be >= 1"),
+    (["sweep", "--workers", "0", *SMALL_GRID], "workers must be >= 1"),
 ], ids=["run-tolerance", "run-placement", "run-cache-scheme",
         "twin-cache-scheme", "twin-domain", "scrub-tolerance",
-        "inject-duration", "tenants-warmup", "geo-restore-after"])
+        "tune-eta", "tune-runs", "tune-budget", "tune-workers",
+        "tune-screen-above-full", "tune-screen-zero", "sweep-runs",
+        "sweep-workers"])
 def test_experiment_commands_refuse_bad_input(capsys, argv, message):
-    """Each of these ended in a Python traceback."""
+    """Each of these ended in a Python traceback; tune-screen-zero ran
+    with the default screen size in place of the 0 given."""
     code, _, err = run_cli(capsys, *argv)
     assert code == 2
     assert err.startswith(f"{argv[0]}: ") and message in err
@@ -294,13 +313,38 @@ def test_tune_artifact_json_schema(tmp_path, capsys):
     assert blob["format"] == "ecfault-tuning-report"
     assert blob["version"] == 1
     assert blob["complete"] is True
-    assert {"seed", "strategy", "space", "budget", "spent", "evaluations",
-            "objectives", "front", "recommendation"} <= set(blob)
+    assert {"seed", "strategy", "search", "space", "budget", "spent",
+            "evaluations", "objectives", "front", "recommendation"} <= set(blob)
     for row in blob["evaluations"]:
         assert {"signature", "settings", "fidelity", "recovery_time",
                 "wa_actual", "cost"} <= set(row)
     assert blob["recommendation"]["signature"] in blob["front"]
     assert blob["spent"] == sum(row["cost"] for row in blob["evaluations"])
+
+
+def test_tune_screens_with_the_twin_and_both_probes(tmp_path, capsys):
+    output = tmp_path / "tuning.json"
+    code, _, _ = tune_small(
+        capsys, output, "--twin-screen", "--eta", "2", "--screen-objects", "2",
+        "--p99-budget", "0.5", "--tenant-p99-budget", "0.5",
+    )
+    assert code == 0
+    blob = json.loads(output.read_text())
+    rows = blob["evaluations"]
+    # 2 points screened by the twin, 1 promoted to a twin mid rung, and
+    # 1 to the one DES run the budget pays for.
+    assert [(row["fidelity"]["label"], row["fidelity"].get("backend", "des"))
+            for row in rows] == [("screen", "twin")] * 2 + [
+        ("mid", "twin"), ("full", "des")]
+    assert [row["cost"] for row in rows[:3]] == [0, 0, 0]
+    for row in rows:
+        assert row["degraded_p99"] is not None
+        assert row["tenant_slo_p99"] is not None
+    budgets = {o["name"]: o["budget"] for o in blob["objectives"]}
+    assert budgets["degraded_p99"] == budgets["tenant_slo_p99"] == 0.5
+    # 16 objects plus the 48- and 32-object probes.
+    assert blob["spent"] == rows[3]["cost"] == 96
+    assert blob["search"]["eta"] == 2
 
 
 def test_tune_resumes_from_partial_artifact(tmp_path, capsys):

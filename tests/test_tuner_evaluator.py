@@ -80,8 +80,8 @@ def test_identical_signatures_never_simulated_twice():
     space = evaluator.space
     point = {"pg_num": 16, "cache_scheme": "autotune", "ec": RS}
     same_point_reordered = {"ec": RS, "cache_scheme": "autotune", "pg_num": 16}
-    first = evaluator.evaluate(point, Fidelity(8))
-    second = evaluator.evaluate(same_point_reordered, Fidelity(8))
+    first = evaluator.evaluate_many([point], Fidelity(8))[0]
+    second = evaluator.evaluate_many([same_point_reordered], Fidelity(8))[0]
     assert len(CALLS) == 1
     assert first == second
     assert evaluator.simulations == 1
@@ -89,7 +89,7 @@ def test_identical_signatures_never_simulated_twice():
     evaluator.evaluate_many([point, same_point_reordered, point], Fidelity(8))
     assert len(CALLS) == 1
     # A different fidelity is a different cache entry.
-    evaluator.evaluate(point, Fidelity(16))
+    evaluator.evaluate_many([point], Fidelity(16))
     assert len(CALLS) == 2
     assert space.signature(point) == first.signature
 
@@ -97,11 +97,11 @@ def test_identical_signatures_never_simulated_twice():
 def test_cache_hits_charge_nothing():
     evaluator = make_evaluator(budget=16)
     point = {"pg_num": 16, "cache_scheme": "autotune", "ec": RS}
-    evaluator.evaluate(point, Fidelity(16))
+    evaluator.evaluate_many([point], Fidelity(16))
     assert evaluator.spent == 16
     assert evaluator.remaining == 0
     # Budget is exhausted, but the cached point still resolves.
-    again = evaluator.evaluate(point, Fidelity(16))
+    again = evaluator.evaluate_many([point], Fidelity(16))[0]
     assert again.recovery_time > 0
     assert evaluator.spent == 16
 
@@ -109,8 +109,8 @@ def test_cache_hits_charge_nothing():
 def test_budget_is_checked_before_simulating():
     evaluator = make_evaluator(budget=10)
     with pytest.raises(BudgetExhaustedError, match="object-runs"):
-        evaluator.evaluate(
-            {"pg_num": 16, "cache_scheme": "autotune", "ec": RS}, Fidelity(11)
+        evaluator.evaluate_many(
+            [{"pg_num": 16, "cache_scheme": "autotune", "ec": RS}], Fidelity(11)
         )
     assert CALLS == []
     assert evaluator.spent == 0
@@ -152,10 +152,10 @@ def test_each_result_is_reported_before_the_next_cell_runs():
 def test_seed_cache_resumes_without_resimulating():
     evaluator = make_evaluator()
     point = {"pg_num": 64, "cache_scheme": "autotune", "ec": CLAY}
-    measurement = evaluator.evaluate(point, Fidelity(8))
+    measurement = evaluator.evaluate_many([point], Fidelity(8))[0]
     fresh = make_evaluator()
     fresh.seed_cache([measurement])
-    assert fresh.evaluate(point, Fidelity(8)) == measurement
+    assert fresh.evaluate_many([point], Fidelity(8))[0] == measurement
     assert fresh.simulations == 0
     assert CALLS == [CALLS[0]]
 

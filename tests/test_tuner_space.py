@@ -3,7 +3,6 @@
 import pytest
 
 from repro.core import ExperimentProfile
-from repro.sim.rng import SeedSequence
 from repro.tuner import (
     CategoricalAxis,
     EcVariantAxis,
@@ -102,20 +101,6 @@ def test_violated_rejects_off_axis_values_and_unknown_axes():
     with pytest.raises(ValueError, match="unknown profile field"):
         TuningSpace(ExperimentProfile(name="t"),
                     axes=[CategoricalAxis("warp_factor", (9,))])
-
-
-def test_sample_is_seeded_distinct_and_valid():
-    space = small_space(constraints=[pool_width_fits()])
-    rng_a = SeedSequence(7).stream("sample")
-    rng_b = SeedSequence(7).stream("sample")
-    sample_a = space.sample(rng_a, 5)
-    sample_b = space.sample(rng_b, 5)
-    assert sample_a == sample_b  # deterministic per seed
-    signatures = {space.signature(p) for p in sample_a}
-    assert len(signatures) == 5
-    assert all(space.is_valid(p) for p in sample_a)
-    with pytest.raises(ValueError, match="could not sample"):
-        space.sample(SeedSequence(1).stream("s"), 9)  # only 8 points exist
 
 
 # -- rendering ------------------------------------------------------------------

@@ -1,6 +1,6 @@
 """Search strategies: unit behaviour on a stub, acceptance on the simulator.
 
-The fast tests drive every strategy against a deterministic synthetic
+The fast tests drive both strategies against a deterministic synthetic
 cell function.  The ``slow``-marked acceptance test runs the real
 simulator over the ISSUE's seeded reference grid (pg_num x cache x
 stripe_unit x {RS, Clay}) and pins the headline claim: successive
@@ -17,13 +17,13 @@ from repro.core import ExperimentProfile
 from repro.core.sweep import SweepResult
 from repro.tuner import (
     CategoricalAxis,
-    CoordinateDescent,
     EcVariantAxis,
     Evaluator,
     Fidelity,
     GridSearch,
-    RandomSearch,
+    ReadProbe,
     SuccessiveHalving,
+    TuningArtifactError,
     TuningSpace,
     load_tuning_artifact,
     pool_width_fits,
@@ -93,67 +93,15 @@ def best_of(measured):
 
 def test_grid_search_measures_every_point_or_none():
     space = make_space()
-    measured = GridSearch(Fidelity(8)).search(space, make_evaluator(), seed=0)
+    measured = GridSearch(Fidelity(8)).search(space, make_evaluator())
     assert [m.signature for m in measured] == [
         space.signature(point) for point in space.enumerate()
     ]
     # The grid is one batch: a budget short of it measures nothing.
     assert GridSearch(Fidelity(8)).search(
-        space, make_evaluator(budget=8 * 12 - 1), seed=0
+        space, make_evaluator(budget=8 * 12 - 1)
     ) == []
     assert len(CALLS) == 12
-
-
-# -- random search --------------------------------------------------------------
-
-
-def test_random_search_is_deterministic_per_seed():
-    space = make_space()
-    runs = [
-        RandomSearch(6, Fidelity(8)).search(space, make_evaluator(space), 5)
-        for _ in range(2)
-    ]
-    assert [m.signature for m in runs[0]] == [m.signature for m in runs[1]]
-    assert len({m.signature for m in runs[0]}) == 6
-    other = RandomSearch(6, Fidelity(8)).search(space, make_evaluator(space), 6)
-    assert [m.signature for m in other] != [m.signature for m in runs[0]]
-
-
-def test_random_search_stops_cleanly_at_budget():
-    evaluator = make_evaluator(budget=20)
-    measured = RandomSearch(6, Fidelity(8)).search(make_space(), evaluator, 0)
-    assert len(measured) == 2  # third evaluation would overdraw
-    assert evaluator.spent == 16 <= 20
-
-
-# -- coordinate descent ---------------------------------------------------------
-
-
-def test_coordinate_descent_finds_the_stub_optimum():
-    space = make_space()
-    evaluator = make_evaluator(space)
-    measured = CoordinateDescent(Fidelity(8), screen=4).search(space, evaluator, 1)
-    assert best_of(measured).signature == space.signature(STUB_OPTIMUM)
-    # The climb only measures a subset of the 12-point grid.
-    assert len({m.signature for m in measured}) < space.size()
-
-
-def test_coordinate_descent_orders_axes_by_impact():
-    space = make_space()
-    evaluator = make_evaluator(space)
-    strategy = CoordinateDescent(Fidelity(8), screen=8)
-    screened = evaluator.evaluate_many(space.enumerate()[:8], Fidelity(8))
-    order = strategy._axis_order(space, screened)
-    assert set(order) == {"pg_num", "cache_scheme", "ec"}
-    # pg_num spans 1000/sqrt(16)..1000/sqrt(256): by far the biggest lever.
-    assert order[0] == "pg_num"
-
-
-def test_coordinate_descent_validates_arguments():
-    with pytest.raises(ValueError, match="screen"):
-        CoordinateDescent(Fidelity(8), screen=1)
-    with pytest.raises(ValueError, match="rounds"):
-        CoordinateDescent(Fidelity(8), rounds=0)
 
 
 # -- successive halving ---------------------------------------------------------
@@ -164,7 +112,7 @@ def test_halving_promotes_the_top_survivors():
     evaluator = make_evaluator(space)
     strategy = SuccessiveHalving([Fidelity(4, label="screen"),
                                   Fidelity(16, label="full")], eta=4)
-    measured = strategy.search(space, evaluator, 0)
+    measured = strategy.search(space, evaluator)
     screen = [m for m in measured if m.fidelity.objects == 4]
     full = [m for m in measured if m.fidelity.objects == 16]
     assert len(screen) == space.size() == 12
@@ -179,7 +127,7 @@ def test_halving_never_overdraws_the_budget():
     # Affords rung 0 (12 x 4 = 48) but not rung 1 (3 x 16 = 48 > 2).
     evaluator = make_evaluator(budget=50)
     strategy = SuccessiveHalving([Fidelity(4), Fidelity(16)], eta=4)
-    measured = strategy.search(make_space(), evaluator, 0)
+    measured = strategy.search(make_space(), evaluator)
     assert all(m.fidelity.objects == 4 for m in measured)
     assert evaluator.spent == 48 <= 50
 
@@ -189,8 +137,6 @@ def test_halving_validates_arguments():
         SuccessiveHalving([Fidelity(16), Fidelity(4)])
     with pytest.raises(ValueError, match="eta"):
         SuccessiveHalving([Fidelity(4)], eta=1)
-    with pytest.raises(ValueError, match="initial"):
-        SuccessiveHalving([Fidelity(4)], initial=0)
     with pytest.raises(ValueError, match="fidelity"):
         SuccessiveHalving([])
 
@@ -232,6 +178,32 @@ def test_resume_replays_without_resimulating(tmp_path):
     assert outcome.artifact.complete
     final = load_tuning_artifact(path)
     assert final.recommendation == json.loads(complete_text)["recommendation"]
+
+
+def halving(*objects, eta=4):
+    return SuccessiveHalving([Fidelity(n) for n in objects], eta=eta)
+
+
+@pytest.mark.parametrize("first, second", [
+    (dict(strategy=halving(4, 16, eta=2)), dict(strategy=halving(4, 16))),
+    (dict(strategy=halving(4, 16)), dict(strategy=halving(8, 16))),
+    (dict(strategy=GridSearch(Fidelity(4))),
+     dict(strategy=GridSearch(Fidelity(8)))),
+    (dict(strategy=halving(4, 16)),
+     dict(strategy=halving(4, 16), probe=ReadProbe())),
+], ids=["eta", "ladder", "grid-fidelity", "probe"])
+def test_resume_refuses_different_search_settings(tmp_path, first, second):
+    # Each resume would mix in measurements the new settings never ask
+    # for, so it is refused before anything runs.
+    path = tmp_path / "tuning.json"
+    kwargs = dict(seed=11, run_cell_fn=stub_cell, artifact_path=path)
+    tune(make_space(), **first, **kwargs)
+    written = path.read_text()
+    CALLS.clear()
+    with pytest.raises(TuningArtifactError, match="search settings"):
+        tune(make_space(), **second, resume=True, **kwargs)
+    assert CALLS == []
+    assert path.read_text() == written
 
 
 # -- acceptance: the ISSUE's seeded reference grid ------------------------------

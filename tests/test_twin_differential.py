@@ -201,7 +201,9 @@ def test_twin_rung_records_probe_predictions():
         probe=ReadProbe(),
         tenant_probe=TenantProbe(),
     )
-    measurement = evaluator.evaluate(point, Fidelity(8, backend="twin"))
+    [measurement] = evaluator.evaluate_many(
+        [point], Fidelity(8, backend="twin")
+    )
     assert measurement.cost == 0
     assert evaluator.spent == 0
     assert measurement.degraded_p99 is not None and measurement.degraded_p99 > 0
