@@ -2,9 +2,7 @@
 
 Subcommands::
 
-    ecfault run          one fault-injection experiment
-    ecfault inject       a gray-failure experiment under client load
-    ecfault scrub        a silent-corruption + deep-scrub experiment
+    ecfault run          one experiment: profile, load, EC-aware faults
     ecfault sweep        the exhaustive configuration grid, as a tuning report
     ecfault analyze      sensitivity analysis over a sweep or tuning report
     ecfault tune         budgeted configuration search (resumable)
@@ -15,8 +13,6 @@ Subcommands::
     ecfault chaos        seeded randomized fault campaigns with invariants
     ecfault fuzz         coverage-guided adversarial campaign fuzzing
     ecfault replay       re-execute a chaos repro artifact exactly
-    ecfault tenants      a multi-tenant QoS fleet experiment with SLO bill
-    ecfault geo          a stretch-cluster experiment with WAN egress ledger
     ecfault cascade      a correlated-failure cascade under a recovery policy
 
 Every command prints plain text; ``sweep`` and ``tune`` write one
@@ -32,6 +28,7 @@ import json
 import re
 import sys
 from collections import Counter
+from dataclasses import replace
 from typing import List, Optional
 
 from .analysis.sensitivity import rank_axes, recommend_configuration
@@ -40,6 +37,7 @@ from .cluster.crush import PlacementError
 from .core.experiment import run_experiment
 from .core.fault_injector import (
     FAULT_LEVELS,
+    GEO_LEVELS,
     GRAY_LEVELS,
     Colocation,
     CorruptionModel,
@@ -49,6 +47,7 @@ from .core.profile import ExperimentProfile
 from .core.report import format_table
 from .core.wa import estimate_wa, theoretical_wa
 from .ec.base import create_plugin
+from .geo.experiment import GeoOutcome
 from .workload.generator import Workload
 
 KB = 1024
@@ -137,21 +136,21 @@ def _add_profile_arguments(parser) -> None:
     parser.add_argument("--seed", type=int, default=0)
 
 
-def _add_fault_arguments(parser) -> None:
-    """The one crash fault ``run`` and ``twin`` take."""
-    parser.add_argument("--fault", choices=["node", "device", "none"],
-                        default="node")
+def _add_fault_arguments(parser, levels) -> None:
+    """The one fault ``run`` and ``twin`` take, at one of ``levels``."""
+    parser.add_argument("--fault", choices=levels, default="node")
     parser.add_argument("--fault-count", type=int, default=1)
     parser.add_argument("--colocation", choices=list(Colocation.ALL),
                         default="any")
 
 
-def _faults_from_args(args) -> List[FaultSpec]:
-    """``--fault`` as a fault list, empty for ``none``."""
+def _faults_from_args(args, **settings) -> List[FaultSpec]:
+    """``--fault`` as a fault list, empty for ``none``; ``settings`` are
+    the level-specific :class:`FaultSpec` fields."""
     if args.fault == "none":
         return []
     return [FaultSpec(level=args.fault, count=args.fault_count,
-                      colocation=args.colocation)]
+                      colocation=args.colocation, **settings)]
 
 
 def _add_grid_arguments(parser) -> None:
@@ -183,69 +182,182 @@ def _refuse_bad_input(command):
     return run
 
 
+def _fleet_from_args(args):
+    """``--fleet`` or the ``--read-interval`` stream as a tenant fleet;
+    None when neither is given (the run has no client load)."""
+    from .tenancy import TenantFleetSpec
+
+    mix = {
+        name: value
+        for name, value in (("write_fraction", args.write_fraction),
+                            ("rmw_fraction", args.rmw_fraction))
+        if value is not None
+    }
+    if args.read_interval is not None:
+        return TenantFleetSpec.legacy(args.read_interval, **mix)
+    if mix:
+        raise ValueError("--write-fraction and --rmw-fraction shape the "
+                         "--read-interval stream: pass --read-interval")
+    if args.fleet is None:
+        return None
+    try:
+        with open(args.fleet) as handle:
+            return TenantFleetSpec.from_dict(json.load(handle))
+    except (OSError, ValueError, KeyError, TypeError, AttributeError) as exc:
+        raise ValueError(f"bad fleet spec: {exc}") from exc
+
+
 @_refuse_bad_input
 def cmd_run(args) -> int:
+    fleet_spec = _fleet_from_args(args)
     profile = _profile_from_args(args)
-    workload = Workload(num_objects=args.objects, object_size=args.object_size)
-    faults = _faults_from_args(args)
-    outcome = run_experiment(profile, workload, faults, seed=args.seed)
-    print(f"profile: {profile.describe()}")
-    if outcome.timeline is not None:
-        timeline = outcome.timeline
-        print(f"checking period:   {timeline.checking_period:9.1f} s")
-        print(f"EC recovery:       {timeline.ec_recovery_period:9.1f} s")
-        print(f"total recovery:    {timeline.total_recovery:9.1f} s")
-        print(f"checking fraction: {timeline.checking_fraction * 100:8.1f} %")
-    stats = outcome.recovery_stats
-    print(f"objects recovered: {stats.objects_recovered}")
-    print(f"write amplification: {outcome.wa.actual:.3f} "
-          f"(theoretical {outcome.wa.theoretical:.3f})")
-    return 0
-
-
-@_refuse_bad_input
-def cmd_inject(args) -> int:
-    from .cluster.osd import CephConfig
-    from .tenancy import TenantFleetSpec, run_tenant_experiment
-
-    profile = _profile_from_args(args).with_overrides(
-        ceph=CephConfig(
+    profile = profile.with_overrides(
+        ceph=replace(
+            profile.ceph,
             client_op_timeout=args.op_timeout,
             client_hedge_delay=args.hedge_delay,
             mon_osd_markdown_count=args.markdown_count,
-        )
+            recovery_locality_aware=not args.naive,
+        ),
+        scrub_interval=args.scrub_interval,
+        scrub_pgs_per_batch=args.pgs_per_batch,
+        csum_block_size=args.csum_block_size,
+        integrity_data_plane=args.data_plane,
+        num_regions=args.regions,
+        wan_latency=args.wan_latency,
+        wan_egress_bandwidth=args.wan_egress_bandwidth,
+        wan_ingress_bandwidth=args.wan_ingress_bandwidth,
+        wan_egress_cost_per_gib=args.wan_egress_cost,
     )
-    spec = FaultSpec(
-        level=args.level,
-        count=args.fault_count,
-        colocation=args.colocation,
+    workload = Workload(num_objects=args.objects, object_size=args.object_size)
+    faults = _faults_from_args(
+        args,
         factor=args.factor,
         loss=args.loss,
         latency=args.latency,
         bandwidth_penalty=args.bandwidth_penalty,
         partition=args.partition,
         flap_interval=args.flap_interval,
+        corruption=args.corruption,
     )
-    workload = Workload(num_objects=args.objects, object_size=args.object_size)
-    outcome = run_tenant_experiment(
-        profile,
-        workload,
-        TenantFleetSpec.legacy(
-            args.read_interval, args.write_fraction, args.rmw_fraction
-        ),
-        [spec],
-        seed=args.seed,
-        fault_duration=args.duration,
+    outcome = run_experiment(
+        profile, workload, faults, seed=args.seed, fleet_spec=fleet_spec,
+        warmup=args.warmup, fault_duration=args.fault_duration,
     )
+    geo = GeoOutcome.of(profile, outcome) if profile.num_regions > 1 else None
+    violated = [r.name for r in outcome.reports if r.slo_met is False]
+    status = 1 if outcome.converged is False or violated else 0
+
+    if args.json:
+        payload = {
+            "converged": outcome.converged,
+            "health": outcome.health,
+            "injected_osds": outcome.injected_osds,
+        }
+        if fleet_spec is not None:
+            payload["fleet"] = fleet_spec.to_dict()
+            payload["tenants"] = [r.to_dict() for r in outcome.reports]
+            if fleet_spec.qos_enabled:
+                payload["qos"] = outcome.fleet.qos_class_totals()
+        if geo is not None:
+            payload.update(geo.to_dict())
+        print(json.dumps(payload, indent=2, sort_keys=True))
+        return status
+
     print(f"profile: {profile.describe()}")
-    print(f"fault: level={args.level} count={args.fault_count} "
-          f"for {args.duration:g} s "
-          f"(defenses: op_timeout={args.op_timeout:g}s "
-          f"hedge_delay={args.hedge_delay:g}s)")
+    if faults and args.fault_duration is not None:
+        print(f"fault: level={args.fault} count={args.fault_count} "
+              f"for {args.fault_duration:g} s "
+              f"(defenses: op_timeout={args.op_timeout:g}s "
+              f"hedge_delay={args.hedge_delay:g}s)")
     if outcome.slowed_osds:
         print(f"slowed osds:       {outcome.slowed_osds}")
     if outcome.injected_osds:
         print(f"affected osds:     {outcome.injected_osds}")
+    if profile.scrub_interval > 0:
+        print(f"scrub interval {args.scrub_interval:.0f} s, "
+              f"csum block {args.csum_block_size} B, model {args.corruption}")
+    if geo is not None:
+        print(f"stretch: {args.regions} regions, "
+              f"WAN latency {args.wan_latency * 1000:.0f} ms, "
+              f"egress {args.wan_egress_bandwidth / MB:.0f} MB/s @ "
+              f"${args.wan_egress_cost:.3f}/GiB, "
+              f"locality-aware recovery {'off' if args.naive else 'on'}")
+    timeline = outcome.timeline
+    if timeline is not None:
+        print(f"checking period:   {timeline.checking_period:9.1f} s")
+        print(f"EC recovery:       {timeline.ec_recovery_period:9.1f} s")
+        print(f"total recovery:    {timeline.total_recovery:9.1f} s")
+        print(f"checking fraction: {timeline.checking_fraction * 100:8.1f} %")
+    elif geo is not None:
+        print(f"total recovery:    {geo.total_recovery_time:9.1f} s")
+    _print_scrub(outcome)
+    stats = outcome.recovery_stats
+    print(f"objects recovered: {stats.objects_recovered}")
+    print(f"write amplification: {outcome.wa.actual:.3f} "
+          f"(theoretical {outcome.wa.theoretical:.3f})")
+    print(f"recovery retries:  {stats.op_retries} "
+          f"({stats.ops_abandoned} ops abandoned)")
+    if stats.pgs_abandoned:
+        # A restore requeues or heals them; the final health says which.
+        print(f"PGs abandoned:     {stats.pgs_abandoned} of {stats.pgs_queued} "
+              f"queued{' (left degraded)' if outcome.converged is None else ''}")
+    if geo is not None:
+        _print_wan_bill(geo)
+    if fleet_spec is not None and fleet_spec.is_legacy_equivalent():
+        _print_client_stream(outcome)
+    elif fleet_spec is not None:
+        _print_fleet(outcome)
+    print(f"monitor markdowns: {outcome.markdowns} ({outcome.pins} pins)")
+    flap_timeline = outcome.flap_timeline()
+    if flap_timeline is not None:
+        for offset, label in flap_timeline.annotations():
+            print(f"  t+{offset:9.1f} s  {label}")
+    if outcome.converged is not None:
+        print(f"final health:      {outcome.health}"
+              + ("" if outcome.converged else " (NOT converged)"))
+    if violated:
+        print(f"\nSLO violated for: {', '.join(violated)}")
+    return status
+
+
+def _print_scrub(outcome) -> None:
+    """The scrub timeline, when one completed, and the scrub counters,
+    when scrubbing is on."""
+    timeline = outcome.scrub_timeline
+    if timeline is not None:
+        print(f"detection period:  {timeline.detection_period:9.1f} s")
+        print(f"repair period:     {timeline.repair_period:9.3f} s")
+        print(f"total cycle:       {timeline.total_cycle:9.1f} s")
+        print(f"detection fraction:{timeline.detection_fraction * 100:8.1f} %")
+        for offset, label in timeline.annotations():
+            print(f"  t+{offset:9.1f} s  {label}")
+    if outcome.cluster.scrub.config.enabled:
+        stats = outcome.scrub_stats
+        print(f"chunks scrubbed:   {stats.chunks_scrubbed}")
+        print(f"errors detected:   {stats.errors_detected}")
+        print(f"chunks repaired:   {stats.chunks_repaired}")
+
+
+def _print_wan_bill(geo) -> None:
+    """What recovery moved across regions and what the WAN metered."""
+    print(f"cross-region repair: "
+          f"{geo.cross_region_bytes_read / MB:.1f} MB pulled "
+          f"({geo.cross_region_pulls} pulls), "
+          f"{geo.cross_region_bytes_written / MB:.1f} MB pushed "
+          f"({geo.cross_region_pushes} pushes)")
+    print(f"WAN delivered:     {geo.wan_cross_region_bytes / MB:9.1f} MB "
+          f"in {geo.wan_cross_region_transfers} transfers"
+          + (f" ({geo.wan_partition_refusals} refused at severed uplinks)"
+             if geo.wan_partition_refusals else ""))
+    for region, nbytes in enumerate(geo.egress_bytes_by_region):
+        print(f"  region {region} egress: {nbytes / MB:9.1f} MB")
+    print(f"egress cost:       ${geo.egress_cost:9.4f}")
+    print(f"outcome digest:    {geo.digest()}")
+
+
+def _print_client_stream(outcome) -> None:
+    """The single ``--read-interval`` client: samples and defenses."""
     stats = outcome.read_stats
     if stats.count:
         print(f"client reads:      {stats.count} ok, {stats.failures} failed, "
@@ -265,51 +377,59 @@ def cmd_inject(args) -> int:
         print(f"hedged fetches:    {ops.hedges_issued} issued, "
               f"{ops.hedges_won} won, "
               f"{ops.hedge_wasted_bytes / MB:.1f} MB duplicated")
-    print(f"monitor markdowns: {outcome.markdowns} ({outcome.pins} pins)")
-    recovery = outcome.recovery_stats
-    if recovery.op_retries or recovery.ops_abandoned:
-        print(f"recovery retries:  {recovery.op_retries} "
-              f"({recovery.ops_abandoned} ops abandoned)")
-    flap_timeline = outcome.flap_timeline()
-    if flap_timeline is not None:
-        for offset, label in flap_timeline.annotations():
-            print(f"  t+{offset:9.1f} s  {label}")
-    print(f"final health:      {outcome.health}"
-          + ("" if outcome.converged else " (NOT converged)"))
-    return 0 if outcome.converged else 1
 
 
-@_refuse_bad_input
-def cmd_scrub(args) -> int:
-    profile = _profile_from_args(args).with_overrides(
-        scrub_interval=args.scrub_interval,
-        scrub_pgs_per_batch=args.pgs_per_batch,
-        csum_block_size=args.csum_block_size,
-        integrity_data_plane=args.data_plane,
-    )
-    workload = Workload(num_objects=args.objects, object_size=args.object_size)
-    faults = [
-        FaultSpec(
-            level="corrupt", count=args.fault_count, corruption=args.corruption
+def _print_fleet(outcome) -> None:
+    """The ``--fleet`` bill: one row per tenant, and the QoS classes."""
+    fleet_spec = outcome.fleet_spec
+    print(f"fleet: {len(fleet_spec.tenants)} tenant(s), "
+          f"QoS {'on' if fleet_spec.qos_enabled else 'off'}")
+
+    def fmt_latency(value):
+        return f"{value * 1000:.1f}" if value is not None else "-"
+
+    rows = []
+    for report in outcome.reports:
+        slo_cell = "-"
+        if report.slo is not None:
+            slo_cell = "met" if report.slo_met else (
+                f"VIOLATED x{len(report.slo_violations)}"
+            )
+        rows.append([
+            report.name,
+            report.reads_ok,
+            report.read_failures,
+            fmt_latency(report.p50),
+            fmt_latency(report.p99),
+            fmt_latency(report.p999),
+            f"{report.throughput / MB:.2f}",
+            report.writes_ok,
+            f"{report.wa_attributed:.2f}" if report.writes_ok else "-",
+            slo_cell,
+        ])
+    print()
+    print(
+        format_table(
+            "per-tenant accounting",
+            ["tenant", "reads", "fail", "p50 (ms)", "p99 (ms)", "p999 (ms)",
+             "MB/s", "writes", "WA", "SLO"],
+            rows,
         )
-    ]
-    outcome = run_experiment(profile, workload, faults, seed=args.seed)
-    print(f"profile: {profile.describe()}")
-    print(f"scrub interval {args.scrub_interval:.0f} s, "
-          f"csum block {args.csum_block_size} B, model {args.corruption}")
-    timeline = outcome.scrub_timeline
-    if timeline is not None:
-        print(f"detection period:  {timeline.detection_period:9.1f} s")
-        print(f"repair period:     {timeline.repair_period:9.3f} s")
-        print(f"total cycle:       {timeline.total_cycle:9.1f} s")
-        print(f"detection fraction:{timeline.detection_fraction * 100:8.1f} %")
-        for offset, label in timeline.annotations():
-            print(f"  t+{offset:9.1f} s  {label}")
-    stats = outcome.scrub_stats
-    print(f"chunks scrubbed:   {stats.chunks_scrubbed}")
-    print(f"errors detected:   {stats.errors_detected}")
-    print(f"chunks repaired:   {stats.chunks_repaired}")
-    return 0
+    )
+    if fleet_spec.qos_enabled:
+        print()
+        totals = outcome.fleet.qos_class_totals()
+        print(
+            format_table(
+                "QoS classes (all OSD schedulers)",
+                ["class", "enqueued", "served", "busy (s)", "max wait (ms)"],
+                [
+                    [name, int(t["enqueued"]), int(t["served"]),
+                     f"{t['busy_time']:.1f}", f"{t['max_wait'] * 1000:.1f}"]
+                    for name, t in sorted(totals.items())
+                ],
+            )
+        )
 
 
 def _grid_axes(args, ec_variants=None) -> list:
@@ -764,184 +884,6 @@ def cmd_replay(args) -> int:
     return 1
 
 
-@_refuse_bad_input
-def cmd_tenants(args) -> int:
-    from .tenancy import (
-        SloSpec,
-        TenantFleetSpec,
-        TenantSpec,
-        run_tenant_experiment,
-    )
-
-    if args.spec is not None:
-        try:
-            with open(args.spec) as handle:
-                blob = json.load(handle)
-            fleet_spec = TenantFleetSpec.from_dict(blob)
-        except (OSError, ValueError, KeyError, TypeError, AttributeError) as exc:
-            print(f"tenants: bad fleet spec: {exc}", file=sys.stderr)
-            return 2
-    else:
-        # Stock demo fleet: a reserved latency tenant with an SLO beside
-        # a rate-limited poisson batch writer, QoS on.
-        fleet_spec = TenantFleetSpec(
-            tenants=(
-                TenantSpec(name="latency", interval=1.0, reservation=0.15,
-                           weight=4.0, slo=SloSpec(p99_latency=0.25)),
-                TenantSpec(name="batch", interval=0.5, arrival="poisson",
-                           write_fraction=0.5, limit=0.25),
-            ),
-            qos_enabled=True,
-        )
-
-    profile = _profile_from_args(args)
-    workload = Workload(num_objects=args.objects, object_size=args.object_size)
-    faults = []
-    if args.fault != "none":
-        spec = (
-            FaultSpec(level="slow_device", factor=16.0, count=args.fault_count)
-            if args.fault == "slow_device"
-            else FaultSpec(level=args.fault, count=args.fault_count)
-        )
-        faults.append(spec)
-
-    outcome = run_tenant_experiment(
-        profile,
-        workload,
-        fleet_spec,
-        faults,
-        seed=args.seed,
-        warmup=args.warmup,
-        fault_duration=args.duration,
-    )
-
-    if args.json:
-        payload = {
-            "fleet": fleet_spec.to_dict(),
-            "converged": outcome.converged,
-            "health": outcome.health,
-            "injected_osds": outcome.injected_osds,
-            "tenants": [report.to_dict() for report in outcome.reports],
-        }
-        if fleet_spec.qos_enabled:
-            payload["qos"] = outcome.fleet.qos_class_totals()
-        print(json.dumps(payload, indent=2, sort_keys=True))
-        return 0
-
-    print(f"profile: {profile.describe()}")
-    print(f"fleet: {len(fleet_spec.tenants)} tenant(s), "
-          f"QoS {'on' if fleet_spec.qos_enabled else 'off'}, "
-          f"converged={outcome.converged}, health={outcome.health}")
-
-    def fmt_latency(value):
-        return f"{value * 1000:.1f}" if value is not None else "-"
-
-    rows = []
-    for report in outcome.reports:
-        slo_cell = "-"
-        if report.slo is not None:
-            slo_cell = "met" if report.slo_met else (
-                f"VIOLATED x{len(report.slo_violations)}"
-            )
-        rows.append([
-            report.name,
-            report.reads_ok,
-            report.read_failures,
-            fmt_latency(report.p50),
-            fmt_latency(report.p99),
-            fmt_latency(report.p999),
-            f"{report.throughput / MB:.2f}",
-            report.writes_ok,
-            f"{report.wa_attributed:.2f}" if report.writes_ok else "-",
-            slo_cell,
-        ])
-    print()
-    print(
-        format_table(
-            "per-tenant accounting",
-            ["tenant", "reads", "fail", "p50 (ms)", "p99 (ms)", "p999 (ms)",
-             "MB/s", "writes", "WA", "SLO"],
-            rows,
-        )
-    )
-    if fleet_spec.qos_enabled:
-        print()
-        totals = outcome.fleet.qos_class_totals()
-        print(
-            format_table(
-                "QoS classes (all OSD schedulers)",
-                ["class", "enqueued", "served", "busy (s)", "max wait (ms)"],
-                [
-                    [name, int(t["enqueued"]), int(t["served"]),
-                     f"{t['busy_time']:.1f}", f"{t['max_wait'] * 1000:.1f}"]
-                    for name, t in sorted(totals.items())
-                ],
-            )
-        )
-    violated = [r.name for r in outcome.reports if r.slo_met is False]
-    if violated:
-        print(f"\nSLO violated for: {', '.join(violated)}")
-        return 1
-    return 0
-
-
-@_refuse_bad_input
-def cmd_geo(args) -> int:
-    from .core.fault_injector import GEO_LEVELS
-    from .geo import run_stretch_experiment
-
-    if args.fault in GEO_LEVELS and args.restore_after is None:
-        print(f"geo: --fault {args.fault} needs --restore-after: a held "
-              "region fault marks no OSD out, so nothing would recover",
-              file=sys.stderr)
-        return 2
-    profile = _profile_from_args(args).with_overrides(
-        num_regions=args.regions,
-        wan_latency=args.wan_latency,
-        wan_egress_bandwidth=args.wan_egress_bandwidth,
-        wan_ingress_bandwidth=args.wan_ingress_bandwidth,
-        wan_egress_cost_per_gib=args.wan_egress_cost,
-    )
-    workload = Workload(num_objects=args.objects, object_size=args.object_size)
-    faults = []
-    if args.fault != "none":
-        faults.append(FaultSpec(level=args.fault, count=args.fault_count))
-    outcome = run_stretch_experiment(
-        profile,
-        workload,
-        faults,
-        seed=args.seed,
-        locality_aware=not args.naive,
-        fault_duration=args.restore_after,
-    )
-    if args.json:
-        print(json.dumps(outcome.to_dict(), indent=2, sort_keys=True))
-        return 0
-    print(f"profile: {profile.describe()}")
-    print(f"stretch: {args.regions} regions, "
-          f"WAN latency {args.wan_latency * 1000:.0f} ms, "
-          f"egress {args.wan_egress_bandwidth / MB:.0f} MB/s @ "
-          f"${args.wan_egress_cost:.3f}/GiB, "
-          f"locality-aware recovery "
-          f"{'off' if args.naive else 'on'}")
-    print(f"total recovery:    {outcome.total_recovery_time:9.1f} s")
-    print(f"objects recovered: {outcome.objects_recovered}")
-    print(f"cross-region repair: "
-          f"{outcome.cross_region_bytes_read / MB:.1f} MB pulled "
-          f"({outcome.cross_region_pulls} pulls), "
-          f"{outcome.cross_region_bytes_written / MB:.1f} MB pushed "
-          f"({outcome.cross_region_pushes} pushes)")
-    print(f"WAN delivered:     {outcome.wan_cross_region_bytes / MB:9.1f} MB "
-          f"in {outcome.wan_cross_region_transfers} transfers"
-          + (f" ({outcome.wan_partition_refusals} refused at severed uplinks)"
-             if outcome.wan_partition_refusals else ""))
-    for region, nbytes in enumerate(outcome.egress_bytes_by_region):
-        print(f"  region {region} egress: {nbytes / MB:9.1f} MB")
-    print(f"egress cost:       ${outcome.egress_cost:9.4f}")
-    print(f"outcome digest:    {outcome.digest()}")
-    return 0
-
-
 def cmd_cascade(args) -> int:
     from .chaos import cascade_scenario, run_campaign
 
@@ -1023,67 +965,79 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    run = sub.add_parser("run", help="run one fault-injection experiment")
+    run = sub.add_parser(
+        "run",
+        help="one experiment: an EC profile, a client load or tenant "
+             "fleet, EC-aware faults held or restored, one report",
+    )
     _add_profile_arguments(run)
-    _add_fault_arguments(run)
+    _add_fault_arguments(
+        run, ["node", "device", "corrupt", *GRAY_LEVELS, *GEO_LEVELS, "none"]
+    )
+    run.add_argument("--factor", type=float, default=16.0,
+                     help="slow_device service-time inflation (x)")
+    run.add_argument("--loss", type=float, default=0.0,
+                     help="net_degrade per-host packet-loss probability")
+    run.add_argument("--latency", type=float, default=0.0,
+                     help="net_degrade added one-way latency (s)")
+    run.add_argument("--bandwidth-penalty", type=float, default=1.0,
+                     help="net_degrade bandwidth divisor (>= 1)")
+    run.add_argument("--partition", action="store_true",
+                     help="net_degrade: full partition instead of loss")
+    run.add_argument("--flap-interval", type=float, default=60.0,
+                     help="flap half-period base (s)")
+    run.add_argument("--corruption", choices=list(CorruptionModel.ALL),
+                     default="bit_rot", help="corrupt damage model")
+    run.add_argument("--warmup", type=non_negative_seconds, default=60.0,
+                     help="seconds before the fault is injected")
+    run.add_argument("--fault-duration", type=positive_seconds, default=None,
+                     metavar="SECONDS",
+                     help="restore the fault after this many seconds and "
+                          "settle (default: hold it until recovery ends); "
+                          "a client load runs during this window")
+    load = run.add_mutually_exclusive_group()
+    load.add_argument("--fleet", default=None, metavar="FILE",
+                      help="JSON tenant fleet (TenantFleetSpec.to_dict "
+                           "shape)")
+    load.add_argument("--read-interval", type=float, default=None,
+                      help="one client stream: seconds between ops")
+    run.add_argument("--write-fraction", type=float, default=None,
+                     help="fraction of the stream's ops that are writes "
+                          "(default 0: pure reads)")
+    run.add_argument("--rmw-fraction", type=float, default=None,
+                     help="fraction of the stream's writes that are "
+                          "partial-stripe RMWs (default 0.5)")
+    run.add_argument("--op-timeout", type=float, default=0.0,
+                     help="client per-op timeout (0 = off)")
+    run.add_argument("--hedge-delay", type=float, default=0.0,
+                     help="client hedged-read delay (0 = off)")
+    run.add_argument("--markdown-count", type=int, default=5,
+                     help="markdowns within the period before flap "
+                          "dampening pins an OSD down")
+    run.add_argument("--scrub-interval", type=float, default=0.0,
+                     help="seconds between deep-scrub batches (0 = off)")
+    run.add_argument("--pgs-per-batch", type=int, default=4)
+    run.add_argument("--csum-block-size", type=parse_size, default=4 * KB,
+                     help="checksum granularity (bytes per crc32c)")
+    run.add_argument("--data-plane", action="store_true",
+                     help="materialise real chunk bytes (small objects only)")
+    run.add_argument("--regions", type=int, default=1,
+                     help="regions the hosts are dealt across")
+    run.add_argument("--wan-latency", type=float, default=0.03,
+                     help="one-way inter-region latency (s)")
+    run.add_argument("--wan-egress-bandwidth", type=float, default=6.25e8,
+                     help="per-region WAN egress bandwidth (B/s)")
+    run.add_argument("--wan-ingress-bandwidth", type=float, default=1.25e9,
+                     help="per-region WAN ingress bandwidth (B/s)")
+    run.add_argument("--wan-egress-cost", type=float, default=0.02,
+                     help="metered egress price (USD per GiB)")
+    run.add_argument("--naive", action="store_true",
+                     help="disable locality-aware recovery (helpers picked "
+                          "with no regard for regions)")
+    run.add_argument("--json", action="store_true",
+                     help="print health, the tenant bill and the stretch "
+                          "bill as JSON")
     run.set_defaults(func=cmd_run)
-
-    inject = sub.add_parser(
-        "inject",
-        help="gray-failure experiment (slow disk / flaky net / flap) "
-             "under client read load",
-    )
-    _add_profile_arguments(inject)
-    inject.add_argument("--level", choices=list(GRAY_LEVELS), default="slow_device")
-    inject.add_argument("--fault-count", type=int, default=1)
-    inject.add_argument("--colocation", choices=list(Colocation.ALL), default="any")
-    inject.add_argument("--factor", type=float, default=16.0,
-                        help="slow_device service-time inflation (x)")
-    inject.add_argument("--loss", type=float, default=0.0,
-                        help="net_degrade per-host packet-loss probability")
-    inject.add_argument("--latency", type=float, default=0.0,
-                        help="net_degrade added one-way latency (s)")
-    inject.add_argument("--bandwidth-penalty", type=float, default=1.0,
-                        help="net_degrade bandwidth divisor (>= 1)")
-    inject.add_argument("--partition", action="store_true",
-                        help="net_degrade: full partition instead of loss")
-    inject.add_argument("--flap-interval", type=float, default=60.0,
-                        help="flap half-period base (s)")
-    inject.add_argument("--duration", type=positive_seconds, default=600.0,
-                        help="how long the fault stays injected (s)")
-    inject.add_argument("--read-interval", type=float, default=2.0,
-                        help="client load: seconds between ops")
-    inject.add_argument("--write-fraction", type=float, default=0.0,
-                        help="client load: fraction of ops that are writes "
-                             "(0 = pure reads)")
-    inject.add_argument("--rmw-fraction", type=float, default=0.5,
-                        help="fraction of writes that are partial-stripe "
-                             "RMWs (rest are full overwrites)")
-    inject.add_argument("--op-timeout", type=float, default=0.0,
-                        help="client per-op timeout (0 = off)")
-    inject.add_argument("--hedge-delay", type=float, default=0.0,
-                        help="client hedged-read delay (0 = off)")
-    inject.add_argument("--markdown-count", type=int, default=5,
-                        help="markdowns within the period before flap "
-                             "dampening pins an OSD down")
-    inject.set_defaults(func=cmd_inject)
-
-    scrub = sub.add_parser(
-        "scrub", help="silent-corruption + deep-scrub experiment"
-    )
-    _add_profile_arguments(scrub)
-    scrub.add_argument("--corruption", choices=list(CorruptionModel.ALL),
-                       default="bit_rot")
-    scrub.add_argument("--fault-count", type=int, default=1,
-                       help="corrupted chunks in one stripe (<= m)")
-    scrub.add_argument("--scrub-interval", type=float, default=300.0,
-                       help="seconds between deep-scrub batches")
-    scrub.add_argument("--pgs-per-batch", type=int, default=4)
-    scrub.add_argument("--csum-block-size", type=parse_size, default=4 * KB,
-                       help="checksum granularity (bytes per crc32c)")
-    scrub.add_argument("--data-plane", action="store_true",
-                       help="materialise real chunk bytes (small objects only)")
-    scrub.set_defaults(func=cmd_scrub)
 
     sweep = sub.add_parser("sweep", help="run the full configuration grid")
     _add_profile_arguments(sweep)
@@ -1138,7 +1092,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="analytical twin prediction (instant, no simulation)",
     )
     _add_profile_arguments(twin)
-    _add_fault_arguments(twin)
+    _add_fault_arguments(twin, ["node", "device", "none"])
     twin.add_argument("--compare", action="store_true",
                       help="also run the DES at --seed and show per-metric "
                            "relative error")
@@ -1236,60 +1190,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     replay.add_argument("artifact", help="JSON written by 'ecfault chaos'")
     replay.set_defaults(func=cmd_replay)
-
-    tenants = sub.add_parser(
-        "tenants",
-        help="multi-tenant QoS fleet experiment with per-tenant SLO bill",
-    )
-    _add_profile_arguments(tenants)
-    tenants.add_argument("--spec", default=None,
-                         help="JSON fleet spec (TenantFleetSpec.to_dict "
-                              "shape); default: a stock two-tenant QoS fleet")
-    tenants.add_argument("--fault",
-                         choices=["node", "device", "slow_device", "none"],
-                         default="node")
-    tenants.add_argument("--fault-count", type=int, default=1)
-    tenants.add_argument("--warmup", type=non_negative_seconds, default=50.0,
-                         help="seconds before the fault is injected")
-    tenants.add_argument("--duration", type=positive_seconds, default=600.0,
-                         help="how long the fleet runs under the fault (s)")
-    tenants.add_argument("--json", action="store_true",
-                         help="emit the per-tenant report as JSON")
-    tenants.set_defaults(func=cmd_tenants)
-
-    geo = sub.add_parser(
-        "geo",
-        help="stretch-cluster experiment: regions, WAN repair traffic, "
-             "egress cost ledger",
-    )
-    _add_profile_arguments(geo)
-    geo.add_argument("--regions", type=int, default=3,
-                     help="regions the hosts are dealt across")
-    geo.add_argument("--fault",
-                     choices=["node", "device", "region_outage",
-                              "wan_partition", "none"],
-                     default="node")
-    geo.add_argument("--fault-count", type=int, default=1)
-    geo.add_argument("--wan-latency", type=float, default=0.03,
-                     help="one-way inter-region latency (s)")
-    geo.add_argument("--wan-egress-bandwidth", type=float, default=6.25e8,
-                     help="per-region WAN egress bandwidth (B/s)")
-    geo.add_argument("--wan-ingress-bandwidth", type=float, default=1.25e9,
-                     help="per-region WAN ingress bandwidth (B/s)")
-    geo.add_argument("--wan-egress-cost", type=float, default=0.02,
-                     help="metered egress price (USD per GiB)")
-    geo.add_argument("--restore-after", type=positive_seconds, default=None,
-                     metavar="SECONDS",
-                     help="restore the fault after this many sim seconds and "
-                          "settle to convergence (required for region_outage "
-                          "and wan_partition, which mark no OSD out)")
-    geo.add_argument("--naive", action="store_true",
-                     help="disable locality-aware recovery (helpers picked "
-                          "with no regard for regions)")
-    geo.add_argument("--json", action="store_true",
-                     help="emit the geo outcome as JSON")
-    geo.set_defaults(func=cmd_geo, hosts=12, objects=40,
-                     object_size=8 * MB, ec_params="k=4,m=2")
 
     cascade = sub.add_parser(
         "cascade",

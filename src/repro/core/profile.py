@@ -93,6 +93,12 @@ class ExperimentProfile:
             raise ValueError(f"unknown device class {self.device_class!r}")
         if self.failure_domain not in FailureDomain.ALL:
             raise ValueError(f"unknown failure domain {self.failure_domain!r}")
+        if self.failure_domain == FailureDomain.REGION:
+            raise ValueError(
+                "failure_domain 'region' places no stripe (a region is one "
+                "bucket, and a region rule spreads shards over sub-region "
+                "buckets): set num_regions with a host, rack or osd domain"
+            )
         if self.cache_scheme not in CACHE_SCHEMES:
             raise ValueError(
                 f"unknown cache scheme {self.cache_scheme!r}; "

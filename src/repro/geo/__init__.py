@@ -10,7 +10,7 @@ This package adds the geo axis on top of the single-datacenter model:
 - :mod:`repro.geo.rules` — :class:`RegionRule`, the CRUSH region-spanning
   placement rule ("pick R regions, host-spread within each").
 - :mod:`repro.geo.experiment` — the seeded stretch-cluster experiment
-  behind ``ecfault geo`` with its canonical digest.
+  behind ``ecfault run --regions`` with its canonical digest.
 
 The package initialiser stays import-light (only specs and rules) so the
 cluster layer can depend on it without cycles; the experiment module is

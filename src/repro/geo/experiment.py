@@ -1,10 +1,10 @@
 """Stretch-cluster experiments: one run, WAN ledger included.
 
 :func:`run_stretch_experiment` runs one experiment cycle on a stretch
-cluster and folds the WAN fabric's counters and egress ledger, read off
-the outcome's cluster, into a :class:`GeoOutcome` with a canonical
-digest — the same replay contract the chaos engine uses, scoped to the
-stretch-cluster metrics.
+cluster, and :meth:`GeoOutcome.of` folds the WAN fabric's counters and
+egress ledger, read off the outcome's cluster, into a :class:`GeoOutcome`
+with a canonical digest — the same replay contract the chaos engine
+uses, scoped to the stretch-cluster metrics.
 """
 
 from __future__ import annotations
@@ -13,6 +13,7 @@ import hashlib
 from dataclasses import asdict, dataclass, replace
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
+from ..core.coordinator import ExperimentOutcome
 from ..core.digest import canonical_json
 from ..core.experiment import run_experiment
 from ..core.fault_injector import FaultSpec
@@ -45,6 +46,49 @@ class GeoOutcome:
     wan_partition_refusals: int
     egress_bytes_by_region: Tuple[int, ...]
     egress_cost: float
+
+    @classmethod
+    def of(
+        cls, profile: ExperimentProfile, outcome: ExperimentOutcome
+    ) -> "GeoOutcome":
+        """The stretch bill of ``outcome``, a run of the multi-region
+        ``profile``: the recovery ledger's cross-region split beside
+        what the WAN fabric delivered and metered."""
+        stats = outcome.recovery_stats
+        if outcome.converged is None:  # the faults were held
+            recovery_time = (
+                outcome.timeline.total_recovery
+                if outcome.timeline is not None
+                else 0.0
+            )
+        else:
+            recovery_time = (
+                stats.finished_at - stats.io_started_at
+                if stats.io_started_at is not None
+                and stats.finished_at is not None
+                else 0.0
+            )
+        wan = outcome.cluster.topology.wan
+        assert wan is not None  # guaranteed by num_regions > 1
+        egress: List[int] = list(wan.ledger.egress_bytes_by_region)
+        while len(egress) < profile.num_regions:
+            egress.append(0)
+        return cls(
+            profile_name=profile.name,
+            num_regions=profile.num_regions,
+            locality_aware=profile.ceph.recovery_locality_aware,
+            total_recovery_time=recovery_time,
+            objects_recovered=stats.objects_recovered,
+            cross_region_bytes_read=stats.cross_region_bytes_read,
+            cross_region_bytes_written=stats.cross_region_bytes_written,
+            cross_region_pulls=stats.cross_region_pulls,
+            cross_region_pushes=stats.cross_region_pushes,
+            wan_cross_region_bytes=wan.cross_region_bytes,
+            wan_cross_region_transfers=wan.cross_region_transfers,
+            wan_partition_refusals=wan.wan_partition_refusals,
+            egress_bytes_by_region=tuple(egress),
+            egress_cost=wan.ledger.total_cost,
+        )
 
     @property
     def cross_region_repair_bytes(self) -> int:
@@ -105,38 +149,4 @@ def run_stretch_experiment(
         fault_duration=fault_duration,
         settle_time=settle_time,
     )
-    cluster = outcome.cluster
-    stats = outcome.recovery_stats
-    if fault_duration is None:
-        recovery_time = (
-            outcome.timeline.total_recovery
-            if outcome.timeline is not None
-            else 0.0
-        )
-    else:
-        recovery_time = (
-            stats.finished_at - stats.io_started_at
-            if stats.io_started_at is not None and stats.finished_at is not None
-            else 0.0
-        )
-    wan = cluster.topology.wan
-    assert wan is not None  # guaranteed by num_regions > 1
-    egress: List[int] = list(wan.ledger.egress_bytes_by_region)
-    while len(egress) < profile.num_regions:
-        egress.append(0)
-    return GeoOutcome(
-        profile_name=profile.name,
-        num_regions=profile.num_regions,
-        locality_aware=locality_aware,
-        total_recovery_time=recovery_time,
-        objects_recovered=stats.objects_recovered,
-        cross_region_bytes_read=stats.cross_region_bytes_read,
-        cross_region_bytes_written=stats.cross_region_bytes_written,
-        cross_region_pulls=stats.cross_region_pulls,
-        cross_region_pushes=stats.cross_region_pushes,
-        wan_cross_region_bytes=wan.cross_region_bytes,
-        wan_cross_region_transfers=wan.cross_region_transfers,
-        wan_partition_refusals=wan.wan_partition_refusals,
-        egress_bytes_by_region=tuple(egress),
-        egress_cost=wan.ledger.total_cost,
-    )
+    return GeoOutcome.of(profile, outcome)

@@ -90,7 +90,7 @@ def slo_violation_windows(
 
 @dataclass(frozen=True)
 class TenantReport:
-    """One tenant's accounting over a run (the ``ecfault tenants`` row)."""
+    """One tenant's accounting over a run (a row of ``ecfault run --fleet``)."""
 
     name: str
     reads_ok: int

@@ -10,8 +10,8 @@ after every single evaluation.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
-from typing import Callable, List, Optional, Sequence, Tuple
+from dataclasses import asdict, dataclass, replace
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..core.fault_injector import FaultSpec
 from .artifact import (
@@ -62,6 +62,33 @@ def top_fidelity_measurements(
     return [m for m in evaluations if m.fidelity.cost == top]
 
 
+def _differences(recorded: Any, requested: Any, path: str) -> List[str]:
+    """One line per leaf where a report's JSON value and this run's differ."""
+    if isinstance(recorded, dict) and isinstance(requested, dict):
+        return [
+            line
+            for key in sorted(set(recorded) | set(requested))
+            for line in _differences(
+                recorded.get(key), requested.get(key), f"{path}.{key}"
+            )
+        ]
+    if recorded == requested:
+        return []
+    return [f"{path}: {json.dumps(recorded, sort_keys=True)} in the report, "
+            f"{json.dumps(requested, sort_keys=True)} requested"]
+
+
+def _refuse_mismatch(what: str, key: str, recorded: Any, requested: Any) -> None:
+    """Refuse to resume a report whose ``key`` differs from this run's,
+    naming each differing field with both values."""
+    differences = _differences(recorded, requested, key)
+    if differences:
+        raise TuningArtifactError(
+            f"artifact does not match this run's {what}: "
+            + "; ".join(differences)
+        )
+
+
 def tune(
     space: TuningSpace,
     strategy: Strategy,
@@ -85,10 +112,12 @@ def tune(
     evaluations are replayed into the evaluator's cache and the budget
     ledger is restored, so the strategy re-traces its deterministic
     decision path without re-simulating anything already paid for.  The
-    artifact must match this run's space, seed, strategy, search
-    settings (the strategy's fidelities and the probes) and budget;
+    artifact must match this run's space (the base profile's fields
+    included), seed, strategy, search settings (the strategy's
+    fidelities, the probes, the object size and the faults) and budget;
     only the objectives, which re-rank the same measurements, may
-    change.
+    change.  A mismatch raises :class:`TuningArtifactError` naming each
+    differing field with both values.
     """
     if objectives is None:
         objectives = default_objectives(
@@ -96,55 +125,8 @@ def tune(
             include_tenant_p99=tenant_probe is not None,
         )
     objectives = tuple(objectives)
-    search = {
-        **strategy.describe(),
-        "probe": probe.to_dict() if probe is not None else None,
-        "tenant_probe": (
-            tenant_probe.to_dict() if tenant_probe is not None else None
-        ),
-    }
-
-    prior: Optional[TuningArtifact] = None
-    if resume:
-        if artifact_path is None:
-            raise ValueError("resume=True requires an artifact_path")
-        prior = load_tuning_artifact(artifact_path)
-        if prior.space != space.describe():
-            raise TuningArtifactError(
-                "artifact was produced for a different tuning space"
-            )
-        if prior.seed != seed:
-            raise TuningArtifactError(
-                f"artifact seed {prior.seed} != requested seed {seed}"
-            )
-        if prior.strategy != strategy.name:
-            raise TuningArtifactError(
-                f"artifact strategy {prior.strategy!r} != {strategy.name!r}"
-            )
-        if prior.search != search:
-            raise TuningArtifactError(
-                "artifact search settings "
-                f"{json.dumps(prior.search, sort_keys=True)} != requested "
-                f"{json.dumps(search, sort_keys=True)}"
-            )
-        if prior.budget != budget:
-            raise TuningArtifactError(
-                f"artifact budget {prior.budget!r} != requested {budget!r}"
-            )
-
-    log: List[Measurement] = list(prior.evaluations) if prior else []
-    artifact = TuningArtifact(
-        seed=seed,
-        strategy=strategy.name,
-        space=space.describe(),
-        budget=budget,
-        spent=prior.spent if prior else 0,
-        evaluations=tuple(log),
-        objectives=objectives,
-        search=search,
-    )
-
-    state = {"artifact": artifact}
+    log: List[Measurement] = []
+    state: Dict[str, TuningArtifact] = {}
 
     def record(measurement: Measurement) -> None:
         log.append(measurement)
@@ -168,9 +150,50 @@ def tune(
         run_cell_fn=run_cell_fn,
         on_result=record,
     )
-    if prior is not None:
+    # Through JSON, as a reloaded report holds it (tuples become lists).
+    search = json.loads(json.dumps({
+        **strategy.describe(),
+        "probe": probe.to_dict() if probe is not None else None,
+        "tenant_probe": (
+            tenant_probe.to_dict() if tenant_probe is not None else None
+        ),
+        "object_size": evaluator.object_size,
+        "faults": [asdict(spec) for spec in evaluator.faults],
+    }))
+
+    prior: Optional[TuningArtifact] = None
+    if resume:
+        if artifact_path is None:
+            raise ValueError("resume=True requires an artifact_path")
+        prior = load_tuning_artifact(artifact_path)
+        _refuse_mismatch("tuning space", "space", prior.space, space.describe())
+        if prior.seed != seed:
+            raise TuningArtifactError(
+                f"artifact seed {prior.seed} != requested seed {seed}"
+            )
+        if prior.strategy != strategy.name:
+            raise TuningArtifactError(
+                f"artifact strategy {prior.strategy!r} != {strategy.name!r}"
+            )
+        _refuse_mismatch("search settings", "search", prior.search, search)
+        if prior.budget != budget:
+            raise TuningArtifactError(
+                f"artifact budget {prior.budget!r} != requested {budget!r}"
+            )
+        log.extend(prior.evaluations)
         evaluator.seed_cache(prior.evaluations)
         evaluator.spent = prior.spent
+
+    state["artifact"] = TuningArtifact(
+        seed=seed,
+        strategy=strategy.name,
+        space=space.describe(),
+        budget=budget,
+        spent=evaluator.spent,
+        evaluations=tuple(log),
+        objectives=objectives,
+        search=search,
+    )
 
     strategy.search(space, evaluator)
 

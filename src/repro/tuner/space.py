@@ -16,7 +16,7 @@ profile's ``ec_plugin``/``ec_params`` fields.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Any, Callable, Dict, Iterator, List, Mapping, Sequence, Tuple
 
 from ..core.profile import ExperimentProfile
@@ -308,10 +308,7 @@ class TuningSpace:
         # Round-trip through JSON so the fingerprint compares equal to a
         # reloaded artifact's copy (tuples normalise to lists).
         return json.loads(json.dumps({
-            "base": self.base.name,
+            "base": asdict(self.base),
             "axes": axes,
             "constraints": [c.name for c in self.constraints],
         }, default=str))
-
-    def fingerprint(self) -> str:
-        return json.dumps(self.describe(), sort_keys=True, default=str)

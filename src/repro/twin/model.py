@@ -511,7 +511,6 @@ class AnalyticalTwin:
             FailureDomain.OSD: (profile.num_hosts * profile.osds_per_host, "OSDs"),
             FailureDomain.HOST: (profile.num_hosts, "hosts"),
             FailureDomain.RACK: (profile.num_racks, "racks"),
-            FailureDomain.REGION: (profile.num_regions, "regions"),
         }[profile.failure_domain]
         if buckets < code.n:
             raise ValueError(

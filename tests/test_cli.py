@@ -1,10 +1,12 @@
 """The ecfault command-line interface."""
 
 import json
+import pathlib
+import shlex
 
 import pytest
 
-from repro.cli import main, parse_size
+from repro.cli import build_parser, main, parse_size
 
 
 def run_cli(capsys, *argv):
@@ -57,6 +59,12 @@ def test_run_command_small_experiment(capsys):
     assert code == 0
     assert "checking period" in out
     assert "write amplification" in out
+    assert "recovery retries:  66 (11 ops abandoned)" in out
+    # OSDs 12 and 13 go out on different monitor ticks, and recovery
+    # abandons two PGs (ROADMAP Defect 1, the strict xfail in
+    # test_coordinator_experiment.py); the report says so.  This
+    # assertion goes with that xfail once the defect is fixed.
+    assert "PGs abandoned:     2 of 6 queued (left degraded)" in out
 
 
 def test_run_command_without_fault(capsys):
@@ -148,9 +156,8 @@ def test_bad_ec_params_message():
 
 
 @pytest.mark.parametrize("command", [
-    "run", "scrub", "sweep", "analyze", "repair-plan",
-    "wa", "autoscale", "chaos", "replay", "tune", "inject", "tenants",
-    "fuzz", "cascade", "geo", "twin",
+    "run", "sweep", "analyze", "repair-plan", "wa", "autoscale", "chaos",
+    "replay", "tune", "fuzz", "cascade", "twin",
 ])
 def test_every_subcommand_has_help(capsys, command):
     with pytest.raises(SystemExit) as excinfo:
@@ -159,6 +166,38 @@ def test_every_subcommand_has_help(capsys, command):
     out = capsys.readouterr().out
     assert "usage: ecfault" in out
     assert command in out
+
+
+def documented_command_lines():
+    """``(file, argv)`` for each ``ecfault ...`` line of the prose docs,
+    ``\\`` continuations joined and ``# comments`` dropped; a line
+    that elides flags with ``...`` is skipped."""
+    root = pathlib.Path(__file__).resolve().parent.parent
+    docs = [root / "README.md", root / "EXPERIMENTS.md", root / "DESIGN.md",
+            *sorted((root / "docs").glob("*.md"))]
+    for path in docs:
+        line = ""
+        for raw in path.read_text().splitlines():
+            line += raw.strip()
+            if line.endswith("\\"):
+                line = line[:-1] + " "
+                continue
+            if line.startswith("ecfault ") and "..." not in line:
+                yield path.name, shlex.split(line, comments=True)[1:]
+            line = ""
+
+
+def test_every_documented_command_line_parses(capsys):
+    lines = list(documented_command_lines())
+    assert {"run", "tune", "chaos"} <= {argv[0] for _, argv in lines}
+    failures = []
+    for name, argv in lines:
+        try:
+            build_parser().parse_args(argv)
+        except SystemExit:
+            error = capsys.readouterr().err.strip().splitlines()[-1]
+            failures.append(f"{name}: ecfault {shlex.join(argv)}: {error}")
+    assert not failures, "\n".join(failures)
 
 
 def test_no_subcommand_is_an_error(capsys):
@@ -171,24 +210,25 @@ def test_no_subcommand_is_an_error(capsys):
     ["run", "--fault", "meteor"],            # not a valid fault level
     ["run", "--pg-num", "lots"],             # not an int
     ["run", "--object-size", "big"],         # not a size
-    ["scrub", "--corruption", "gremlins"],   # not a corruption model
+    ["run", "--corruption", "gremlins"],     # not a corruption model
     ["chaos", "--campaigns", "many"],        # not an int
     ["replay"],                              # artifact path is required
     ["frobnicate"],                          # unknown subcommand
     ["tune", "--budget", "lots"],            # not an int
     ["tune", "--eta", "many"],               # not an int
     ["tune", "--ec-variants", "k=9,m=3"],    # missing plugin: prefix
-    ["inject", "--level", "node"],           # not a gray fault level
-    ["inject", "--factor", "fast"],          # not a float
+    ["twin", "--fault", "flap"],             # not a level the twin models
+    ["run", "--factor", "fast"],             # not a float
     ["fuzz", "--budget", "lots"],            # not an int
     ["fuzz", "--seed", "soon"],              # not an int
     ["cascade", "--priority", "turbo"],      # not a recovery priority
     ["cascade", "--seed", "soon"],           # not an int
     # Timings are refused as they are parsed, before any cluster exists.
-    pytest.param(["inject", "--duration", "0"], id="inject-duration"),
-    pytest.param(["tenants", "--duration", "0"], id="tenants-duration"),
-    pytest.param(["tenants", "--warmup", "-1"], id="tenants-warmup"),
-    pytest.param(["geo", "--restore-after", "0"], id="geo-restore-after"),
+    pytest.param(["run", "--fault-duration", "0"], id="run-fault-duration"),
+    pytest.param(["run", "--warmup", "-1"], id="run-warmup"),
+    # The experiment commands whose flags `run` took (README maps them).
+    *(pytest.param([command], id=f"folded-{command}")
+      for command in ("inject", "scrub", "tenants", "geo")),
 ])
 def test_malformed_arguments_exit_2(capsys, argv):
     with pytest.raises(SystemExit) as excinfo:
@@ -199,6 +239,14 @@ def test_malformed_arguments_exit_2(capsys, argv):
     # The message names the flag that was typed.
     for flag in (arg for arg in argv if arg.startswith("--")):
         assert f"argument {flag}: " in err
+
+
+def test_run_takes_one_client_load(capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main(["run", "--fleet", "fleet.json", "--read-interval", "2"])
+    assert excinfo.value.code == 2
+    assert ("argument --read-interval: not allowed with argument --fleet"
+            in capsys.readouterr().err)
 
 
 SMALL_RS42 = ("--ec-params", "k=4,m=2", "--hosts", "8", "--pg-num", "8",
@@ -216,7 +264,8 @@ SMALL_GRID = ("--sweep-pg-num", "4,8", "--objects", "8", "--object-size", "1MB",
     (["twin", "--cache-scheme", "bogus"], "unknown cache scheme 'bogus'"),
     (["twin", "--ec-params", "k=4,m=2", "--hosts", "5"],
      "host has 5 hosts, fewer than the n=6 shards"),
-    (["scrub", "--fault-count", "5", *SMALL_RS42],
+    (["run", "--fault", "corrupt", "--scrub-interval", "300",
+      "--fault-count", "5", *SMALL_RS42],
      "would exceed the guaranteed tolerance m=2"),
     (["tune", "--eta", "1", *SMALL_GRID], "eta must be >= 2"),
     (["tune", "--runs", "0", *SMALL_GRID], "runs must be >= 1"),
@@ -227,14 +276,24 @@ SMALL_GRID = ("--sweep-pg-num", "4,8", "--objects", "8", "--object-size", "1MB",
     (["tune", "--screen-objects", "0", *SMALL_GRID], "objects must be >= 1"),
     (["sweep", "--runs", "0", *SMALL_GRID], "runs must be >= 1"),
     (["sweep", "--workers", "0", *SMALL_GRID], "workers must be >= 1"),
+    (["run", "--fault", "corrupt", *SMALL_RS42],
+     "corrupt faults need scrubbing but scrubbing is disabled"),
+    (["run", "--read-interval", "2", *SMALL_RS42],
+     "a tenant fleet needs a fault window: set fault_duration"),
+    (["run", "--write-fraction", "0.5", "--fault-duration", "60",
+      *SMALL_RS42], "shape the --read-interval stream"),
+    (["run", "--failure-domain", "region", "--regions", "3", *SMALL_RS42],
+     "failure_domain 'region' places no stripe"),
 ], ids=["run-tolerance", "run-placement", "run-cache-scheme",
         "twin-cache-scheme", "twin-domain", "scrub-tolerance",
         "tune-eta", "tune-runs", "tune-budget", "tune-workers",
         "tune-screen-above-full", "tune-screen-zero", "sweep-runs",
-        "sweep-workers"])
+        "sweep-workers", "run-unscrubbed-corrupt", "run-held-load",
+        "run-mix-without-stream", "run-region-domain"])
 def test_experiment_commands_refuse_bad_input(capsys, argv, message):
-    """Each of these ended in a Python traceback; tune-screen-zero ran
-    with the default screen size in place of the 0 given."""
+    """Each of the first fourteen ended in a Python traceback;
+    tune-screen-zero ran with the default screen size in place of the 0
+    given.  The last four are refused before any cluster is built."""
     code, _, err = run_cli(capsys, *argv)
     assert code == 2
     assert err.startswith(f"{argv[0]}: ") and message in err
@@ -375,17 +434,23 @@ def test_tune_rejects_mismatched_resume(tmp_path, capsys):
     assert "seed" in err
 
 
+# -- run: the shapes the former scrub, inject, tenants and geo commands ran ------
+
+
 def test_scrub_command_small_experiment(capsys):
     code, out, _ = run_cli(
-        capsys, "scrub", "--objects", "20", "--object-size", "8MB",
-        "--pg-num", "8", "--hosts", "15", "--scrub-interval", "120",
+        capsys, "run", "--fault", "corrupt", "--objects", "20",
+        "--object-size", "8MB", "--pg-num", "8", "--hosts", "15",
+        "--scrub-interval", "120",
     )
     assert code == 0
+    assert "scrub interval 120 s, csum block 4096 B, model bit_rot" in out
     assert "detection period" in out
     assert "chunks repaired" in out
 
 
-INJECT_SMALL = ("inject", "--level", "slow_device", "--duration", "60",
+INJECT_SMALL = ("run", "--fault", "slow_device", "--read-interval", "2",
+                "--fault-duration", "60", "--warmup", "50",
                 "--objects", "6", "--object-size", "1MB", "--ec-params",
                 "k=4,m=2", "--hosts", "8", "--pg-num", "8")
 
@@ -393,6 +458,7 @@ INJECT_SMALL = ("inject", "--level", "slow_device", "--duration", "60",
 def test_inject_command_small_experiment(capsys):
     code, out, _ = run_cli(capsys, *INJECT_SMALL)
     assert code == 0
+    assert "fault: level=slow_device count=1 for 60 s" in out
     assert "client reads:      30 ok, 0 failed" in out
     assert "retries/timeouts:  0 / 0" in out
     assert "client writes:" not in out
@@ -486,32 +552,54 @@ def test_replay_rejects_malformed_artifact(tmp_path, capsys):
     assert "cannot read" in err
 
 
-# -- tenants --------------------------------------------------------------------
+# -- run --fleet ---------------------------------------------------------------
 
 
-def tenants_small(capsys, *extra):
+@pytest.fixture
+def demo_fleet(tmp_path):
+    """A reserved latency tenant with an SLO beside a rate-limited
+    poisson batch writer, QoS on."""
+    from repro.tenancy import SloSpec, TenantFleetSpec, TenantSpec
+
+    spec = TenantFleetSpec(
+        tenants=(
+            TenantSpec(name="latency", interval=1.0, reservation=0.15,
+                       weight=4.0, slo=SloSpec(p99_latency=0.25)),
+            TenantSpec(name="batch", interval=0.5, arrival="poisson",
+                       write_fraction=0.5, limit=0.25),
+        ),
+        qos_enabled=True,
+    )
+    path = tmp_path / "fleet.json"
+    path.write_text(json.dumps(spec.to_dict()))
+    return path
+
+
+def tenants_small(capsys, fleet, *extra):
     return run_cli(
-        capsys, "tenants", "--hosts", "8", "--osds-per-host", "2",
-        "--pg-num", "8", "--ec-params", "k=4,m=2", "--stripe-unit", "1MB",
-        "--objects", "12", "--object-size", "1MB", "--duration", "120",
-        *extra,
+        capsys, "run", "--fleet", str(fleet), "--hosts", "8",
+        "--osds-per-host", "2", "--pg-num", "8", "--ec-params", "k=4,m=2",
+        "--stripe-unit", "1MB", "--objects", "12", "--object-size", "1MB",
+        "--fault-duration", "120", "--warmup", "50", *extra,
     )
 
 
-def test_tenants_command_table_output(capsys):
-    code, out, _ = tenants_small(capsys)
+def test_tenants_command_table_output(capsys, demo_fleet):
+    code, out, _ = tenants_small(capsys, demo_fleet)
     assert code == 0
+    assert "fleet: 2 tenant(s), QoS on" in out
     assert "per-tenant accounting" in out
     assert "QoS classes" in out
     assert "latency" in out and "batch" in out
+    assert "final health:      HEALTH_OK" in out
 
 
-def test_tenants_json_schema(capsys):
-    code, out, _ = tenants_small(capsys, "--json")
+def test_tenants_json_schema(capsys, demo_fleet):
+    code, out, _ = tenants_small(capsys, demo_fleet, "--json")
     assert code == 0
     blob = json.loads(out)
-    assert {"fleet", "converged", "health", "injected_osds",
-            "tenants", "qos"} <= set(blob)
+    assert set(blob) == {"fleet", "converged", "health", "injected_osds",
+                         "tenants", "qos"}
     assert {t["name"] for t in blob["tenants"]} == {"latency", "batch"}
     for row in blob["tenants"]:
         assert {"name", "reads_ok", "read_failures", "p50", "p99", "p999",
@@ -526,9 +614,7 @@ def test_tenants_custom_spec_round_trip(tmp_path, capsys):
     spec = TenantFleetSpec(tenants=(TenantSpec(name="solo", interval=1.0),))
     path = tmp_path / "fleet.json"
     path.write_text(json.dumps(spec.to_dict()))
-    code, out, _ = tenants_small(
-        capsys, "--spec", str(path), "--fault", "none", "--json",
-    )
+    code, out, _ = tenants_small(capsys, path, "--fault", "none", "--json")
     assert code == 0
     blob = json.loads(out)
     assert [t["name"] for t in blob["tenants"]] == ["solo"]
@@ -538,15 +624,30 @@ def test_tenants_custom_spec_round_trip(tmp_path, capsys):
 def test_tenants_rejects_bad_spec(tmp_path, capsys):
     bad = tmp_path / "fleet.json"
     bad.write_text('{"tenants": "nope"}')
-    code, _, err = tenants_small(capsys, "--spec", str(bad))
+    code, _, err = tenants_small(capsys, bad)
     assert code == 2
-    assert "bad fleet spec" in err
+    assert err.startswith("run: bad fleet spec")
 
-    code, _, err = tenants_small(
-        capsys, "--spec", str(tmp_path / "missing.json"),
-    )
+    code, _, err = tenants_small(capsys, tmp_path / "missing.json")
     assert code == 2
-    assert "bad fleet spec" in err
+    assert err.startswith("run: bad fleet spec")
+
+
+def test_violated_slo_exits_1_in_text_and_json(tmp_path, capsys):
+    from repro.tenancy import SloSpec, TenantFleetSpec, TenantSpec
+
+    spec = TenantFleetSpec(tenants=(
+        TenantSpec(name="strict", interval=1.0,
+                   slo=SloSpec(p99_latency=0.001)),
+    ))
+    path = tmp_path / "fleet.json"
+    path.write_text(json.dumps(spec.to_dict()))
+    code, out, _ = tenants_small(capsys, path)
+    assert code == 1
+    assert "SLO violated for: strict" in out
+    code, out, _ = tenants_small(capsys, path, "--json")
+    assert code == 1
+    assert json.loads(out)["tenants"][0]["slo_met"] is False
 
 
 def test_chaos_tenants_and_writes_are_exclusive(capsys):
@@ -557,9 +658,13 @@ def test_chaos_tenants_and_writes_are_exclusive(capsys):
     assert "exclusive" in err
 
 
+# -- run --regions -------------------------------------------------------------
+
+
 def geo_small(capsys, *extra):
     return run_cli(
-        capsys, "geo", "--seed", "3", "--hosts", "12", "--objects", "12",
+        capsys, "run", "--regions", "3", "--ec-params", "k=4,m=2",
+        "--seed", "3", "--hosts", "12", "--objects", "12",
         "--object-size", "4MB", "--pg-num", "16", "--stripe-unit", "1MB",
         *extra,
     )
@@ -578,6 +683,8 @@ def test_geo_command_digest_is_deterministic(capsys):
     _, first, _ = geo_small(capsys, "--json")
     _, second, _ = geo_small(capsys, "--json")
     assert json.loads(first) == json.loads(second)
+    assert {"converged", "health", "injected_osds", "total_recovery_time",
+            "egress_bytes_by_region", "egress_cost"} <= set(json.loads(first))
 
 
 def test_geo_naive_flag_changes_the_run(capsys):
@@ -594,15 +701,17 @@ def test_geo_held_region_fault_needs_restore_after(capsys, level):
     code, out, err = geo_small(capsys, "--fault", level)
     assert code == 2
     assert out == ""
-    assert f"geo: --fault {level} needs --restore-after" in err
+    assert err == (f"run: {level} faults mark no OSD out, so holding them "
+                   "waits for nothing: restore them (set fault_duration)\n")
 
 
 def test_geo_restored_region_fault_runs(capsys):
     code, out, _ = geo_small(
-        capsys, "--fault", "region_outage", "--restore-after", "300",
+        capsys, "--fault", "region_outage", "--fault-duration", "300",
     )
     assert code == 0
     assert "outcome digest" in out
+    assert "final health:" in out
 
 
 def test_chaos_geo_is_exclusive_with_writes_and_tenants(capsys):

@@ -89,3 +89,14 @@ def test_num_racks_validated():
         ExperimentProfile(num_hosts=5, num_racks=6)
     profile = ExperimentProfile(num_hosts=9, num_racks=3)
     assert profile.num_racks == 3
+
+
+@pytest.mark.parametrize("num_regions", [1, 3])
+def test_region_failure_domain_refused(num_regions):
+    """A region is one bucket, and a region rule places shards in
+    sub-region buckets, so no stripe fits a region domain; the profile
+    says so before any cluster is built."""
+    with pytest.raises(ValueError, match="set num_regions with a host, "
+                                         "rack or osd domain"):
+        ExperimentProfile(failure_domain="region", num_hosts=12,
+                          num_regions=num_regions)

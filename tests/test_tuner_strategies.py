@@ -14,6 +14,7 @@ import json
 import pytest
 
 from repro.core import ExperimentProfile
+from repro.core.fault_injector import FaultSpec
 from repro.core.sweep import SweepResult
 from repro.tuner import (
     CategoricalAxis,
@@ -63,9 +64,9 @@ def stub_cell(profile, workload, faults, runs, seed):
 STUB_OPTIMUM = {"pg_num": 256, "cache_scheme": "autotune", "ec": CLAY}
 
 
-def make_space():
+def make_space(base=None):
     return TuningSpace(
-        ExperimentProfile(name="strategy-test"),
+        base or ExperimentProfile(name="strategy-test"),
         axes=[
             CategoricalAxis("pg_num", (16, 64, 256)),
             CategoricalAxis("cache_scheme", ("kv-optimized", "autotune")),
@@ -202,6 +203,36 @@ def test_resume_refuses_different_search_settings(tmp_path, first, second):
     CALLS.clear()
     with pytest.raises(TuningArtifactError, match="search settings"):
         tune(make_space(), **second, resume=True, **kwargs)
+    assert CALLS == []
+    assert path.read_text() == written
+
+
+@pytest.mark.parametrize("change, difference", [
+    (dict(space=make_space(ExperimentProfile(name="strategy-test",
+                                             num_hosts=20))),
+     "space.base.num_hosts: 30 in the report, 20 requested"),
+    (dict(object_size=16 * MB),
+     "search.object_size: 8388608 in the report, 16777216 requested"),
+    (dict(faults=[FaultSpec(level="device")]),
+     'search.faults: [{"bandwidth_penalty": 1.0, "colocation": "any", '
+     '"corruption": "bit_rot", "count": 1, "domain": "host", "factor": 4.0, '
+     '"flap_interval": 60.0, "latency": 0.0, "level": "node"'),
+], ids=["base-profile", "object-size", "faults"])
+def test_resume_refuses_another_base_profile_object_size_or_fault(
+    tmp_path, change, difference
+):
+    # The resumed run would replay measurements of another cluster,
+    # object size or fault as its own, so it is refused before anything
+    # runs, naming the field with both values.
+    path = tmp_path / "tuning.json"
+    kwargs = dict(seed=11, run_cell_fn=stub_cell, artifact_path=path)
+    tune(make_space(), halving(4, 16), **kwargs)
+    written = path.read_text()
+    CALLS.clear()
+    resumed = {"space": make_space(), **change}
+    with pytest.raises(TuningArtifactError) as excinfo:
+        tune(strategy=halving(4, 16), resume=True, **resumed, **kwargs)
+    assert difference in str(excinfo.value)
     assert CALLS == []
     assert path.read_text() == written
 
