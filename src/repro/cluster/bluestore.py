@@ -177,33 +177,46 @@ class BlueStore:
         #: key ``(pgid, object_name, shard)`` — the onode-resident csum
         #: array the deep-scrub state machine verifies chunk reads against.
         self.chunk_checksums: Dict[tuple, Tuple[int, ...]] = {}
+        #: :meth:`_hit_rates`' memo and the counters it was computed at.
+        self._rates_key: Optional[Tuple[float, float, float]] = None
+        self._rates: Tuple[float, float, float] = (0.0, 0.0, 0.0)
 
     # -- durable layout (write amplification) ----------------------------------
 
+    @classmethod
     def chunk_allocation(
-        self, stored_bytes: int, units: int, csum_blocks: int = 0
+        cls, stored_bytes: int, units: int, csum_blocks: int = 0
     ) -> Tuple[int, int]:
         """(allocated_bytes, metadata_bytes) for one stored chunk.
 
-        ``csum_blocks`` counts the crc32c values persisted with the onode
-        (zero when the integrity subsystem is disabled — the baseline
-        calibration already absorbs stock csum overhead).
+        The same on every OSD, so a caller storing one object's chunks
+        computes it once.  ``csum_blocks`` counts the crc32c values
+        persisted with the onode (zero when the integrity subsystem is
+        disabled — the baseline calibration already absorbs stock csum
+        overhead).
         """
         if stored_bytes < 0 or units < 1 or csum_blocks < 0:
             raise ValueError("invalid chunk geometry")
-        granule = self.min_alloc_size
+        granule = cls.min_alloc_size
         allocated = -(-stored_bytes // granule) * granule if stored_bytes else 0
         metadata = (
-            self.onode_bytes
-            + self.ec_attr_bytes
-            + units * self.extent_entry_bytes
-            + csum_blocks * self.csum_value_bytes
+            cls.onode_bytes
+            + cls.ec_attr_bytes
+            + units * cls.extent_entry_bytes
+            + csum_blocks * cls.csum_value_bytes
         )
         return allocated, metadata
 
-    def store_chunk(self, stored_bytes: int, units: int, csum_blocks: int = 0) -> int:
-        """Account one chunk landing on this OSD; returns bytes consumed."""
-        allocated, metadata = self.chunk_allocation(stored_bytes, units, csum_blocks)
+    def store_chunk(
+        self, stored_bytes: int, units: int, allocation: Tuple[int, int]
+    ) -> int:
+        """Account one chunk landing on this OSD; returns bytes consumed.
+
+        ``allocation`` is the chunk's :meth:`chunk_allocation`, which
+        every caller has already computed for its capacity check or its
+        ledger.
+        """
+        allocated, metadata = allocation
         self.num_chunks += 1
         self.num_extents += units
         self.data_bytes += stored_bytes
@@ -211,9 +224,15 @@ class BlueStore:
         self.meta_bytes += metadata
         return allocated + metadata
 
-    def remove_chunk(self, stored_bytes: int, units: int, csum_blocks: int = 0) -> int:
-        """Account one chunk leaving this OSD; returns bytes released."""
-        allocated, metadata = self.chunk_allocation(stored_bytes, units, csum_blocks)
+    def remove_chunk(
+        self, stored_bytes: int, units: int, allocation: Tuple[int, int]
+    ) -> int:
+        """Account one chunk leaving this OSD; returns bytes released.
+
+        ``allocation`` is the chunk's :meth:`chunk_allocation`, as when
+        it was stored.
+        """
+        allocated, metadata = allocation
         self.num_chunks -= 1
         self.num_extents -= units
         self.data_bytes -= stored_bytes
@@ -253,6 +272,20 @@ class BlueStore:
             data_bytes=self.recovery_write_buffer_bytes,
         )
 
+    def _hit_rates(self) -> Tuple[float, float, float]:
+        """The cache model's hit rates for the current working sets.
+
+        Memoised on the three counters :meth:`working_sets` reads, so a
+        run of recovery reads between two stores computes them once.
+        Keyed rather than cleared on store and remove: the analytical
+        twin's ghost backend assigns the counters directly.
+        """
+        key = (self.num_chunks, self.num_extents, self.data_bytes)
+        if key != self._rates_key:
+            self._rates_key = key
+            self._rates = self.cache.hit_rates(self.working_sets())
+        return self._rates
+
     def read_overhead_ops(self, nbytes: int, scatter_runs: int = 0) -> float:
         """Extra metadata fetches a recovery read pays for cache misses.
 
@@ -262,7 +295,7 @@ class BlueStore:
         sub-packetised reads pay more — the read-side Figure 2a
         mechanism.
         """
-        kv_hit, meta_hit, _ = self.cache.hit_rates(self.working_sets())
+        kv_hit, meta_hit, _ = self._hit_rates()
         blocks = nbytes / 4096.0
         meta_cost = (
             self.onode_fetch_ops
@@ -274,5 +307,5 @@ class BlueStore:
 
     def write_coalescing(self) -> float:
         """Multiplier (<= 1.0) on write ops from deferred-write merging."""
-        _, _, data_hit = self.cache.hit_rates(self.working_sets())
+        _, _, data_hit = self._hit_rates()
         return 1.0 - self.max_write_coalescing * data_hit

@@ -19,7 +19,7 @@ from ..geo.wan import WanSpec
 from ..sim import Environment
 from .crush import CrushMap
 from .devices import DiskSpec, GP_SSD
-from .bluestore import CacheConfig
+from .bluestore import BlueStore, CacheConfig
 from .logs import NodeLog
 from .monitor import Monitor
 from .network import M5_NIC, NicSpec
@@ -239,19 +239,19 @@ class CephCluster:
         if self.integrity.config.enabled:
             csum_blocks = self.integrity.csum_blocks_for(layout.chunk_stored_bytes)
             csums = self.integrity.register_object(pg, obj)
-        alloc_total = 0
-        meta_total = 0
+        # Every chunk of the stripe has the same geometry, so the same
+        # allocation on whichever OSD it lands.
+        allocation = BlueStore.chunk_allocation(
+            layout.chunk_stored_bytes, layout.units, csum_blocks
+        )
         for shard, osd_id in enumerate(pg.acting):
             osd = self.osds[osd_id]
-            allocated, metadata = osd.backend.chunk_allocation(
-                layout.chunk_stored_bytes, layout.units, csum_blocks
-            )
-            alloc_total += allocated
-            meta_total += metadata
-            osd.store_chunk(layout.chunk_stored_bytes, layout.units, csum_blocks)
+            osd.store_chunk(layout.chunk_stored_bytes, layout.units, allocation)
             if shard in csums:
                 osd.backend.put_chunk_checksums((pg.pgid, obj.name, shard), csums[shard])
-        self.ledger.credit_ingest(size, alloc_total, meta_total)
+        allocated, metadata = allocation
+        chunks = len(pg.acting)
+        self.ledger.credit_ingest(size, chunks * allocated, chunks * metadata)
         if pg.log is not None:
             # Ingest is a state operation on a healthy cluster: every
             # shard landed, so the create entry carries no missing set.

@@ -615,9 +615,9 @@ class RadosClient:
         log.stage()
         #: Shards persisted by this write (survives across attempts).
         landed: Set[int] = set()
-        #: shard -> (allocated, metadata, csum_blocks) for chunks this
-        #: write brought into existence — the abort rollback set.
-        allocs: Dict[int, Tuple[int, int, int]] = {}
+        #: shard -> (allocated, metadata) for chunks this write brought
+        #: into existence — the abort rollback set.
+        allocs: Dict[int, Tuple[int, int]] = {}
         attempt = 0
         while True:
             # Capacity backpressure: while any OSD is at the full ratio
@@ -664,7 +664,7 @@ class RadosClient:
         layout,
         create: bool,
         landed: Set[int],
-        allocs: Dict[int, Tuple[int, int, int]],
+        allocs: Dict[int, Tuple[int, int]],
         attempt: int,
     ) -> Generator:
         """Encode the stripe at the primary and push every reachable shard.
@@ -827,7 +827,7 @@ class RadosClient:
         layout,
         object_name: str,
         create: bool,
-        allocs: Dict[int, Tuple[int, int, int]],
+        allocs: Dict[int, Tuple[int, int]],
     ) -> Generator:
         """Push one full chunk to its target; never fails the process.
 
@@ -847,14 +847,15 @@ class RadosClient:
             )
         log = pg.log
         allocate = create or log.is_unstored(object_name, shard)
-        allocated = metadata = csum_blocks = 0
+        csum_blocks = 0
         if allocate:
             integrity = self.cluster.integrity
             if integrity.config.enabled:
                 csum_blocks = integrity.csum_blocks_for(nbytes)
-            allocated, metadata = target.backend.chunk_allocation(
+            allocation = target.backend.chunk_allocation(
                 nbytes, layout.units, csum_blocks
             )
+            allocated, metadata = allocation
             if (
                 target.disk.used_bytes + allocated + metadata
                 > target.disk.spec.capacity_bytes
@@ -865,9 +866,9 @@ class RadosClient:
                 )
             # Reserve synchronously with the headroom check, and credit
             # the ledger in the same instant (commit reclassifies).
-            target.store_chunk(nbytes, layout.units, csum_blocks)
+            target.store_chunk(nbytes, layout.units, allocation)
             self.cluster.ledger.credit_chunk(allocated, metadata)
-            allocs[shard] = (allocated, metadata, csum_blocks)
+            allocs[shard] = allocation
         try:
             grant = self._admit(target, nbytes, write=True)
             if grant is not None:
@@ -882,8 +883,8 @@ class RadosClient:
             if isinstance(exc, TransferDroppedError):
                 self.stats.drops_seen += 1
             if allocate:
-                target.remove_chunk(nbytes, layout.units, csum_blocks)
-                self.cluster.ledger.debit_chunk(allocated, metadata)
+                target.remove_chunk(nbytes, layout.units, allocation)
+                self.cluster.ledger.debit_chunk(*allocation)
                 allocs.pop(shard, None)
             return _ShardResult(ok=False, shard=shard, reason=str(exc))
         return _ShardResult(ok=True, shard=shard)
@@ -932,7 +933,7 @@ class RadosClient:
         layout,
         data_shard: Optional[int],
         landed: Set[int],
-        allocs: Dict[int, Tuple[int, int, int]],
+        allocs: Dict[int, Tuple[int, int]],
         issued_at: float,
         attempts: int,
     ) -> WriteSample:
@@ -952,7 +953,7 @@ class RadosClient:
         ledger = self.cluster.ledger
         #: Physical bytes this commit put on devices: fresh allocations
         #: (data + metadata) plus in-place rewrites of existing chunks.
-        stored = sum(a + m for a, m, _ in allocs.values())
+        stored = sum(a + m for a, m in allocs.values())
         if kind == "full":
             stored += layout.chunk_stored_bytes * (len(landed) - len(allocs))
         elif kind == "rmw":
@@ -1015,7 +1016,7 @@ class RadosClient:
         kind: str,
         layout,
         landed: Set[int],
-        allocs: Dict[int, Tuple[int, int, int]],
+        allocs: Dict[int, Tuple[int, int]],
     ) -> None:
         """Roll the staged write back without ever entering the log.
 
@@ -1027,10 +1028,10 @@ class RadosClient:
         """
         log = pg.log
         log.rollback()
-        for shard, (allocated, metadata, csum_blocks) in allocs.items():
+        for shard, allocation in allocs.items():
             osd = self.cluster.osds[pg.acting[shard]]
-            osd.remove_chunk(layout.chunk_stored_bytes, layout.units, csum_blocks)
-            self.cluster.ledger.debit_chunk(allocated, metadata)
+            osd.remove_chunk(layout.chunk_stored_bytes, layout.units, allocation)
+            self.cluster.ledger.debit_chunk(*allocation)
         if kind != "create":
             for shard in landed:
                 if shard not in allocs:

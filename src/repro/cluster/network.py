@@ -23,9 +23,9 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Generator, Optional
+from typing import Optional
 
-from ..sim import Environment, Event, ServiceCenter
+from ..sim import Chain, Environment, Event, ServiceCenter
 
 __all__ = [
     "NicSpec",
@@ -141,6 +141,88 @@ class Nic:
         return self.spec.wire_time(nbytes, self.degradation.bandwidth_penalty)
 
 
+class _Transfer(Chain):
+    """One transfer in flight: the event its sender waits on.
+
+    Its steps are the route at the start hop, the egress job's
+    completion, the propagation delay's timed entry and the ingress
+    job's completion, each placed where a process running the same
+    sequence would resume (see :class:`~repro.sim.engine.Chain`).
+    """
+
+    __slots__ = ("fabric", "src", "dst", "nbytes", "loss", "delay")
+
+    def __init__(self, fabric: "Fabric", src: Nic, dst: Nic, nbytes: int):
+        super().__init__(fabric.env)
+        self.fabric = fabric
+        self.src = src
+        self.dst = dst
+        self.nbytes = nbytes
+        self.start(self._route)
+
+    def _route(self, _arg) -> None:
+        if self.src is self.dst:
+            # Loopback: no NIC time, a token cost for the software path.
+            self.sleep(self.src.spec.message_overhead, self.succeed)
+            return
+        self._charge_hop(0.0)
+
+    def _charge_hop(self, wan_latency: float) -> None:
+        """The one-hop charge sequence shared with the WAN fabric.
+
+        Every non-loopback transfer — intra-region or not — pays exactly
+        this sequence: partition check, sender egress, propagation, loss
+        lottery, receiver ingress.  ``wan_latency`` lets a wrapping
+        fabric add propagation delay without duplicating the charge
+        logic (one NIC pair is still one hop, not one hop per NIC).
+        """
+        src, dst, nbytes = self.src, self.dst, self.nbytes
+        if src.partitioned or dst.partitioned:
+            self.fabric.partition_refusals += 1
+            # The sender only learns by timeout; charge one propagation
+            # delay before failing so detection is not instantaneous.
+            self.sleep(src.spec.latency, self.fail, NetworkPartitionedError(
+                f"transfer {src.name} -> {dst.name} crossed a partition"
+            ))
+            return
+        loss = 0.0
+        extra_latency = 0.0
+        for nic in (src, dst):
+            if nic.degradation is not None:
+                loss = 1.0 - (1.0 - loss) * (1.0 - nic.degradation.loss)
+                extra_latency += nic.degradation.latency
+        src.sent_bytes += nbytes
+        try:
+            service = src.wire_time(nbytes)
+        except ValueError as exc:
+            self.fail(exc)
+            return
+        self.loss = loss
+        self.delay = src.spec.latency + extra_latency + wan_latency
+        self.wait(src.egress.request(service), self._sent)
+
+    def _sent(self, _job) -> None:
+        self.sleep(self.delay, self._arrived)
+
+    def _arrived(self, _arg) -> None:
+        src, dst, loss = self.src, self.dst, self.loss
+        if loss > 0.0 and self.fabric.rng.random() < loss:
+            # The sender burned its egress time for nothing; the
+            # receiver never sees the bytes.
+            self.fabric.drops += 1
+            self.fail(TransferDroppedError(
+                f"transfer {src.name} -> {dst.name} dropped "
+                f"(loss={loss:.3f})"
+            ))
+            return
+        dst.received_bytes += self.nbytes
+        self.wait(dst.ingress.request(dst.wire_time(self.nbytes)), self._received)
+
+    def _received(self, _job) -> None:
+        """The receiver's ingress served the bytes: delivered."""
+        self.succeed()
+
+
 class Fabric:
     """The switch connecting all hosts; assumed non-blocking.
 
@@ -151,6 +233,10 @@ class Fabric:
     the stream is consumed *only* while a degradation is active, so
     healthy runs never touch it and stay byte-identical.
     """
+
+    #: What :meth:`transfer` builds: the transfer's steps, which a
+    #: wrapping fabric extends.
+    _transfer_type = _Transfer
 
     def __init__(self, env: Environment, rng: Optional[random.Random] = None):
         self.env = env
@@ -165,53 +251,8 @@ class Fabric:
         On a degraded path the event *fails* with
         :class:`TransferDroppedError` (loss) or
         :class:`NetworkPartitionedError` (partition) — the exception is
-        raised at the waiter's ``yield``.
+        raised at the waiter's ``yield``.  A negative ``nbytes`` between
+        two hosts fails it with :class:`ValueError`.
         """
         self.transfers += 1
-        return self.env.process(self._run(src, dst, nbytes))
-
-    def _run(self, src: Nic, dst: Nic, nbytes: int) -> Generator:
-        if src is dst:
-            # Loopback: no NIC time, a token cost for the software path.
-            yield self.env.timeout(src.spec.message_overhead)
-            return
-        yield from self._charge_endpoints(src, dst, nbytes)
-
-    def _charge_endpoints(
-        self, src: Nic, dst: Nic, nbytes: int, wan_latency: float = 0.0
-    ) -> Generator:
-        """The one-hop charge sequence shared with the WAN fabric.
-
-        Every non-loopback transfer — intra-region or not — pays exactly
-        this sequence: partition check, sender egress, propagation, loss
-        lottery, receiver ingress.  ``wan_latency`` lets a wrapping
-        fabric add propagation delay without duplicating the charge
-        logic (one NIC pair is still one hop, not one hop per NIC).
-        """
-        if src.partitioned or dst.partitioned:
-            self.partition_refusals += 1
-            # The sender only learns by timeout; charge one propagation
-            # delay before failing so detection is not instantaneous.
-            yield self.env.timeout(src.spec.latency)
-            raise NetworkPartitionedError(
-                f"transfer {src.name} -> {dst.name} crossed a partition"
-            )
-        loss = 0.0
-        extra_latency = 0.0
-        for nic in (src, dst):
-            if nic.degradation is not None:
-                loss = 1.0 - (1.0 - loss) * (1.0 - nic.degradation.loss)
-                extra_latency += nic.degradation.latency
-        src.sent_bytes += nbytes
-        yield src.egress.request(src.wire_time(nbytes))
-        yield self.env.timeout(src.spec.latency + extra_latency + wan_latency)
-        if loss > 0.0 and self.rng.random() < loss:
-            # The sender burned its egress time for nothing; the
-            # receiver never sees the bytes.
-            self.drops += 1
-            raise TransferDroppedError(
-                f"transfer {src.name} -> {dst.name} dropped "
-                f"(loss={loss:.3f})"
-            )
-        dst.received_bytes += nbytes
-        yield dst.ingress.request(dst.wire_time(nbytes))
+        return self._transfer_type(self, src, dst, nbytes)

@@ -11,6 +11,7 @@ to the cluster.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Tuple
 
 from ..sim import Environment, Event, Resource, ServiceCenter
 from .bluestore import BlueStore, CacheConfig
@@ -353,14 +354,23 @@ class OsdDaemon:
 
     # -- durable state ---------------------------------------------------------
 
-    def store_chunk(self, stored_bytes: int, units: int, csum_blocks: int = 0) -> int:
-        """Account a chunk landing on this OSD; returns bytes consumed."""
-        consumed = self.backend.store_chunk(stored_bytes, units, csum_blocks)
+    def store_chunk(
+        self, stored_bytes: int, units: int, allocation: Tuple[int, int]
+    ) -> int:
+        """Account a chunk landing on this OSD; returns bytes consumed.
+
+        ``allocation`` is the chunk's
+        :meth:`~repro.cluster.bluestore.BlueStore.chunk_allocation`.
+        """
+        consumed = self.backend.store_chunk(stored_bytes, units, allocation)
         self.disk.allocate(consumed)
         return consumed
 
-    def remove_chunk(self, stored_bytes: int, units: int, csum_blocks: int = 0) -> int:
-        released = self.backend.remove_chunk(stored_bytes, units, csum_blocks)
+    def remove_chunk(
+        self, stored_bytes: int, units: int, allocation: Tuple[int, int]
+    ) -> int:
+        """Account a chunk leaving this OSD; returns bytes released."""
+        released = self.backend.remove_chunk(stored_bytes, units, allocation)
         self.disk.free(released)
         return released
 
@@ -376,13 +386,13 @@ class OsdDaemon:
         ops = sequential_ops(self.config, nbytes) + self.backend.read_overhead_ops(nbytes)
         return self.disk.submit(max(1, round(ops)), nbytes, write=False)
 
-    def read_subchunks(
-        self, units: int, unit_bytes: int, fraction: float, runs_per_unit: int
-    ) -> Event:
-        """Scattered sub-chunk recovery read (Clay single-failure repair)."""
-        profile = resolve_subchunk_read(
-            self.config, units, unit_bytes, fraction, runs_per_unit
-        )
+    def read_subchunks(self, profile: SubchunkReadProfile) -> Event:
+        """Scattered sub-chunk recovery read (Clay single-failure repair).
+
+        ``profile`` is the read's geometry from
+        :func:`resolve_subchunk_read`, which the caller resolved for the
+        read's QoS grant.
+        """
         ops = profile.disk_ops + self.backend.read_overhead_ops(
             profile.disk_bytes, profile.scatter_runs
         )

@@ -162,19 +162,27 @@ class PgLog:
             self.shard_versions[object_name] = [0] * self.n_shards
         self.object_version[object_name] = version
         versions = self.shard_versions[object_name]
-        for shard in range(self.n_shards):
-            if shard in missing_set:
-                self._mark_stale(object_name, shard, version)
-            elif shard in touched_set:
-                # The write landed: the shard is current (a full overwrite
-                # refreshes even a previously-stale chunk).
-                versions[shard] = version
-                self._clear_stale(object_name, shard)
-            elif not self._is_stale(object_name, shard):
-                # Untouched and previously current: content unchanged,
-                # still consistent with the new object version.
-                versions[shard] = version
-            # Untouched and stale: stays stale at its old version.
+        if not (missing_set or self._stale_objs or self.unstored
+                or self.backfill_shards):
+            # The write reached every shard it touched, and no object is
+            # stale (``_stale_since`` mirrors ``_stale_objs``), unstored
+            # or backfilling: the loop below would make every shard
+            # current and clear nothing.
+            versions[:] = [version] * self.n_shards
+        else:
+            for shard in range(self.n_shards):
+                if shard in missing_set:
+                    self._mark_stale(object_name, shard, version)
+                elif shard in touched_set:
+                    # The write landed: the shard is current (a full
+                    # overwrite refreshes even a previously-stale chunk).
+                    versions[shard] = version
+                    self._clear_stale(object_name, shard)
+                elif not self._is_stale(object_name, shard):
+                    # Untouched and previously current: content unchanged,
+                    # still consistent with the new object version.
+                    versions[shard] = version
+                # Untouched and stale: stays stale at its old version.
         entry = PgLogEntry(
             version=version,
             object_name=object_name,

@@ -45,7 +45,7 @@ from dataclasses import dataclass
 from typing import Dict, Generator, List, Optional, Set
 
 from ..ec.base import ErasureCode
-from ..sim import Environment, Event
+from ..sim import Chain, Environment, Event
 from ..sim.rng import SeedSequence
 from .crush import PlacementError
 from .devices import DiskFailedError
@@ -1030,9 +1030,7 @@ class RecoveryManager:
                 planned_reads + layout.chunk_stored_bytes * len(to_push)
             )
         pulls = [
-            self.env.process(
-                self._pull_shard(read, old_acting, primary, layout, delta=delta)
-            )
+            _Pull(self, read, old_acting, primary, layout, delta)
             for read in plan.reads
         ]
         pull_results = yield self.env.all_of(pulls)
@@ -1139,69 +1137,6 @@ class RecoveryManager:
             return candidate
         return plan
 
-    def _pull_shard(
-        self, read, old_acting, primary: OsdDaemon, layout, delta: bool = False
-    ) -> Generator:
-        """Read one helper shard and ship it to the primary.
-
-        The read first waits for the source's recovery-QoS grant (the
-        scheduler share — usually the binding constraint), then performs
-        the device I/O, then crosses the network.
-
-        Never fails its process: a flapped-down source, failed disk, or
-        dropped/partitioned transfer returns ``False`` so the object op
-        can replan and retry.  Disk bytes already read when a transfer
-        drops stay counted — that I/O really happened.
-        """
-        source = self.osds[old_acting[read.chunk_index]]
-        try:
-            if not source.is_up():
-                return False
-            if read.fraction >= 1.0:
-                nbytes = layout.chunk_stored_bytes
-                yield source.recovery_read_grant(nbytes)
-                yield source.read_chunk(nbytes)
-            else:
-                nbytes = int(layout.chunk_stored_bytes * read.fraction)
-                profile = resolve_subchunk_read(
-                    source.config, layout.units, layout.stripe_unit,
-                    read.fraction, read.io_ops,
-                )
-                # The grant covers what the device must move (full extents
-                # when the read degenerated); only the wanted sub-chunks
-                # cross the network.
-                yield source.recovery_read_grant(
-                    profile.disk_bytes, runs=profile.scatter_runs
-                )
-                yield source.read_subchunks(
-                    layout.units, layout.stripe_unit, read.fraction, read.io_ops
-                )
-                # Software cost of extracting the sub-chunk ranges.
-                ranges = layout.units * read.io_ops
-                yield source.cpu.request(
-                    ranges * self.config.subchunk_range_overhead
-                )
-            if delta:
-                self.stats.delta_bytes_read += nbytes
-            else:
-                self.stats.bytes_read += nbytes
-            yield self.topology.fabric.transfer(
-                self.topology.nic_of(source.osd_id),
-                self.topology.nic_of(primary.osd_id),
-                nbytes,
-            )
-            # Counted only after delivery so the totals stay in lockstep
-            # with the WanFabric's own delivered-byte ledger (the chaos
-            # cross-region-byte invariant compares the two).
-            if self.topology.wan is not None and self.topology.region_of(
-                source.osd_id
-            ) != self.topology.region_of(primary.osd_id):
-                self.stats.cross_region_bytes_read += nbytes
-                self.stats.cross_region_pulls += 1
-        except (TransferDroppedError, DiskFailedError):
-            return False
-        return True
-
     def _push_shard(
         self,
         shard: int,
@@ -1234,7 +1169,8 @@ class RecoveryManager:
             return False
         allocated = metadata = 0
         if allocate:
-            allocated, metadata = target.backend.chunk_allocation(nbytes, layout.units)
+            allocation = target.backend.chunk_allocation(nbytes, layout.units)
+            allocated, metadata = allocation
             if target.disk.used_bytes + allocated + metadata > target.disk.spec.capacity_bytes:
                 self.stats.chunks_toofull += 1
                 self.mgr_log.emit(
@@ -1244,7 +1180,7 @@ class RecoveryManager:
                 return "toofull"
             # Reserve the space synchronously with the check (concurrent
             # pushes to one target must not race past the headroom test).
-            target.store_chunk(nbytes, layout.units)
+            target.store_chunk(nbytes, layout.units, allocation)
             if self.ledger is not None:
                 self.ledger.credit_repair(allocated, metadata)
         try:
@@ -1265,7 +1201,7 @@ class RecoveryManager:
             yield target.write_chunk(nbytes)
         except (TransferDroppedError, DiskFailedError):
             if allocate:
-                target.remove_chunk(nbytes, layout.units)
+                target.remove_chunk(nbytes, layout.units, allocation)
                 if self.ledger is not None:
                     self.ledger.debit_repair(allocated, metadata)
             return False
@@ -1274,3 +1210,128 @@ class RecoveryManager:
         else:
             self.stats.bytes_written += nbytes
         return "stored"
+
+
+class _Pull(Chain):
+    """One helper shard read and shipped to the primary.
+
+    The read first waits for the source's recovery-QoS grant (the
+    scheduler share — usually the binding constraint), then performs
+    the device I/O, then crosses the network.  Each step is placed
+    where a process doing the same pull would resume (see
+    :class:`~repro.sim.engine.Chain`).
+
+    Never fails: a flapped-down source, failed disk, or
+    dropped/partitioned transfer succeeds it with ``False`` so the
+    object op can replan and retry, and a delivered read with ``True``.
+    Disk bytes already read when a transfer drops stay counted — that
+    I/O really happened.
+    """
+
+    __slots__ = (
+        "manager", "read", "source", "primary", "layout", "delta",
+        "nbytes", "profile",
+    )
+
+    def __init__(
+        self,
+        manager: RecoveryManager,
+        read,
+        old_acting: List[int],
+        primary: OsdDaemon,
+        layout,
+        delta: bool,
+    ):
+        super().__init__(manager.env)
+        self.manager = manager
+        self.read = read
+        self.source = manager.osds[old_acting[read.chunk_index]]
+        self.primary = primary
+        self.layout = layout
+        self.delta = delta
+        self.start(self._request)
+
+    def _request(self, _arg) -> None:
+        source, read, layout = self.source, self.read, self.layout
+        if not source.is_up():
+            self.succeed(False)
+            return
+        if read.fraction >= 1.0:
+            self.nbytes = layout.chunk_stored_bytes
+            self.wait(source.recovery_read_grant(self.nbytes), self._read_chunk)
+            return
+        self.nbytes = int(layout.chunk_stored_bytes * read.fraction)
+        self.profile = profile = resolve_subchunk_read(
+            source.config, layout.units, layout.stripe_unit,
+            read.fraction, read.io_ops,
+        )
+        # The grant covers what the device must move (full extents when
+        # the read degenerated); only the wanted sub-chunks cross the
+        # network.
+        self.wait(
+            source.recovery_read_grant(
+                profile.disk_bytes, runs=profile.scatter_runs
+            ),
+            self._read_subchunks,
+        )
+
+    def _read_chunk(self, _grant) -> None:
+        try:
+            disk_read = self.source.read_chunk(self.nbytes)
+        except DiskFailedError:
+            self.succeed(False)
+            return
+        self.wait(disk_read, self._ship)
+
+    def _read_subchunks(self, _grant) -> None:
+        try:
+            disk_read = self.source.read_subchunks(self.profile)
+        except DiskFailedError:
+            self.succeed(False)
+            return
+        self.wait(disk_read, self._extract)
+
+    def _extract(self, _disk_read) -> None:
+        # Software cost of extracting the sub-chunk ranges.
+        ranges = self.layout.units * self.read.io_ops
+        self.wait(
+            self.source.cpu.request(
+                ranges * self.manager.config.subchunk_range_overhead
+            ),
+            self._ship,
+        )
+
+    def _ship(self, _done) -> None:
+        manager = self.manager
+        if self.delta:
+            manager.stats.delta_bytes_read += self.nbytes
+        else:
+            manager.stats.bytes_read += self.nbytes
+        topology = manager.topology
+        self.wait(
+            topology.fabric.transfer(
+                topology.nic_of(self.source.osd_id),
+                topology.nic_of(self.primary.osd_id),
+                self.nbytes,
+            ),
+            self._delivered,
+        )
+
+    def _delivered(self, transfer: Event) -> None:
+        if not transfer.ok:
+            if isinstance(transfer.value, TransferDroppedError):
+                self.succeed(False)
+            else:
+                self.fail(transfer.value)
+            return
+        # Counted only after delivery so the totals stay in lockstep
+        # with the WanFabric's own delivered-byte ledger (the chaos
+        # cross-region-byte invariant compares the two).
+        topology = self.manager.topology
+        if topology.wan is not None and topology.region_of(
+            self.source.osd_id
+        ) != topology.region_of(self.primary.osd_id):
+            stats = self.manager.stats
+            stats.cross_region_bytes_read += self.nbytes
+            stats.cross_region_pulls += 1
+        self.succeed(True)

@@ -21,9 +21,9 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Dict, Generator, List, Optional
+from typing import Dict, List, Optional
 
-from ..cluster.network import Fabric, NetworkPartitionedError, Nic
+from ..cluster.network import Fabric, NetworkPartitionedError, Nic, _Transfer
 from ..sim import Environment, ServiceCenter
 
 __all__ = [
@@ -124,6 +124,66 @@ class EgressLedger:
         return self.spec.egress_cost(self.egress_bytes_by_region[region_id])
 
 
+class _WanTransfer(_Transfer):
+    """A transfer through a :class:`WanFabric`.
+
+    Loopback and intra-region transfers take the LAN chain unchanged.
+    A cross-region transfer is refused after a timeout when either
+    region's uplink is severed; otherwise it pays the LAN hop with the
+    WAN's one-way latency folded into the propagation step, then
+    serialises on the source region's uplink egress and the destination
+    region's uplink ingress.
+    """
+
+    __slots__ = ("src_region", "up", "down")
+
+    def _route(self, arg) -> None:
+        fabric, src, dst = self.fabric, self.src, self.dst
+        src_region = fabric.region_of_nic(src)
+        dst_region = fabric.region_of_nic(dst)
+        self.up = None
+        if src is dst or src_region == dst_region:
+            super()._route(arg)
+            return
+        up = fabric.uplinks[src_region]
+        down = fabric.uplinks[dst_region]
+        if up.partitioned or down.partitioned:
+            fabric.wan_partition_refusals += 1
+            # Senders learn about a severed uplink by timeout: one LAN
+            # propagation to the edge plus one WAN round trip's worth.
+            self.sleep(
+                src.spec.latency + fabric.spec.latency,
+                self.fail,
+                NetworkPartitionedError(
+                    f"transfer {src.name} -> {dst.name} crossed a severed "
+                    f"WAN uplink (regions {src_region} -> {dst_region})"
+                ),
+            )
+            return
+        self.src_region, self.up, self.down = src_region, up, down
+        self._charge_hop(fabric.spec.latency)
+
+    def _received(self, job) -> None:
+        if self.up is None:
+            super()._received(job)
+            return
+        up, nbytes = self.up, self.nbytes
+        up.egress_bytes += nbytes
+        self.wait(up.egress.request(up.egress_time(nbytes)), self._uplinked)
+
+    def _uplinked(self, _job) -> None:
+        down, nbytes = self.down, self.nbytes
+        down.ingress_bytes += nbytes
+        self.wait(down.ingress.request(down.ingress_time(nbytes)), self._crossed)
+
+    def _crossed(self, _job) -> None:
+        fabric, nbytes = self.fabric, self.nbytes
+        fabric.ledger.charge(self.src_region, nbytes)
+        fabric.cross_region_transfers += 1
+        fabric.cross_region_bytes += nbytes
+        self.succeed()
+
+
 class WanFabric(Fabric):
     """A region-aware fabric: LAN semantics within, WAN charges across.
 
@@ -132,6 +192,8 @@ class WanFabric(Fabric):
     call site work unchanged.  NICs are registered with their region at
     topology build time; unregistered NICs count as region 0.
     """
+
+    _transfer_type = _WanTransfer
 
     def __init__(
         self,
@@ -178,40 +240,3 @@ class WanFabric(Fabric):
 
     def partitioned_regions(self) -> List[int]:
         return [u.region_id for u in self.uplinks if u.partitioned]
-
-    # -- the transfer process ----------------------------------------
-
-    def _run(self, src: Nic, dst: Nic, nbytes: int) -> Generator:
-        if src is dst:
-            # Loopback, identical to the LAN fabric.
-            yield self.env.timeout(src.spec.message_overhead)
-            return
-        src_region = self.region_of_nic(src)
-        dst_region = self.region_of_nic(dst)
-        if src_region == dst_region:
-            # Intra-region: exactly the single-hop LAN charge sequence.
-            yield from self._charge_endpoints(src, dst, nbytes)
-            return
-        up = self.uplinks[src_region]
-        down = self.uplinks[dst_region]
-        if up.partitioned or down.partitioned:
-            self.wan_partition_refusals += 1
-            # Senders learn about a severed uplink by timeout: one LAN
-            # propagation to the edge plus one WAN round trip's worth.
-            yield self.env.timeout(src.spec.latency + self.spec.latency)
-            raise NetworkPartitionedError(
-                f"transfer {src.name} -> {dst.name} crossed a severed "
-                f"WAN uplink (regions {src_region} -> {dst_region})"
-            )
-        # Endpoint charges with the WAN's one-way latency folded into the
-        # propagation step, then serialisation on both region uplinks.
-        yield from self._charge_endpoints(
-            src, dst, nbytes, wan_latency=self.spec.latency
-        )
-        up.egress_bytes += nbytes
-        yield up.egress.request(up.egress_time(nbytes))
-        down.ingress_bytes += nbytes
-        yield down.ingress.request(down.ingress_time(nbytes))
-        self.ledger.charge(src_region, nbytes)
-        self.cross_region_transfers += 1
-        self.cross_region_bytes += nbytes

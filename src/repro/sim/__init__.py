@@ -6,13 +6,14 @@ event kernel (:mod:`repro.sim.engine`), contention primitives
 (:mod:`repro.sim.rng`).
 """
 
-from .engine import AllOf, AnyOf, Environment, Event, Interrupt, Process, Timeout
+from .engine import AllOf, AnyOf, Chain, Environment, Event, Interrupt, Process, Timeout
 from .resources import Resource, ServiceCenter
 from .rng import SeedSequence, substream_seed
 
 __all__ = [
     "AllOf",
     "AnyOf",
+    "Chain",
     "Environment",
     "Event",
     "Interrupt",

@@ -15,6 +15,10 @@ evaluation environment.
   group calls — sits in a heap of ``(when, seq, fn, arg)`` entries;
   ``seq`` is a global insertion counter, so same-instant ties break by
   insertion order.
+* **Chains** (:class:`Chain`) are short leaf operations — a fabric
+  transfer, a helper pull — whose steps are plain callbacks, each run
+  where the generator of a process doing the same work would have
+  resumed, so they keep a process's event order with no generator.
 * **Periodic groups** (:meth:`Environment.every_each`) are fixed-period
   work such as heartbeats and monitor ticks: same-period members share
   one heap entry, with no process, timeout or generator, and make each
@@ -36,6 +40,7 @@ __all__ = [
     "Event",
     "Timeout",
     "Process",
+    "Chain",
     "AllOf",
     "AnyOf",
     "Interrupt",
@@ -124,10 +129,11 @@ def _process_event(event: Event) -> None:
     if callbacks:
         for callback in callbacks:
             callback(event)
-    elif event._ok is False and isinstance(event, Process):
-        # A process died and nothing was waiting for it.  Silently
-        # dropping the exception would leave the simulation hung or
-        # subtly wrong, so surface it immediately (SimPy semantics).
+    elif event._ok is False and isinstance(event, (Process, Chain)):
+        # A process or chain died and nothing was waiting for it.
+        # Silently dropping the exception would leave the simulation
+        # hung or subtly wrong, so surface it immediately (SimPy
+        # semantics).
         raise event._value
 
 
@@ -237,6 +243,53 @@ class Process(Event):
             self.env._urgent.append((self._resume, target))
         else:
             target.callbacks.append(self._resume)
+
+
+class Chain(Event):
+    """An event its own callback steps trigger: a process without a generator.
+
+    A leaf operation that would be a short process — wait on a job,
+    sleep, wait on another job, return — can run as a chain of steps
+    instead, each a plain callable placed exactly where that process's
+    generator would have resumed.  The event order, same-instant ties
+    included, and :attr:`Environment.steps` are then the process's:
+
+    * the first step runs one urgent hop after :meth:`start`, called at
+      creation, where the process's bootstrap was;
+    * :meth:`wait` runs the next step from the awaited event's
+      callbacks, or one urgent hop later if that event was already
+      processed, as a waiting process resumes;
+    * :meth:`sleep` runs it from one timed entry scheduled at once,
+      with the ``seq`` the process's :class:`Timeout` would take;
+    * the chain ends with :meth:`succeed` or :meth:`fail`, whose urgent
+      hop is the one a finished process took.
+
+    A step that would have raised inside the generator must fail the
+    chain instead: an exception that leaves a step leaves
+    :meth:`Environment.run`.
+    """
+
+    __slots__ = ()
+
+    def start(self, step: Callable[[None], None]) -> None:
+        """Run ``step(None)`` one urgent hop from now."""
+        self.env._urgent.append((step, None))
+
+    def wait(self, event: Event, step: Callable[[Event], None]) -> None:
+        """Run ``step(event)`` where a process waiting on ``event`` resumes."""
+        if event.callbacks is None:
+            self.env._urgent.append((step, event))
+        else:
+            event.callbacks.append(step)
+
+    def sleep(
+        self, delay: float, step: Callable[[Any], None], arg: Any = None
+    ) -> None:
+        """Run ``step(arg)`` ``delay`` seconds from now."""
+        if delay < 0:
+            raise ValueError(f"negative sleep delay: {delay!r}")
+        env = self.env
+        env._schedule(env._now + delay, step, arg)
 
 
 class AllOf(Event):

@@ -64,6 +64,10 @@ def test_cache_bytes_validation():
 # -- BlueStore accounting ---------------------------------------------------------
 
 
+#: The allocation of a 4 MiB chunk in 1,024 stripe units.
+CHUNK_4M = BlueStore.chunk_allocation(4 * 1024 * 1024, 1024)
+
+
 def make_store(scheme="autotune"):
     return BlueStore(CACHE_SCHEMES[scheme], cache_bytes=1e9)
 
@@ -85,10 +89,11 @@ def test_chunk_allocation_validation():
 
 def test_store_and_remove_chunk_roundtrip():
     store = make_store()
-    consumed = store.store_chunk(4096, 1)
+    allocation = store.chunk_allocation(4096, 1)
+    consumed = store.store_chunk(4096, 1, allocation)
     assert store.num_chunks == 1
     assert store.used_bytes == consumed
-    released = store.remove_chunk(4096, 1)
+    released = store.remove_chunk(4096, 1, allocation)
     assert released == consumed
     assert store.used_bytes == 0
     assert store.num_chunks == 0
@@ -97,7 +102,7 @@ def test_store_and_remove_chunk_roundtrip():
 def test_used_bytes_exceed_data_bytes():
     """Metadata + min_alloc rounding means usage > logical data (WA)."""
     store = make_store()
-    store.store_chunk(5000, 2)
+    store.store_chunk(5000, 2, store.chunk_allocation(5000, 2))
     assert store.used_bytes > 5000
 
 
@@ -106,7 +111,7 @@ def test_write_coalescing_ordering():
     stores = {name: make_store(name) for name in CACHE_SCHEMES}
     for store in stores.values():
         for _ in range(1000):
-            store.store_chunk(4 * 1024 * 1024, 1024)
+            store.store_chunk(4 * 1024 * 1024, 1024, CHUNK_4M)
     kv_opt = stores["kv-optimized"].write_coalescing()
     data_opt = stores["data-optimized"].write_coalescing()
     assert data_opt < kv_opt  # data-optimized coalesces better
@@ -118,7 +123,7 @@ def test_read_overhead_ordering():
     stores = {name: make_store(name) for name in ("kv-optimized", "data-optimized")}
     for store in stores.values():
         for _ in range(5000):
-            store.store_chunk(4 * 1024 * 1024, 1024)
+            store.store_chunk(4 * 1024 * 1024, 1024, CHUNK_4M)
     assert (
         stores["data-optimized"].read_overhead_ops(8 * 1024 * 1024)
         > stores["kv-optimized"].read_overhead_ops(8 * 1024 * 1024)
@@ -128,9 +133,60 @@ def test_read_overhead_ordering():
 def test_read_overhead_scales_with_bytes_and_runs():
     store = make_store("kv-optimized")
     for _ in range(5000):
-        store.store_chunk(4 * 1024 * 1024, 1024)
+        store.store_chunk(4 * 1024 * 1024, 1024, CHUNK_4M)
     assert store.read_overhead_ops(8_000_000) > store.read_overhead_ops(64_000)
     assert (
         store.read_overhead_ops(64_000, scatter_runs=50)
         > store.read_overhead_ops(64_000)
     )
+
+
+# -- the memoised hit rates ------------------------------------------------------
+
+
+def _fresh(store):
+    """A backend with ``store``'s counters and nothing memoised: its
+    costs come from a fresh ``cache.hit_rates(working_sets())``."""
+    fresh = BlueStore(store.cache.config, store.cache.cache_bytes)
+    fresh.num_chunks = store.num_chunks
+    fresh.num_extents = store.num_extents
+    fresh.data_bytes = store.data_bytes
+    return fresh
+
+
+def _costs(store):
+    return (
+        store.read_overhead_ops(8_000_000),
+        store.read_overhead_ops(64_000, scatter_runs=50),
+        store.write_coalescing(),
+    )
+
+
+def test_memoised_costs_match_a_fresh_computation_after_each_store_and_remove():
+    store = make_store("kv-optimized")
+    chunks = [(4 * 1024 * 1024, 1024), (5000, 2), (1 << 20, 16)] * 40
+    seen = {_costs(store)}
+    for stored_bytes, units in chunks:
+        store.store_chunk(stored_bytes, units,
+                          store.chunk_allocation(stored_bytes, units))
+        assert _costs(store) == _costs(_fresh(store))
+        seen.add(_costs(store))
+    for stored_bytes, units in reversed(chunks):
+        store.remove_chunk(stored_bytes, units,
+                           store.chunk_allocation(stored_bytes, units))
+        assert _costs(store) == _costs(_fresh(store))
+    assert len(seen) > len(chunks) // 2  # the rates really moved
+    assert _costs(store) == _costs(make_store("kv-optimized"))
+
+
+def test_memoised_costs_follow_directly_assigned_counters():
+    """The analytical twin's ghost backend assigns its counters instead
+    of storing chunks; a memo refreshed only by store and remove would
+    keep serving the empty backend's rates."""
+    store = make_store("kv-optimized")
+    empty = _costs(store)
+    store.num_chunks = 2500.0
+    store.num_extents = 2500.0 * 1024
+    store.data_bytes = 2500.0 * 4 * 1024 * 1024
+    assert _costs(store) == _costs(_fresh(store))
+    assert _costs(store) != empty

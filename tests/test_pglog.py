@@ -238,3 +238,99 @@ def test_full_overwrite_refreshes_stale_shard():
     assert not log.stale_shards("obj")
     assert all(v == log.object_version["obj"]
                for v in log.shard_versions["obj"])
+
+
+# -- the commit fast path's guards --------------------------------------------------
+#
+# ``commit`` skips its per-shard loop only when the write missed no shard
+# and no object is stale, no chunk unstored and no shard backfilling.
+# Each case below trips one guard, and its expected state is what the
+# per-shard loop produces; the skip would leave a different one.
+
+
+def _commit(log, name, kind, touched, missing=()):
+    log.stage()
+    return log.commit(name, kind, touched, missing, at=float(log.head))
+
+
+def _state(log):
+    return (
+        {name: list(versions) for name, versions in log.shard_versions.items()},
+        {name: {shard: log.stale_since(name, shard)
+                for shard in sorted(log.stale_shards(name))}
+         for name in log.object_version},
+        set(log.unstored),
+        set(log.backfill_shards),
+    )
+
+
+def test_commit_on_a_log_holding_a_stale_object():
+    log = PgLog(4)
+    _commit(log, "a", "create", (0, 1, 2, 3), missing=(1,))
+    _commit(log, "b", "create", (0, 1, 2, 3))
+    _commit(log, "a", "rmw", (0, 3))
+    # Shard 1 of "a" stays stale at version 0; untouched current shard
+    # 2 advances with the write.
+    assert _state(log) == (
+        {"a": [3, 0, 3, 3], "b": [2, 2, 2, 2]},
+        {"a": {1: 1}, "b": {}},
+        set(),
+        set(),
+    )
+
+
+def test_commit_on_a_log_holding_an_unstored_chunk():
+    log = PgLog(4)
+    _commit(log, "a", "create", (0, 1, 2, 3))
+    _commit(log, "b", "create", (0, 1, 2, 3))
+    log.note_unstored("a", 2)
+    log.note_unstored("b", 3)
+    _commit(log, "a", "rmw", (0, 2))
+    # The write landed on "a"'s shard 2, so that chunk exists now;
+    # "b"'s shard 3 was not touched and stays unstored.
+    assert _state(log) == (
+        {"a": [3, 3, 3, 3], "b": [2, 2, 2, 2]},
+        {"a": {}, "b": {}},
+        {("b", 3)},
+        set(),
+    )
+
+
+def test_commit_on_a_log_holding_a_backfill_shard():
+    """Through its own methods the log only marks a shard backfilling
+    while it holds a stale object, which trips the stale guard first;
+    set one directly so that this guard alone decides."""
+    log = PgLog(4)
+    _commit(log, "a", "create", (0, 1, 2, 3))
+    log.backfill_shards.add(1)
+    _commit(log, "b", "create", (0, 1, 2, 3))
+    # Shard 1 holds no stale object, so a write that touched it ends
+    # the backfill requirement.
+    assert _state(log) == (
+        {"a": [1, 1, 1, 1], "b": [2, 2, 2, 2]},
+        {"a": {}, "b": {}},
+        set(),
+        set(),
+    )
+
+
+def test_commit_of_a_write_that_missed_a_shard():
+    log = PgLog(4)
+    _commit(log, "a", "create", (0, 1, 2, 3))
+    _commit(log, "a", "full", (0, 1, 2, 3), missing=(2,))
+    # The missed shard stays at the create's version, stale since the
+    # write it missed.
+    assert _state(log) == (
+        {"a": [2, 2, 1, 2]},
+        {"a": {2: 2}},
+        set(),
+        set(),
+    )
+
+
+def test_commit_fast_path_makes_every_shard_current():
+    log = PgLog(4)
+    _commit(log, "a", "create", (0, 1, 2, 3))
+    entry = _commit(log, "a", "rmw", (0, 3))
+    assert entry.touched == (0, 3) and entry.missing == ()
+    assert _state(log) == ({"a": [2, 2, 2, 2]}, {"a": {}}, set(), set())
