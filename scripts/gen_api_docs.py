@@ -44,6 +44,31 @@ def signature_of(obj) -> str:
         return "(...)"
 
 
+def class_methods(cls) -> list:
+    """``(name, method, kind)`` for each public method ``cls`` defines
+    itself, by name.
+
+    Read from the class ``__dict__``, so class and static methods are
+    listed too; ``kind`` is ``"classmethod"``, ``"staticmethod"`` or
+    ``""`` for a plain method, and ``method`` is the attribute as the
+    class returns it, so a class method's signature drops ``cls``.
+    """
+    methods = []
+    for name, member in sorted(vars(cls).items()):
+        if name.startswith("_"):
+            continue
+        if isinstance(member, classmethod):
+            kind = "classmethod"
+        elif isinstance(member, staticmethod):
+            kind = "staticmethod"
+        elif inspect.isfunction(member):
+            kind = ""
+        else:
+            continue
+        methods.append((name, getattr(cls, name), kind))
+    return methods
+
+
 def render_member(name: str, obj) -> list:
     lines = []
     if inspect.isclass(obj):
@@ -51,14 +76,11 @@ def render_member(name: str, obj) -> list:
         lines.append("")
         lines.append(first_paragraph(inspect.getdoc(obj)))
         lines.append("")
-        methods = [
-            (method_name, method)
-            for method_name, method in inspect.getmembers(obj, inspect.isfunction)
-            if not method_name.startswith("_") and method.__qualname__.startswith(obj.__name__)
-        ]
-        for method_name, method in methods:
+        methods = class_methods(obj)
+        for method_name, method, kind in methods:
+            marker = f" *({kind})*" if kind else ""
             lines.append(
-                f"- `{method_name}{signature_of(method)}` — "
+                f"- `{method_name}{signature_of(method)}`{marker} — "
                 f"{first_paragraph(inspect.getdoc(method))}"
             )
         if methods:

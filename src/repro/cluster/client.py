@@ -49,9 +49,9 @@ from __future__ import annotations
 
 import statistics
 from dataclasses import dataclass, field
-from typing import Any, Dict, Generator, List, Optional, Set, Tuple
+from typing import Any, Dict, List, Optional, Set, Tuple
 
-from ..sim import Event
+from ..sim import Chain, Event
 from ..sim.rng import SeedSequence
 from .ceph import CephCluster
 from .devices import DiskFailedError
@@ -265,29 +265,10 @@ WRITE_STAT_KEYS = ("writes_ok", "writes_failed", "write_retries", "writes_paused
 
 @dataclass(frozen=True)
 class _ShardResult:
-    """Outcome of one guarded shard fetch or push (processes never fail)."""
+    """Outcome of one guarded shard fetch or push (they never fail)."""
 
     ok: bool
     shard: int
-    reason: str = ""
-
-
-@dataclass(frozen=True)
-class _AttemptResult:
-    """Outcome of one full read attempt."""
-
-    ok: bool
-    degraded: bool = False
-    hedged: bool = False
-    needs_decode: bool = False
-    reason: str = ""
-
-
-@dataclass(frozen=True)
-class _WriteAttempt:
-    """Outcome of one full write attempt."""
-
-    ok: bool
     reason: str = ""
 
 
@@ -332,8 +313,13 @@ class RadosClient:
         return qos.submit(self.qos_class, qos.client_cost(nbytes))
 
     def read_object(self, object_name: str) -> Event:
-        """Read one object; the event's value is a :class:`ReadSample`."""
-        return self.cluster.env.process(self._read(object_name))
+        """Read one object; the event's value is a :class:`ReadSample`.
+
+        The event fails with :class:`ReadFailedError` when the read
+        exhausts its retry budget and with :class:`ObjectNotFoundError`
+        when the pool does not hold the object.
+        """
+        return _Read(self, object_name)
 
     def write_object(self, object_name: str, size: Optional[int] = None) -> Event:
         """Full-stripe write; the event's value is a :class:`WriteSample`.
@@ -341,11 +327,13 @@ class RadosClient:
         Creates the object (``size`` required) if the pool does not hold
         it, otherwise overwrites every shard in place.  Succeeds degraded
         with missing shards up to the code's guaranteed fault tolerance;
-        the commit records the missing set in the PG's write log.
+        the commit records the missing set in the PG's write log.  The
+        event fails with :class:`WriteFailedError` when the write
+        exhausts its retry budget, with ``ValueError`` for a create
+        without ``size`` and with ``RuntimeError`` for a pool without a
+        pg_log.
         """
-        return self.cluster.env.process(
-            self._write(object_name, size=size, data_shard=None)
-        )
+        return _Write(self, object_name, size, None)
 
     def write_stripe_unit(self, object_name: str, data_shard: int = 0) -> Event:
         """Partial-stripe read-modify-write of one stripe unit.
@@ -353,11 +341,13 @@ class RadosClient:
         Reads the old data/parity units, re-encodes the ``m`` parity
         deltas at the primary, and writes the touched shards (the data
         shard plus every parity) in place.  The event's value is a
-        :class:`WriteSample`.
+        :class:`WriteSample`.  It fails with :class:`WriteFailedError`
+        when the write exhausts its retry budget, with
+        :class:`ObjectNotFoundError` when the pool does not hold the
+        object and with ``ValueError`` for a ``data_shard`` outside
+        ``[0, k)``.
         """
-        return self.cluster.env.process(
-            self._write(object_name, size=None, data_shard=data_shard)
-        )
+        return _Write(self, object_name, None, data_shard)
 
     # -- internals --------------------------------------------------------------
 
@@ -367,562 +357,6 @@ class RadosClient:
             if obj.name == object_name:
                 return pg, obj
         raise ObjectNotFoundError(f"object {object_name!r} not in pool")
-
-    def _read(self, object_name: str) -> Generator:
-        """Retry loop around read attempts (timeouts, drops, flaps)."""
-        env = self.cluster.env
-        config = self.cluster.config
-        issued_at = env.now
-        pg, obj = self._lookup(object_name)
-        attempt = 0
-        while True:
-            result = yield from self._read_attempt(pg, obj, attempt)
-            if result.ok:
-                self.stats.reads_ok += 1
-                return ReadSample(
-                    object_name=object_name,
-                    issued_at=issued_at,
-                    latency=env.now - issued_at,
-                    degraded=result.degraded,
-                    bytes_read=obj.size,
-                    attempts=attempt + 1,
-                    hedged=result.hedged,
-                )
-            attempt += 1
-            if attempt > config.client_retry_max:
-                self.stats.reads_failed += 1
-                raise ReadFailedError(
-                    f"object {object_name!r}: {result.reason} "
-                    f"(gave up after {attempt} attempts)"
-                )
-            self.stats.retries += 1
-            yield env.timeout(
-                retry_backoff(attempt, config.client_retry_base, self._retry_rng)
-            )
-
-    def _read_attempt(self, pg: PlacementGroup, obj, attempt: int = 0) -> Generator:
-        env = self.cluster.env
-        config = self.cluster.config
-        code = self.cluster.pool.code
-        layout = obj.layout
-
-        data_shards = list(range(code.k))
-        # Stale shards (missed a write while briefly down) hold old
-        # content: they never serve reads, exactly like down shards.
-        stale = pg.log.stale_shards(obj.name) if pg.log is not None else set()
-        up = [
-            shard
-            for shard in range(code.n)
-            if shard not in stale
-            and self.cluster.osds[pg.acting[shard]].is_up()
-        ]
-        degraded = any(shard not in up for shard in data_shards)
-        if degraded:
-            shards = up[: code.k]
-            if len(shards) < code.k:
-                return _AttemptResult(
-                    ok=False, degraded=True,
-                    reason=f"only {len(up)} shards up",
-                )
-        else:
-            shards = data_shards
-        #: Surviving shards not already being read — the hedge targets.
-        spares = [s for s in up if s not in shards]
-
-        # Redirect: a retry rotates the coordinating primary to the next
-        # surviving shard, so a read stuck behind a degraded primary's NIC
-        # does not time out against the same path forever.  Attempt 0
-        # always picks the first up shard — byte-identical to the
-        # undefended model on healthy runs (retries never happen there).
-        primary_shard = up[attempt % len(up)]
-        if primary_shard != up[0]:
-            self.stats.redirects += 1
-        primary = self.cluster.osds[pg.acting[primary_shard]]
-        yield env.timeout(self.request_overhead)
-        fetches = [
-            env.process(
-                self._fetch_with_hedge(pg, shard, primary, layout, spares)
-            )
-            for shard in shards
-        ]
-        gather = env.all_of(fetches)
-        if config.client_op_timeout > 0:
-            timer = env.timeout(config.client_op_timeout)
-            yield env.any_of([gather, timer])
-            if not gather.triggered:
-                # Abandon the attempt; the in-flight fetches drain on
-                # their own (guarded processes never fail the engine).
-                self.stats.timeouts += 1
-                return _AttemptResult(
-                    ok=False, degraded=degraded,
-                    reason=f"op timed out after {config.client_op_timeout:g}s",
-                )
-            results = gather.value
-        else:
-            results = yield gather
-        hedged = any(r.shard not in shards for r in results)
-        bad = [r for r in results if not r.ok]
-        if bad:
-            return _AttemptResult(
-                ok=False, degraded=degraded, hedged=hedged,
-                reason=bad[0].reason,
-            )
-        served = {r.shard for r in results}
-        byz = self.cluster.byzantine
-        if byz is not None:
-            # Containment accounting: a read served from a shard that is
-            # still lying (undetected forged checksum or false-acked
-            # write) is a *wrong read* — the byzantine-containment
-            # invariant requires this count to stay zero pre-detection.
-            byz.note_read(pg.pgid, obj.name, served, env.now)
-        needs_decode = degraded or served != set(data_shards)
-        if needs_decode:
-            # On-the-fly decode of the missing data shards at the primary.
-            decode = coding_time(
-                primary.config,
-                nbytes=layout.chunk_stored_bytes,
-                work=1.0,
-                fragments=layout.units * code.sub_chunk_count,
-                cpu_cost_factor=code.cpu_cost_factor,
-            )
-            yield primary.cpu.request(decode)
-        return _AttemptResult(
-            ok=True, degraded=degraded, hedged=hedged,
-            needs_decode=needs_decode,
-        )
-
-    def _fetch_with_hedge(
-        self, pg: PlacementGroup, shard: int, primary, layout, spares: List[int]
-    ) -> Generator:
-        """One shard fetch, re-issued to a spare survivor if it straggles.
-
-        The loser of the race is *abandoned*, not interrupted: it keeps
-        draining its disk and NIC time (the true cost of hedging) but its
-        result is discarded and its bytes counted as hedge waste.
-        """
-        env = self.cluster.env
-        hedge_delay = self.cluster.config.client_hedge_delay
-        proc = env.process(self._guarded_fetch(pg, shard, primary, layout))
-        if hedge_delay <= 0:
-            result = yield proc
-            return result
-        timer = env.timeout(hedge_delay)
-        yield env.any_of([proc, timer])
-        if proc.triggered:
-            return proc.value
-        spare = spares.pop(0) if spares else None
-        if spare is None:
-            result = yield proc
-            return result
-        self.stats.hedges_issued += 1
-        hedge = env.process(self._guarded_fetch(pg, spare, primary, layout))
-        first = yield env.any_of([proc, hedge])
-        if first.ok:
-            winner = first
-        else:
-            # First arrival failed (drop); fall back to the other copy.
-            other = hedge if proc.triggered else proc
-            winner = yield other
-        # Exactly one copy serves the read; the duplicate's bytes are
-        # waste whether it already landed or is still in flight.
-        self.stats.hedge_wasted_bytes += layout.chunk_stored_bytes
-        if winner.ok and winner.shard == spare:
-            self.stats.hedges_won += 1
-        return winner
-
-    def _guarded_fetch(self, pg: PlacementGroup, shard: int, primary, layout) -> Generator:
-        """Fetch one shard; never fails the process (returns a result).
-
-        Every failure mode — source down (flap), failed disk, dropped or
-        partitioned transfer — is caught here and reported by value, so
-        abandoned fetches can safely drain without a waiter.
-        """
-        source = self.cluster.osds[pg.acting[shard]]
-        nbytes = layout.chunk_stored_bytes
-        try:
-            if not source.is_up():
-                return _ShardResult(
-                    ok=False, shard=shard,
-                    reason=f"shard {shard} source {source.name} is down",
-                )
-            grant = self._admit(source, nbytes, write=False)
-            if grant is not None:
-                yield grant
-            yield source.disk.submit(
-                sequential_ops(source.config, nbytes), nbytes, write=False
-            )
-            yield self.cluster.topology.fabric.transfer(
-                self.cluster.topology.nic_of(source.osd_id),
-                self.cluster.topology.nic_of(primary.osd_id),
-                nbytes,
-            )
-        except TransferDroppedError as exc:
-            self.stats.drops_seen += 1
-            return _ShardResult(ok=False, shard=shard, reason=str(exc))
-        except DiskFailedError as exc:
-            return _ShardResult(ok=False, shard=shard, reason=str(exc))
-        return _ShardResult(ok=True, shard=shard)
-
-    # -- write path -------------------------------------------------------------
-
-    def _write(
-        self, object_name: str, size: Optional[int], data_shard: Optional[int]
-    ) -> Generator:
-        """Retry loop shared by full-stripe writes and RMWs.
-
-        The write is *staged* on the PG log before any I/O and either
-        commits exactly once (assigning the next PG version) or rolls
-        back: allocations made for chunks that never existed are undone,
-        and in-place pushes that landed before the abort are marked
-        divergent so repair re-syncs them — the rollback rule that keeps
-        an abandoned op from leaving a torn stripe.
-        """
-        env = self.cluster.env
-        config = self.cluster.config
-        pool = self.cluster.pool
-        issued_at = env.now
-        pg = pool.pg_of(object_name)
-        log = pg.log
-        if log is None:
-            raise RuntimeError("pool has no pg_log; writes are unsupported")
-        obj = next((o for o in pg.objects if o.name == object_name), None)
-        rmw = data_shard is not None
-        if rmw:
-            if obj is None:
-                raise ObjectNotFoundError(
-                    f"object {object_name!r} not in pool"
-                )
-            if not 0 <= data_shard < pool.code.k:
-                raise ValueError(
-                    f"data_shard must be in [0, {pool.code.k}), got {data_shard}"
-                )
-            layout = obj.layout
-            kind = "rmw"
-            logical = layout.stripe_unit
-        elif obj is None:
-            if size is None:
-                raise ValueError(
-                    f"size required to create object {object_name!r}"
-                )
-            layout = pool.layout_for(size)
-            kind = "create"
-            logical = size
-        else:
-            layout = obj.layout
-            size = obj.size
-            kind = "full"
-            logical = size
-        log.stage()
-        #: Shards persisted by this write (survives across attempts).
-        landed: Set[int] = set()
-        #: shard -> (allocated, metadata) for chunks this write brought
-        #: into existence — the abort rollback set.
-        allocs: Dict[int, Tuple[int, int]] = {}
-        attempt = 0
-        while True:
-            # Capacity backpressure: while any OSD is at the full ratio
-            # the monitor pauses client writes cluster-wide.  The gate is
-            # None when unpaused (no yield, no event perturbation), so
-            # runs that never fill a device are byte-identical.
-            gate = self.cluster.monitor.write_gate()
-            if gate is not None:
-                self.stats.writes_paused += 1
-                yield gate
-            if rmw:
-                result = yield from self._rmw_attempt(
-                    pg, obj, data_shard, landed, attempt
-                )
-            else:
-                result = yield from self._full_write_attempt(
-                    pg, object_name, layout, kind == "create",
-                    landed, allocs, attempt,
-                )
-            if result.ok:
-                sample = self._commit_write(
-                    pg, object_name, kind, size, layout,
-                    data_shard, landed, allocs, issued_at, attempt + 1,
-                )
-                self.stats.writes_ok += 1
-                return sample
-            attempt += 1
-            if attempt > config.client_write_retry_max:
-                self._abort_write(pg, object_name, kind, layout, landed, allocs)
-                self.stats.writes_failed += 1
-                raise WriteFailedError(
-                    f"object {object_name!r}: {result.reason} "
-                    f"(gave up after {attempt} attempts)"
-                )
-            self.stats.write_retries += 1
-            yield env.timeout(
-                retry_backoff(attempt, config.client_retry_base, self._retry_rng)
-            )
-
-    def _full_write_attempt(
-        self,
-        pg: PlacementGroup,
-        object_name: str,
-        layout,
-        create: bool,
-        landed: Set[int],
-        allocs: Dict[int, Tuple[int, int]],
-        attempt: int,
-    ) -> Generator:
-        """Encode the stripe at the primary and push every reachable shard.
-
-        A stale shard *is* a valid target — the full overwrite refreshes
-        it.  Fails (retryably) only when more shards would end up without
-        the write than the code's *guaranteed* fault tolerance (``m``
-        for RS/Clay, ``r + 1`` for LRC, 1 for SHEC) — acking beyond that
-        could leave an object the recovery path cannot promise to heal.
-        """
-        env = self.cluster.env
-        code = self.cluster.pool.code
-        up = [
-            shard for shard in range(code.n)
-            if self.cluster.osds[pg.acting[shard]].is_up()
-        ]
-        if not up:
-            return _WriteAttempt(ok=False, reason="no shards up")
-        missing_now = [
-            s for s in range(code.n) if s not in landed and s not in up
-        ]
-        if len(missing_now) > code.fault_tolerance():
-            return _WriteAttempt(
-                ok=False, reason=f"only {len(up)} shards up"
-            )
-        primary_shard = up[attempt % len(up)]
-        if primary_shard != up[0]:
-            self.stats.redirects += 1
-        primary = self.cluster.osds[pg.acting[primary_shard]]
-        yield env.timeout(self.request_overhead)
-        encode = coding_time(
-            primary.config,
-            nbytes=layout.chunk_stored_bytes * code.m,
-            work=1.0,
-            fragments=layout.units * code.sub_chunk_count * code.m,
-            cpu_cost_factor=code.cpu_cost_factor,
-        )
-        yield primary.cpu.request(encode)
-        targets = [s for s in up if s not in landed]
-        pushes = [
-            env.process(
-                self._guarded_push(
-                    pg, shard, primary, layout, object_name, create, allocs
-                )
-            )
-            for shard in targets
-        ]
-        results = yield env.all_of(pushes)
-        for result in results:
-            if result.ok:
-                landed.add(result.shard)
-        still_missing = [s for s in range(code.n) if s not in landed]
-        if len(still_missing) > code.fault_tolerance():
-            bad = [r for r in results if not r.ok]
-            return _WriteAttempt(
-                ok=False,
-                reason=bad[0].reason if bad else "too many shards missing",
-            )
-        return _WriteAttempt(ok=True)
-
-    def _rmw_attempt(
-        self,
-        pg: PlacementGroup,
-        obj: StoredObject,
-        data_shard: int,
-        landed: Set[int],
-        attempt: int,
-    ) -> Generator:
-        """Read-modify-write one stripe unit: read, re-encode, push deltas.
-
-        Sources and targets are restricted to clean (up, non-stale)
-        shards — a partial write landing on stale content would tear the
-        stripe.  The preferred read set is the old data unit plus the
-        parities (the classic RMW); when any of those is unavailable the
-        old unit is reconstructed from ``k`` clean shards instead.
-        """
-        env = self.cluster.env
-        code = self.cluster.pool.code
-        log = pg.log
-        layout = obj.layout
-        unit = layout.stripe_unit
-        stale = log.stale_shards(obj.name)
-        clean_up = [
-            shard for shard in range(code.n)
-            if shard not in stale
-            and self.cluster.osds[pg.acting[shard]].is_up()
-        ]
-        if len(clean_up) < code.k:
-            return _WriteAttempt(
-                ok=False, reason=f"only {len(clean_up)} clean shards up"
-            )
-        touched = [data_shard, *range(code.k, code.n)]
-        targets = [
-            s for s in touched if s not in landed and s in clean_up
-        ]
-        prospective = stale | {
-            s for s in touched if s not in landed and s not in targets
-        }
-        if len(prospective) > code.fault_tolerance():
-            return _WriteAttempt(
-                ok=False, reason="write would exceed parity tolerance"
-            )
-        primary_shard = clean_up[attempt % len(clean_up)]
-        if primary_shard != clean_up[0]:
-            self.stats.redirects += 1
-        primary = self.cluster.osds[pg.acting[primary_shard]]
-        yield env.timeout(self.request_overhead)
-        if all(s in clean_up for s in touched):
-            sources, needs_decode = list(touched), False
-        else:
-            sources, needs_decode = clean_up[: code.k], True
-        fetches = [
-            env.process(self._guarded_unit_io(pg, s, primary, unit, write=False))
-            for s in sources
-        ]
-        results = yield env.all_of(fetches)
-        bad = [r for r in results if not r.ok]
-        if bad:
-            return _WriteAttempt(ok=False, reason=bad[0].reason)
-        cost_factor = code.cpu_cost_factor
-        if needs_decode:
-            decode = coding_time(
-                primary.config,
-                nbytes=unit,
-                work=1.0,
-                fragments=code.sub_chunk_count,
-                cpu_cost_factor=cost_factor,
-            )
-            yield primary.cpu.request(decode)
-        encode = coding_time(
-            primary.config,
-            nbytes=unit * code.m,
-            work=1.0,
-            fragments=code.sub_chunk_count * code.m,
-            cpu_cost_factor=cost_factor,
-        )
-        yield primary.cpu.request(encode)
-        pushes = [
-            env.process(self._guarded_unit_io(pg, s, primary, unit, write=True))
-            for s in targets
-        ]
-        write_results = yield env.all_of(pushes)
-        for result in write_results:
-            if result.ok:
-                landed.add(result.shard)
-        still_missing = {s for s in touched if s not in landed}
-        if len(stale | still_missing) > code.fault_tolerance():
-            bad = [r for r in write_results if not r.ok]
-            return _WriteAttempt(
-                ok=False,
-                reason=bad[0].reason if bad else "too many shards missing",
-            )
-        return _WriteAttempt(ok=True)
-
-    def _guarded_push(
-        self,
-        pg: PlacementGroup,
-        shard: int,
-        primary,
-        layout,
-        object_name: str,
-        create: bool,
-        allocs: Dict[int, Tuple[int, int]],
-    ) -> Generator:
-        """Push one full chunk to its target; never fails the process.
-
-        Chunks that do not physically exist yet (a create, or a shard a
-        degraded create skipped) are allocated — with the space reserved
-        and the ledger credited synchronously, so the byte-conservation
-        invariant holds at every instant mid-write.  Existing chunks are
-        overwritten in place (no allocation change).  A push lost to a
-        gray fault rolls its speculative allocation back.
-        """
-        target = self.cluster.osds[pg.acting[shard]]
-        nbytes = layout.chunk_stored_bytes
-        if not target.is_up():
-            return _ShardResult(
-                ok=False, shard=shard,
-                reason=f"shard {shard} target {target.name} is down",
-            )
-        log = pg.log
-        allocate = create or log.is_unstored(object_name, shard)
-        csum_blocks = 0
-        if allocate:
-            integrity = self.cluster.integrity
-            if integrity.config.enabled:
-                csum_blocks = integrity.csum_blocks_for(nbytes)
-            allocation = target.backend.chunk_allocation(
-                nbytes, layout.units, csum_blocks
-            )
-            allocated, metadata = allocation
-            if (
-                target.disk.used_bytes + allocated + metadata
-                > target.disk.spec.capacity_bytes
-            ):
-                return _ShardResult(
-                    ok=False, shard=shard,
-                    reason=f"target {target.name} toofull",
-                )
-            # Reserve synchronously with the headroom check, and credit
-            # the ledger in the same instant (commit reclassifies).
-            target.store_chunk(nbytes, layout.units, allocation)
-            self.cluster.ledger.credit_chunk(allocated, metadata)
-            allocs[shard] = allocation
-        try:
-            grant = self._admit(target, nbytes, write=True)
-            if grant is not None:
-                yield grant
-            yield self.cluster.topology.fabric.transfer(
-                self.cluster.topology.nic_of(primary.osd_id),
-                self.cluster.topology.nic_of(target.osd_id),
-                nbytes,
-            )
-            yield target.write_chunk(nbytes)
-        except (TransferDroppedError, DiskFailedError) as exc:
-            if isinstance(exc, TransferDroppedError):
-                self.stats.drops_seen += 1
-            if allocate:
-                target.remove_chunk(nbytes, layout.units, allocation)
-                self.cluster.ledger.debit_chunk(*allocation)
-                allocs.pop(shard, None)
-            return _ShardResult(ok=False, shard=shard, reason=str(exc))
-        return _ShardResult(ok=True, shard=shard)
-
-    def _guarded_unit_io(
-        self, pg: PlacementGroup, shard: int, primary, unit: int, write: bool
-    ) -> Generator:
-        """One stripe-unit read or in-place write for an RMW; never fails."""
-        osd = self.cluster.osds[pg.acting[shard]]
-        try:
-            if not osd.is_up():
-                return _ShardResult(
-                    ok=False, shard=shard,
-                    reason=f"shard {shard} osd {osd.name} is down",
-                )
-            grant = self._admit(osd, unit, write=write)
-            if grant is not None:
-                yield grant
-            if write:
-                yield self.cluster.topology.fabric.transfer(
-                    self.cluster.topology.nic_of(primary.osd_id),
-                    self.cluster.topology.nic_of(osd.osd_id),
-                    unit,
-                )
-                yield osd.disk.submit(1, unit, write=True)
-            else:
-                yield osd.disk.submit(1, unit, write=False)
-                yield self.cluster.topology.fabric.transfer(
-                    self.cluster.topology.nic_of(osd.osd_id),
-                    self.cluster.topology.nic_of(primary.osd_id),
-                    unit,
-                )
-        except TransferDroppedError as exc:
-            self.stats.drops_seen += 1
-            return _ShardResult(ok=False, shard=shard, reason=str(exc))
-        except DiskFailedError as exc:
-            return _ShardResult(ok=False, shard=shard, reason=str(exc))
-        return _ShardResult(ok=True, shard=shard)
 
     def _commit_write(
         self,
@@ -1038,6 +472,798 @@ class RadosClient:
                     log.note_divergent(object_name, shard)
 
 
+class _Read(Chain):
+    """One client read: the retry loop around read attempts.
+
+    An attempt picks the shards to read (the k data shards, or any k
+    clean survivors when the read is degraded) and a primary, pays the
+    request overhead, fetches every shard through a :class:`_Fetch`,
+    and decodes at the primary when a data shard is missing.  A lost
+    attempt (too few shards, a timeout, a dropped or failed fetch)
+    backs off and retries until the budget runs out.  Each step is
+    placed where a process running the same loop would resume (see
+    :class:`~repro.sim.engine.Chain`).
+    """
+
+    __slots__ = (
+        "client", "name", "issued_at", "pg", "obj", "attempt", "degraded",
+        "hedged", "shards", "spares", "primary", "gather",
+    )
+
+    def __init__(self, client: RadosClient, name: str):
+        super().__init__(client.cluster.env)
+        self.client = client
+        self.name = name
+        self.start(self._begin)
+
+    def _begin(self, _arg) -> None:
+        self.issued_at = self.env._now
+        try:
+            self.pg, self.obj = self.client._lookup(self.name)
+        except ObjectNotFoundError as exc:
+            self.fail(exc)
+            return
+        self.attempt = 0
+        self._attempt()
+
+    def _attempt(self, _arg=None) -> None:
+        cluster = self.client.cluster
+        code = cluster.pool.code
+        pg = self.pg
+        osds, acting = cluster.osds, pg.acting
+        data_shards = list(range(code.k))
+        # Stale shards (missed a write while briefly down) hold old
+        # content: they never serve reads, exactly like down shards.
+        stale = pg.log.stale_shards(self.obj.name) if pg.log is not None else set()
+        up = [
+            shard
+            for shard in range(code.n)
+            if shard not in stale and osds[acting[shard]].is_up()
+        ]
+        degraded = any(shard not in up for shard in data_shards)
+        if degraded:
+            shards = up[: code.k]
+            if len(shards) < code.k:
+                self._lost(f"only {len(up)} shards up")
+                return
+        else:
+            shards = data_shards
+        self.degraded = degraded
+        self.shards = shards
+        #: Surviving shards not already being read — the hedge targets.
+        self.spares = [s for s in up if s not in shards]
+        # Redirect: a retry rotates the coordinating primary to the next
+        # surviving shard, so a read stuck behind a degraded primary's NIC
+        # does not time out against the same path forever.  Attempt 0
+        # always picks the first up shard — byte-identical to the
+        # undefended model on healthy runs (retries never happen there).
+        primary_shard = up[self.attempt % len(up)]
+        if primary_shard != up[0]:
+            self.client.stats.redirects += 1
+        self.primary = osds[acting[primary_shard]]
+        self.sleep(self.client.request_overhead, self._fetch)
+
+    def _fetch(self, _arg) -> None:
+        env = self.env
+        client = self.client
+        layout = self.obj.layout
+        self.gather = gather = env.all_of([
+            _Fetch(client, self.pg, shard, self.primary, layout, self.spares)
+            for shard in self.shards
+        ])
+        timeout = client.cluster.config.client_op_timeout
+        if timeout > 0:
+            self.wait(env.any_of([gather, env.timeout(timeout)]), self._gathered)
+        else:
+            self.wait(gather, self._gathered)
+
+    def _gathered(self, event: Event) -> None:
+        if not event._ok:
+            self.fail(event._value)
+            return
+        client = self.client
+        cluster = client.cluster
+        gather = self.gather
+        if gather._ok is None:
+            # Abandon the attempt; the in-flight fetches drain on their
+            # own (guarded fetches never fail).
+            client.stats.timeouts += 1
+            self._lost(
+                f"op timed out after {cluster.config.client_op_timeout:g}s"
+            )
+            return
+        results = gather._value
+        shards = self.shards
+        self.hedged = any(r.shard not in shards for r in results)
+        for result in results:
+            if not result.ok:
+                self._lost(result.reason)
+                return
+        code = cluster.pool.code
+        served = {r.shard for r in results}
+        byz = cluster.byzantine
+        if byz is not None:
+            # Containment accounting: a read served from a shard that is
+            # still lying (undetected forged checksum or false-acked
+            # write) is a *wrong read* — the byzantine-containment
+            # invariant requires this count to stay zero pre-detection.
+            byz.note_read(self.pg.pgid, self.obj.name, served, self.env._now)
+        if self.degraded or served != set(range(code.k)):
+            # On-the-fly decode of the missing data shards at the primary.
+            layout = self.obj.layout
+            primary = self.primary
+            decode = coding_time(
+                primary.config,
+                nbytes=layout.chunk_stored_bytes,
+                work=1.0,
+                fragments=layout.units * code.sub_chunk_count,
+                cpu_cost_factor=code.cpu_cost_factor,
+            )
+            self.wait(primary.cpu.request(decode), self._served)
+            return
+        self._served(None)
+
+    def _served(self, _decode) -> None:
+        self.client.stats.reads_ok += 1
+        issued_at = self.issued_at
+        self.succeed(ReadSample(
+            object_name=self.name,
+            issued_at=issued_at,
+            latency=self.env._now - issued_at,
+            degraded=self.degraded,
+            bytes_read=self.obj.size,
+            attempts=self.attempt + 1,
+            hedged=self.hedged,
+        ))
+
+    def _lost(self, reason: str) -> None:
+        """The attempt failed: back off and retry, or give up."""
+        client = self.client
+        config = client.cluster.config
+        self.attempt += 1
+        if self.attempt > config.client_retry_max:
+            client.stats.reads_failed += 1
+            self.fail(ReadFailedError(
+                f"object {self.name!r}: {reason} "
+                f"(gave up after {self.attempt} attempts)"
+            ))
+            return
+        client.stats.retries += 1
+        self.sleep(
+            retry_backoff(self.attempt, config.client_retry_base, client._retry_rng),
+            self._attempt,
+        )
+
+
+class _Fetch(Chain):
+    """One shard fetch, re-issued to a spare survivor if it straggles.
+
+    Without a hedge delay it only relays its :class:`_GuardedFetch`,
+    keeping the start and end hops of the process it replaces.  With
+    one, the loser of the race is *abandoned*, not interrupted: it keeps
+    draining its disk and NIC time (the true cost of hedging) but its
+    result is discarded and its bytes counted as hedge waste.
+    """
+
+    __slots__ = (
+        "client", "pg", "shard", "primary", "layout", "spares", "proc",
+        "hedge", "spare",
+    )
+
+    def __init__(self, client: RadosClient, pg: PlacementGroup, shard: int,
+                 primary, layout, spares: List[int]):
+        super().__init__(client.cluster.env)
+        self.client = client
+        self.pg = pg
+        self.shard = shard
+        self.primary = primary
+        self.layout = layout
+        self.spares = spares
+        self.start(self._begin)
+
+    def _begin(self, _arg) -> None:
+        hedge_delay = self.client.cluster.config.client_hedge_delay
+        self.proc = proc = _GuardedFetch(
+            self.client, self.pg, self.shard, self.primary, self.layout
+        )
+        if hedge_delay <= 0:
+            self.wait(proc, self._relay)
+            return
+        env = self.env
+        self.wait(env.any_of([proc, env.timeout(hedge_delay)]), self._straggled)
+
+    def _straggled(self, race: Event) -> None:
+        if not race._ok:
+            self.fail(race._value)
+            return
+        proc = self.proc
+        if proc._ok is not None:
+            self.succeed(proc._value)
+            return
+        spare = self.spares.pop(0) if self.spares else None
+        if spare is None:
+            self.wait(proc, self._relay)
+            return
+        self.client.stats.hedges_issued += 1
+        self.spare = spare
+        self.hedge = hedge = _GuardedFetch(
+            self.client, self.pg, spare, self.primary, self.layout
+        )
+        self.wait(self.env.any_of([proc, hedge]), self._first)
+
+    def _first(self, race: Event) -> None:
+        if not race._ok:
+            self.fail(race._value)
+            return
+        first = race._value
+        if first.ok:
+            self._won(first)
+            return
+        # First arrival failed (drop); fall back to the other copy.
+        other = self.hedge if self.proc._ok is not None else self.proc
+        self.wait(other, self._second)
+
+    def _second(self, other: Event) -> None:
+        if not other._ok:
+            self.fail(other._value)
+            return
+        self._won(other._value)
+
+    def _won(self, winner: _ShardResult) -> None:
+        # Exactly one copy serves the read; the duplicate's bytes are
+        # waste whether it already landed or is still in flight.
+        stats = self.client.stats
+        stats.hedge_wasted_bytes += self.layout.chunk_stored_bytes
+        if winner.ok and winner.shard == self.spare:
+            stats.hedges_won += 1
+        self.succeed(winner)
+
+    def _relay(self, fetch: Event) -> None:
+        if fetch._ok:
+            self.succeed(fetch._value)
+        else:
+            self.fail(fetch._value)
+
+
+class _ShardIo(Chain):
+    """One guarded shard I/O of a read or write: never fails.
+
+    Every failure mode — the OSD down (flap), a failed disk, a dropped
+    or partitioned transfer — succeeds the chain with a failed
+    :class:`_ShardResult`, so an abandoned I/O can drain without a
+    waiter.  Any other exception fails it.
+    """
+
+    __slots__ = ("client", "pg", "shard", "primary", "osd")
+
+    def __init__(self, client: RadosClient, pg: PlacementGroup, shard: int,
+                 primary):
+        super().__init__(client.cluster.env)
+        self.client = client
+        self.pg = pg
+        self.shard = shard
+        self.primary = primary
+
+    def _down(self, role: str) -> None:
+        self.succeed(_ShardResult(
+            ok=False, shard=self.shard,
+            reason=f"shard {self.shard} {role} {self.osd.name} is down",
+        ))
+
+    def _transfer(self, src, dst, nbytes: int, step) -> None:
+        topology = self.client.cluster.topology
+        self.wait(
+            topology.fabric.transfer(
+                topology.nic_of(src.osd_id), topology.nic_of(dst.osd_id), nbytes
+            ),
+            step,
+        )
+
+    def _lost(self, exc: BaseException) -> None:
+        if isinstance(exc, TransferDroppedError):
+            self.client.stats.drops_seen += 1
+        elif not isinstance(exc, DiskFailedError):
+            self.fail(exc)
+            return
+        self._undo()
+        self.succeed(_ShardResult(ok=False, shard=self.shard, reason=str(exc)))
+
+    def _undo(self) -> None:
+        """Roll back what the I/O reserved before it was lost."""
+
+    def _done(self, _event) -> None:
+        self.succeed(_ShardResult(ok=True, shard=self.shard))
+
+
+class _GuardedFetch(_ShardIo):
+    """Fetch one whole shard to the primary: QoS grant, disk read,
+    transfer."""
+
+    __slots__ = ("layout",)
+
+    def __init__(self, client: RadosClient, pg: PlacementGroup, shard: int,
+                 primary, layout):
+        super().__init__(client, pg, shard, primary)
+        self.layout = layout
+        self.start(self._begin)
+
+    def _begin(self, _arg) -> None:
+        self.osd = source = self.client.cluster.osds[self.pg.acting[self.shard]]
+        if not source.is_up():
+            self._down("source")
+            return
+        grant = self.client._admit(source, self.layout.chunk_stored_bytes, write=False)
+        if grant is None:
+            self._read(None)
+        else:
+            self.wait(grant, self._read)
+
+    def _read(self, _grant) -> None:
+        source = self.osd
+        nbytes = self.layout.chunk_stored_bytes
+        try:
+            disk_read = source.disk.submit(
+                sequential_ops(source.config, nbytes), nbytes, write=False
+            )
+        except DiskFailedError as exc:
+            self._lost(exc)
+            return
+        self.wait(disk_read, self._ship)
+
+    def _ship(self, _disk_read) -> None:
+        self._transfer(
+            self.osd, self.primary, self.layout.chunk_stored_bytes, self._delivered
+        )
+
+    def _delivered(self, transfer: Event) -> None:
+        if transfer._ok:
+            self._done(transfer)
+        else:
+            self._lost(transfer._value)
+
+
+class _Push(_ShardIo):
+    """Push one full chunk to its target: QoS grant, transfer, disk write.
+
+    Chunks that do not physically exist yet (a create, or a shard a
+    degraded create skipped) are allocated — with the space reserved
+    and the ledger credited synchronously, so the byte-conservation
+    invariant holds at every instant mid-write.  Existing chunks are
+    overwritten in place (no allocation change).  A push lost to a
+    gray fault rolls its speculative allocation back.
+    """
+
+    __slots__ = ("layout", "object_name", "create", "allocs", "allocation")
+
+    def __init__(self, client: RadosClient, pg: PlacementGroup, shard: int,
+                 primary, layout, object_name: str, create: bool,
+                 allocs: Dict[int, Tuple[int, int]]):
+        super().__init__(client, pg, shard, primary)
+        self.layout = layout
+        self.object_name = object_name
+        self.create = create
+        self.allocs = allocs
+        self.allocation: Optional[Tuple[int, int]] = None
+        self.start(self._begin)
+
+    def _begin(self, _arg) -> None:
+        cluster = self.client.cluster
+        shard, layout = self.shard, self.layout
+        self.osd = target = cluster.osds[self.pg.acting[shard]]
+        nbytes = layout.chunk_stored_bytes
+        if not target.is_up():
+            self._down("target")
+            return
+        if self.create or self.pg.log.is_unstored(self.object_name, shard):
+            csum_blocks = 0
+            integrity = cluster.integrity
+            if integrity.config.enabled:
+                csum_blocks = integrity.csum_blocks_for(nbytes)
+            allocation = target.backend.chunk_allocation(
+                nbytes, layout.units, csum_blocks
+            )
+            allocated, metadata = allocation
+            if (
+                target.disk.used_bytes + allocated + metadata
+                > target.disk.spec.capacity_bytes
+            ):
+                self.succeed(_ShardResult(
+                    ok=False, shard=shard, reason=f"target {target.name} toofull",
+                ))
+                return
+            # Reserve synchronously with the headroom check, and credit
+            # the ledger in the same instant (commit reclassifies).
+            target.store_chunk(nbytes, layout.units, allocation)
+            cluster.ledger.credit_chunk(allocated, metadata)
+            self.allocs[shard] = self.allocation = allocation
+        grant = self.client._admit(target, nbytes, write=True)
+        if grant is None:
+            self._send(None)
+        else:
+            self.wait(grant, self._send)
+
+    def _send(self, _grant) -> None:
+        self._transfer(
+            self.primary, self.osd, self.layout.chunk_stored_bytes, self._sent
+        )
+
+    def _sent(self, transfer: Event) -> None:
+        if not transfer._ok:
+            self._lost(transfer._value)
+            return
+        try:
+            disk_write = self.osd.write_chunk(self.layout.chunk_stored_bytes)
+        except DiskFailedError as exc:
+            self._lost(exc)
+            return
+        self.wait(disk_write, self._done)
+
+    def _undo(self) -> None:
+        allocation = self.allocation
+        if allocation is not None:
+            layout = self.layout
+            self.osd.remove_chunk(layout.chunk_stored_bytes, layout.units, allocation)
+            self.client.cluster.ledger.debit_chunk(*allocation)
+            self.allocs.pop(self.shard, None)
+
+
+class _UnitIo(_ShardIo):
+    """One stripe-unit read (disk, then transfer to the primary) or
+    in-place write (transfer from the primary, then disk) for an RMW."""
+
+    __slots__ = ("unit", "write")
+
+    def __init__(self, client: RadosClient, pg: PlacementGroup, shard: int,
+                 primary, unit: int, write: bool):
+        super().__init__(client, pg, shard, primary)
+        self.unit = unit
+        self.write = write
+        self.start(self._begin)
+
+    def _begin(self, _arg) -> None:
+        self.osd = osd = self.client.cluster.osds[self.pg.acting[self.shard]]
+        if not osd.is_up():
+            self._down("osd")
+            return
+        grant = self.client._admit(osd, self.unit, write=self.write)
+        if grant is None:
+            self._io(None)
+        else:
+            self.wait(grant, self._io)
+
+    def _io(self, _grant) -> None:
+        if self.write:
+            self._transfer(self.primary, self.osd, self.unit, self._landed)
+            return
+        self._submit(write=False, step=self._ship)
+
+    def _submit(self, write: bool, step) -> None:
+        try:
+            job = self.osd.disk.submit(1, self.unit, write=write)
+        except DiskFailedError as exc:
+            self._lost(exc)
+            return
+        self.wait(job, step)
+
+    def _landed(self, transfer: Event) -> None:
+        if transfer._ok:
+            self._submit(write=True, step=self._done)
+        else:
+            self._lost(transfer._value)
+
+    def _ship(self, _disk_read) -> None:
+        self._transfer(self.osd, self.primary, self.unit, self._delivered)
+
+    def _delivered(self, transfer: Event) -> None:
+        if transfer._ok:
+            self._done(transfer)
+        else:
+            self._lost(transfer._value)
+
+
+class _Write(Chain):
+    """One client write: the retry loop shared by full-stripe writes and
+    RMWs.
+
+    The write is *staged* on the PG log before any I/O and either
+    commits exactly once (assigning the next PG version) or rolls back:
+    allocations made for chunks that never existed are undone, and
+    in-place pushes that landed before the abort are marked divergent
+    so repair re-syncs them — the rollback rule that keeps an abandoned
+    op from leaving a torn stripe.  Each step is placed where a process
+    running the same loop would resume (see
+    :class:`~repro.sim.engine.Chain`).
+    """
+
+    __slots__ = (
+        "client", "name", "size", "data_shard", "issued_at", "pg", "obj",
+        "layout", "kind", "landed", "allocs", "attempt", "primary", "up",
+        "stale", "touched", "targets", "needs_decode",
+    )
+
+    def __init__(self, client: RadosClient, name: str, size: Optional[int],
+                 data_shard: Optional[int]):
+        super().__init__(client.cluster.env)
+        self.client = client
+        self.name = name
+        self.size = size
+        self.data_shard = data_shard
+        self.start(self._begin)
+
+    def _begin(self, _arg) -> None:
+        pool = self.client.cluster.pool
+        name, data_shard = self.name, self.data_shard
+        self.issued_at = self.env._now
+        self.pg = pg = pool.pg_of(name)
+        log = pg.log
+        if log is None:
+            self.fail(RuntimeError("pool has no pg_log; writes are unsupported"))
+            return
+        self.obj = obj = next((o for o in pg.objects if o.name == name), None)
+        if data_shard is not None:
+            if obj is None:
+                self.fail(ObjectNotFoundError(f"object {name!r} not in pool"))
+                return
+            if not 0 <= data_shard < pool.code.k:
+                self.fail(ValueError(
+                    f"data_shard must be in [0, {pool.code.k}), got {data_shard}"
+                ))
+                return
+            self.layout = obj.layout
+            self.kind = "rmw"
+        elif obj is None:
+            if self.size is None:
+                self.fail(ValueError(f"size required to create object {name!r}"))
+                return
+            self.layout = pool.layout_for(self.size)
+            self.kind = "create"
+        else:
+            self.layout = obj.layout
+            self.size = obj.size
+            self.kind = "full"
+        log.stage()
+        #: Shards persisted by this write (survives across attempts).
+        self.landed: Set[int] = set()
+        #: shard -> (allocated, metadata) for chunks this write brought
+        #: into existence — the abort rollback set.
+        self.allocs: Dict[int, Tuple[int, int]] = {}
+        self.attempt = 0
+        self._gate()
+
+    def _gate(self, _arg=None) -> None:
+        # Capacity backpressure: while any OSD is at the full ratio the
+        # monitor pauses client writes cluster-wide.  The gate is None
+        # when unpaused (no wait, no event perturbation), so runs that
+        # never fill a device are byte-identical.
+        gate = self.client.cluster.monitor.write_gate()
+        if gate is not None:
+            self.client.stats.writes_paused += 1
+            self.wait(gate, self._attempt)
+            return
+        self._attempt(None)
+
+    def _attempt(self, _gate) -> None:
+        if self.kind == "rmw":
+            self._rmw_attempt()
+        else:
+            self._full_write_attempt()
+
+    def _choose_primary(self, candidates: List[int]) -> None:
+        primary_shard = candidates[self.attempt % len(candidates)]
+        if primary_shard != candidates[0]:
+            self.client.stats.redirects += 1
+        self.primary = self.client.cluster.osds[self.pg.acting[primary_shard]]
+
+    def _cpu(self, nbytes: int, fragments: int, step) -> None:
+        """Run an encode or decode of ``nbytes`` at the primary, then ``step``."""
+        code = self.client.cluster.pool.code
+        primary = self.primary
+        self.wait(
+            primary.cpu.request(coding_time(
+                primary.config, nbytes=nbytes, work=1.0, fragments=fragments,
+                cpu_cost_factor=code.cpu_cost_factor,
+            )),
+            step,
+        )
+
+    # -- full-stripe write ----------------------------------------------------------
+
+    def _full_write_attempt(self) -> None:
+        """Encode the stripe at the primary and push every reachable shard.
+
+        A stale shard *is* a valid target — the full overwrite refreshes
+        it.  Fails (retryably) only when more shards would end up without
+        the write than the code's *guaranteed* fault tolerance (``m``
+        for RS/Clay, ``r + 1`` for LRC, 1 for SHEC) — acking beyond that
+        could leave an object the recovery path cannot promise to heal.
+        """
+        cluster = self.client.cluster
+        code = cluster.pool.code
+        osds, acting, landed = cluster.osds, self.pg.acting, self.landed
+        self.up = up = [shard for shard in range(code.n) if osds[acting[shard]].is_up()]
+        if not up:
+            self._lost("no shards up")
+            return
+        missing_now = [s for s in range(code.n) if s not in landed and s not in up]
+        if len(missing_now) > code.fault_tolerance():
+            self._lost(f"only {len(up)} shards up")
+            return
+        self._choose_primary(up)
+        self.sleep(self.client.request_overhead, self._encode)
+
+    def _encode(self, _arg) -> None:
+        code = self.client.cluster.pool.code
+        layout = self.layout
+        self._cpu(
+            layout.chunk_stored_bytes * code.m,
+            layout.units * code.sub_chunk_count * code.m,
+            self._push,
+        )
+
+    def _push(self, _encode) -> None:
+        landed = self.landed
+        create = self.kind == "create"
+        self.wait(
+            self.env.all_of([
+                _Push(self.client, self.pg, shard, self.primary, self.layout,
+                      self.name, create, self.allocs)
+                for shard in self.up
+                if shard not in landed
+            ]),
+            self._pushed,
+        )
+
+    def _pushed(self, pushes: Event) -> None:
+        if not pushes._ok:
+            self.fail(pushes._value)
+            return
+        code = self.client.cluster.pool.code
+        results = pushes._value
+        landed = self.landed
+        for result in results:
+            if result.ok:
+                landed.add(result.shard)
+        still_missing = [s for s in range(code.n) if s not in landed]
+        if len(still_missing) > code.fault_tolerance():
+            bad = [r for r in results if not r.ok]
+            self._lost(bad[0].reason if bad else "too many shards missing")
+            return
+        self._commit()
+
+    # -- read-modify-write ---------------------------------------------------------
+
+    def _rmw_attempt(self) -> None:
+        """Read-modify-write one stripe unit: read, re-encode, push deltas.
+
+        Sources and targets are restricted to clean (up, non-stale)
+        shards — a partial write landing on stale content would tear the
+        stripe.  The preferred read set is the old data unit plus the
+        parities (the classic RMW); when any of those is unavailable the
+        old unit is reconstructed from ``k`` clean shards instead.
+        """
+        cluster = self.client.cluster
+        code = cluster.pool.code
+        osds, acting, landed = cluster.osds, self.pg.acting, self.landed
+        self.stale = stale = self.pg.log.stale_shards(self.obj.name)
+        self.up = clean_up = [
+            shard for shard in range(code.n)
+            if shard not in stale and osds[acting[shard]].is_up()
+        ]
+        if len(clean_up) < code.k:
+            self._lost(f"only {len(clean_up)} clean shards up")
+            return
+        self.touched = touched = [self.data_shard, *range(code.k, code.n)]
+        self.targets = targets = [
+            s for s in touched if s not in landed and s in clean_up
+        ]
+        prospective = stale | {
+            s for s in touched if s not in landed and s not in targets
+        }
+        if len(prospective) > code.fault_tolerance():
+            self._lost("write would exceed parity tolerance")
+            return
+        self._choose_primary(clean_up)
+        self.sleep(self.client.request_overhead, self._rmw_read)
+
+    def _rmw_read(self, _arg) -> None:
+        clean_up, touched = self.up, self.touched
+        if all(s in clean_up for s in touched):
+            sources, self.needs_decode = list(touched), False
+        else:
+            sources = clean_up[: self.client.cluster.pool.code.k]
+            self.needs_decode = True
+        unit = self.layout.stripe_unit
+        self.wait(
+            self.env.all_of([
+                _UnitIo(self.client, self.pg, s, self.primary, unit, write=False)
+                for s in sources
+            ]),
+            self._rmw_fetched,
+        )
+
+    def _rmw_fetched(self, fetches: Event) -> None:
+        if not fetches._ok:
+            self.fail(fetches._value)
+            return
+        for result in fetches._value:
+            if not result.ok:
+                self._lost(result.reason)
+                return
+        if self.needs_decode:
+            code = self.client.cluster.pool.code
+            self._cpu(self.layout.stripe_unit, code.sub_chunk_count, self._rmw_encode)
+            return
+        self._rmw_encode(None)
+
+    def _rmw_encode(self, _decode) -> None:
+        code = self.client.cluster.pool.code
+        self._cpu(
+            self.layout.stripe_unit * code.m, code.sub_chunk_count * code.m,
+            self._rmw_push,
+        )
+
+    def _rmw_push(self, _encode) -> None:
+        unit = self.layout.stripe_unit
+        self.wait(
+            self.env.all_of([
+                _UnitIo(self.client, self.pg, s, self.primary, unit, write=True)
+                for s in self.targets
+            ]),
+            self._rmw_pushed,
+        )
+
+    def _rmw_pushed(self, pushes: Event) -> None:
+        if not pushes._ok:
+            self.fail(pushes._value)
+            return
+        code = self.client.cluster.pool.code
+        results = pushes._value
+        landed = self.landed
+        for result in results:
+            if result.ok:
+                landed.add(result.shard)
+        still_missing = {s for s in self.touched if s not in landed}
+        if len(self.stale | still_missing) > code.fault_tolerance():
+            bad = [r for r in results if not r.ok]
+            self._lost(bad[0].reason if bad else "too many shards missing")
+            return
+        self._commit()
+
+    # -- outcome ----------------------------------------------------------------------
+
+    def _commit(self) -> None:
+        client = self.client
+        sample = client._commit_write(
+            self.pg, self.name, self.kind, self.size, self.layout,
+            self.data_shard, self.landed, self.allocs, self.issued_at,
+            self.attempt + 1,
+        )
+        client.stats.writes_ok += 1
+        self.succeed(sample)
+
+    def _lost(self, reason: str) -> None:
+        """The attempt failed: back off and retry, or abort the write."""
+        client = self.client
+        config = client.cluster.config
+        self.attempt += 1
+        if self.attempt > config.client_write_retry_max:
+            client._abort_write(
+                self.pg, self.name, self.kind, self.layout, self.landed, self.allocs
+            )
+            client.stats.writes_failed += 1
+            self.fail(WriteFailedError(
+                f"object {self.name!r}: {reason} "
+                f"(gave up after {self.attempt} attempts)"
+            ))
+            return
+        client.stats.write_retries += 1
+        self.sleep(
+            retry_backoff(self.attempt, config.client_retry_base, client._retry_rng),
+            self._gate,
+        )
+
+
+
 class ClientLoadGenerator:
     """Open-loop (by default read-only) load over the pool's objects.
 
@@ -1103,10 +1329,18 @@ class ClientLoadGenerator:
         return sections
 
     def run_for(self, duration: float) -> Event:
-        """Start issuing reads for ``duration`` simulated seconds."""
+        """Start issuing ops for ``duration`` simulated seconds.
+
+        The returned event fires once the window has closed and every op
+        issued in it has finished.  Ops that exhaust their retry budget
+        (:class:`ReadFailedError`, :class:`WriteFailedError`) are counted
+        in the stats' ``failures``; any other op failure fails the event
+        with that op's exception, and an empty pool fails it with
+        ``RuntimeError``.
+        """
         if duration <= 0:
             raise ValueError("duration must be positive")
-        return self.client.cluster.env.process(self._run(duration))
+        return _Run(self, duration)
 
     def _object_names(self) -> List[str]:
         return [
@@ -1115,56 +1349,95 @@ class ClientLoadGenerator:
             for obj in pg.objects
         ]
 
-    def _run(self, duration: float) -> Generator:
-        env = self.client.cluster.env
-        names = self._object_names()
-        if not names:
-            raise RuntimeError("pool holds no objects to read")
-        deadline = env.now + duration
-        pending = []
-        while env.now < deadline:
-            name = self.rng.choice(names)
-            if (
-                self.write_fraction > 0.0
-                and self.rng.random() < self.write_fraction
-            ):
-                if (
-                    self.rmw_fraction > 0.0
-                    and self.rng.random() < self.rmw_fraction
-                ):
-                    shard = self.rng.randrange(self.client.cluster.pool.code.k)
-                    pending.append(env.process(self._one_rmw(name, shard)))
+
+class _Run(Chain):
+    """A load generator's arrival loop: draw an op, start it, sleep the
+    gap, until the window closes; then wait for every op started."""
+
+    __slots__ = ("gen", "duration", "names", "deadline", "pending")
+
+    def __init__(self, gen: ClientLoadGenerator, duration: float):
+        super().__init__(gen.client.cluster.env)
+        self.gen = gen
+        self.duration = duration
+        self.start(self._begin)
+
+    def _begin(self, _arg) -> None:
+        self.names = self.gen._object_names()
+        if not self.names:
+            self.fail(RuntimeError("pool holds no objects to read"))
+            return
+        self.deadline = self.env._now + self.duration
+        self.pending: List[_Op] = []
+        self._issue(None)
+
+    def _issue(self, _arg) -> None:
+        if self.env._now < self.deadline:
+            gen = self.gen
+            rng = gen.rng
+            name = rng.choice(self.names)
+            if gen.write_fraction > 0.0 and rng.random() < gen.write_fraction:
+                if gen.rmw_fraction > 0.0 and rng.random() < gen.rmw_fraction:
+                    shard = rng.randrange(gen.client.cluster.pool.code.k)
+                    op = _Op(gen, "rmw", name, shard)
                 else:
-                    pending.append(env.process(self._one_write(name)))
+                    op = _Op(gen, "write", name)
             else:
-                pending.append(env.process(self._one_read(name)))
-            if self.arrival == "poisson":
-                yield env.timeout(self.rng.expovariate(1.0 / self.interval))
+                op = _Op(gen, "read", name)
+            self.pending.append(op)
+            if gen.arrival == "poisson":
+                self.sleep(rng.expovariate(1.0 / gen.interval), self._issue)
             else:
-                yield env.timeout(self.interval)
-        if pending:
-            yield env.all_of(pending)
-
-    def _one_read(self, name: str) -> Generator:
-        try:
-            sample = yield self.client.read_object(name)
-        except ReadFailedError:
-            self.stats.failures += 1
+                self.sleep(gen.interval, self._issue)
             return
-        self.stats.add(sample)
+        if self.pending:
+            self.wait(self.env.all_of(self.pending), self._drained)
+        else:
+            self.succeed()
 
-    def _one_write(self, name: str) -> Generator:
-        try:
-            sample = yield self.client.write_object(name)
-        except WriteFailedError:
-            self.write_stats.failures += 1
-            return
-        self.write_stats.add(sample)
+    def _drained(self, ops: Event) -> None:
+        if ops._ok:
+            self.succeed()
+        else:
+            self.fail(ops._value)
 
-    def _one_rmw(self, name: str, shard: int) -> Generator:
-        try:
-            sample = yield self.client.write_stripe_unit(name, data_shard=shard)
-        except WriteFailedError:
-            self.write_stats.failures += 1
+
+class _Op(Chain):
+    """One load-generator op: issue it through the client, then record
+    its sample, or count its failure once its retry budget ran out."""
+
+    __slots__ = ("gen", "kind", "name", "shard")
+
+    def __init__(self, gen: ClientLoadGenerator, kind: str, name: str,
+                 shard: int = 0):
+        super().__init__(gen.client.cluster.env)
+        self.gen = gen
+        self.kind = kind
+        self.name = name
+        self.shard = shard
+        self.start(self._issue)
+
+    def _issue(self, _arg) -> None:
+        client = self.gen.client
+        if self.kind == "read":
+            op = client.read_object(self.name)
+        elif self.kind == "write":
+            op = client.write_object(self.name)
+        else:
+            op = client.write_stripe_unit(self.name, data_shard=self.shard)
+        self.wait(op, self._done)
+
+    def _done(self, op: Event) -> None:
+        gen = self.gen
+        if self.kind == "read":
+            stats, budget_spent = gen.stats, ReadFailedError
+        else:
+            stats, budget_spent = gen.write_stats, WriteFailedError
+        if op._ok:
+            stats.add(op._value)
+        elif isinstance(op._value, budget_spent):
+            stats.failures += 1
+        else:
+            self.fail(op._value)
             return
-        self.write_stats.add(sample)
+        self.succeed()

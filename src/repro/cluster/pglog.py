@@ -148,17 +148,19 @@ class PgLog:
         bad = [s for s in touched_set if not 0 <= s < self.n_shards]
         if bad:
             raise ValueError(f"shards {bad} outside [0, {self.n_shards})")
+        if staged and self.inflight < 1:
+            raise RuntimeError("commit without a staged write")
+        first = object_name not in self.object_version
+        if first and kind != "create":
+            raise ValueError(
+                f"first entry for {object_name!r} must be a create, got {kind!r}"
+            )
+        # Every check passed: only now does the commit take its version.
         if staged:
-            if self.inflight < 1:
-                raise RuntimeError("commit without a staged write")
             self.inflight -= 1
         version = self.head + 1
         self.head = version
-        if object_name not in self.object_version:
-            if kind != "create":
-                raise ValueError(
-                    f"first entry for {object_name!r} must be a create, got {kind!r}"
-                )
+        if first:
             self.shard_versions[object_name] = [0] * self.n_shards
         self.object_version[object_name] = version
         versions = self.shard_versions[object_name]

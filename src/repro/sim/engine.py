@@ -15,10 +15,11 @@ evaluation environment.
   group calls — sits in a heap of ``(when, seq, fn, arg)`` entries;
   ``seq`` is a global insertion counter, so same-instant ties break by
   insertion order.
-* **Chains** (:class:`Chain`) are short leaf operations — a fabric
-  transfer, a helper pull — whose steps are plain callbacks, each run
-  where the generator of a process doing the same work would have
-  resumed, so they keep a process's event order with no generator.
+* **Chains** (:class:`Chain`) are operations — a fabric transfer, a
+  helper pull, a client read or write and its shard I/O — whose steps
+  are plain callbacks, each run where the generator of a process doing
+  the same work would have resumed, so they keep a process's event
+  order with no generator.
 * **Periodic groups** (:meth:`Environment.every_each`) are fixed-period
   work such as heartbeats and monitor ticks: same-period members share
   one heap entry, with no process, timeout or generator, and make each
@@ -34,7 +35,7 @@ from __future__ import annotations
 
 import heapq
 from collections import deque
-from typing import Any, Callable, Deque, Generator, Iterable, List, Optional, Tuple
+from typing import Any, Callable, Deque, Generator, Iterable, List, Optional, Tuple, Union
 
 __all__ = [
     "Event",
@@ -248,10 +249,10 @@ class Process(Event):
 class Chain(Event):
     """An event its own callback steps trigger: a process without a generator.
 
-    A leaf operation that would be a short process — wait on a job,
-    sleep, wait on another job, return — can run as a chain of steps
-    instead, each a plain callable placed exactly where that process's
-    generator would have resumed.  The event order, same-instant ties
+    An operation that would be a process — wait on a job, sleep, wait
+    on another job, retry, return — can run as a chain of steps instead,
+    each a plain callable placed exactly where that process's generator
+    would have resumed.  The event order, same-instant ties
     included, and :attr:`Environment.steps` are then the process's:
 
     * the first step runs one urgent hop after :meth:`start`, called at
@@ -505,8 +506,13 @@ class Environment:
             self._now = until
         return self._now
 
-    def run_until_process(self, process: Process) -> Any:
-        """Run until ``process`` completes; return its value or re-raise."""
+    def run_until_process(self, process: Union[Process, Chain]) -> Any:
+        """Run until ``process`` completes; return its value or re-raise.
+
+        ``process`` is a :class:`Process` or a :class:`Chain` (such as a
+        client read or a load generator's run): either ends by
+        succeeding or failing, and a failure is raised here.
+        """
         self._horizon = _INF
         urgent, queue = self._urgent, self._queue
         popleft, heappop = urgent.popleft, heapq.heappop

@@ -36,7 +36,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Deque, Dict, Generator, Optional, Tuple
+from typing import Any, Deque, Dict, List, Optional, Tuple
 
 from ..sim import Environment, Event
 
@@ -81,17 +81,23 @@ class QosClassStats:
     max_wait: float = 0.0
 
 
-@dataclass
-class _Job:
-    """One queued request with its three tags."""
+class _Job(Event):
+    """One queued request with its three tags: the event its submitter
+    waits on, succeeded when its service ends."""
 
-    cost: float
-    arrived: float
-    seqno: int
-    r_tag: float
-    l_tag: float
-    p_tag: float
-    done: Event
+    __slots__ = ("cost", "arrived", "seqno", "r_tag", "l_tag", "p_tag", "stats")
+
+    def __init__(self, env: Environment, cost: float, seqno: int,
+                 r_tag: float, l_tag: float, p_tag: float,
+                 stats: QosClassStats):
+        super().__init__(env)
+        self.cost = cost
+        self.arrived = env._now
+        self.seqno = seqno
+        self.r_tag = r_tag
+        self.l_tag = l_tag
+        self.p_tag = p_tag
+        self.stats = stats
 
 
 @dataclass
@@ -114,6 +120,27 @@ class MClockScheduler:
     methods can route through either transparently.  Unknown classes are
     admitted with :attr:`default_class` semantics (weight 1, no
     reservation), so attaching QoS never breaks an unconfigured caller.
+
+    The server is closed-form, like
+    :class:`~repro.sim.resources.ServiceCenter`: it runs no process.
+    Its kernel entries are the ones a dispatcher process looping
+    *pick, serve for the job's cost, succeed the job* would make, so
+    the event order, same-instant ties included, and
+    :attr:`~repro.sim.Environment.steps` are that process's:
+
+    * the server starts through one urgent hop at construction, the
+      dispatcher's bootstrap;
+    * each job gets one timed departure entry, scheduled when it is
+      picked, with the ``seq`` the dispatcher's service timeout took;
+      the departure succeeds the job and picks the next one in place;
+    * an arrival at an idle server costs one urgent hop, the wake-up of
+      a dispatcher waiting on an arrival event;
+    * when every queued head is tag-gated, the wait costs one wake
+      entry at ``now + (wake_at - now)``, as the dispatcher's timeout,
+      and one relay hop when it fires; an arrival that beats it costs
+      the two relay hops of the arrival event and the ``AnyOf`` the
+      dispatcher waited on, and the wake entry, now stale, stays a
+      no-op step.
     """
 
     def __init__(
@@ -136,16 +163,22 @@ class MClockScheduler:
             if spec.name in self._classes:
                 raise ValueError(f"duplicate QoS class {spec.name!r}")
             self._classes[spec.name] = _ClassState(spec=spec)
+        #: ``(name, state)`` by class name: the pick's scan and tie order.
+        self._order: List[Tuple[str, _ClassState]] = sorted(self._classes.items())
         self._seqno = 0
-        self._arrival: Optional[Event] = None
-        self._dispatcher = env.process(self._dispatch())
+        #: Whether the server is waiting for an arrival: idle, or gated.
+        self._armed = False
+        #: The gated wait's token, which its wake entry carries; None
+        #: when the server is not gated.
+        self._gate: Optional[object] = None
+        env._urgent.append((self._pick_next, None))
 
     # -- introspection -----------------------------------------------------------
 
     @property
     def classes(self) -> Dict[str, QosClassStats]:
         """Per-class stats, keyed by class name (deterministic order)."""
-        return {name: state.stats for name, state in sorted(self._classes.items())}
+        return {name: state.stats for name, state in self._order}
 
     @property
     def pending(self) -> int:
@@ -165,39 +198,34 @@ class MClockScheduler:
         if state is None:
             state = _ClassState(spec=QosClass(name=class_name))
             self._classes[class_name] = state
-        now = self.env.now
+            self._order = sorted(self._classes.items())
+        env = self.env
+        now = env._now
         spec = state.spec
-        r_tag = (
-            max(now, state.r_tag + service_time / spec.reservation)
-            if spec.reservation > 0
-            else math.inf
-        )
-        l_tag = (
-            max(now, state.l_tag + service_time / spec.limit)
-            if spec.limit > 0
-            else -math.inf
-        )
-        p_tag = max(now, state.p_tag + service_time / spec.weight)
         if spec.reservation > 0:
-            state.r_tag = r_tag
+            r_tag = state.r_tag = max(
+                now, state.r_tag + service_time / spec.reservation
+            )
+        else:
+            r_tag = math.inf
         if spec.limit > 0:
-            state.l_tag = l_tag
-        state.p_tag = p_tag
-        job = _Job(
-            cost=service_time,
-            arrived=now,
-            seqno=self._seqno,
-            r_tag=r_tag,
-            l_tag=l_tag,
-            p_tag=p_tag,
-            done=self.env.event(),
-        )
+            l_tag = state.l_tag = max(now, state.l_tag + service_time / spec.limit)
+        else:
+            l_tag = -math.inf
+        p_tag = state.p_tag = max(now, state.p_tag + service_time / spec.weight)
+        job = _Job(env, service_time, self._seqno, r_tag, l_tag, p_tag,
+                   state.stats)
         self._seqno += 1
         state.queue.append(job)
         state.stats.enqueued += 1
-        if self._arrival is not None and not self._arrival.triggered:
-            self._arrival.succeed()
-        return job.done
+        if self._armed:
+            self._armed = False
+            if self._gate is None:
+                env._urgent.append((self._pick_next, None))
+            else:
+                self._gate = None
+                env._urgent.append((self._relay, None))
+        return job
 
     # -- dispatch ----------------------------------------------------------------
 
@@ -207,66 +235,78 @@ class MClockScheduler:
         Returns ``(state, job, weight_phase, None)`` when a head is
         eligible, else ``(None, None, False, wake_at)`` where ``wake_at``
         is the earliest instant any head becomes eligible (None when no
-        job is queued at all).
+        job is queued at all).  The scan runs in class-name order, so a
+        strictly smaller tag is what beats the best so far: ties break
+        on ``(tag, class name, seqno)``.
         """
-        best_r = None  # (r_tag, name, seqno, state, job)
-        best_p = None  # (p_tag, name, seqno, state, job)
+        best_r = best_p = r_state = p_state = None
         wake_at = None
-        for name in sorted(self._classes):
-            state = self._classes[name]
-            if not state.queue:
+        for _name, state in self._order:
+            queue = state.queue
+            if not queue:
                 continue
-            job = state.queue[0]
-            if job.r_tag <= now:
-                key = (job.r_tag, name, job.seqno)
-                if best_r is None or key < best_r[:3]:
-                    best_r = (*key, state, job)
-            if job.l_tag <= now:
-                key = (job.p_tag, name, job.seqno)
-                if best_p is None or key < best_p[:3]:
-                    best_p = (*key, state, job)
+            job = queue[0]
+            r_tag = job.r_tag
+            if r_tag <= now and (best_r is None or r_tag < best_r.r_tag):
+                best_r, r_state = job, state
+            l_tag = job.l_tag
+            if l_tag <= now and (best_p is None or job.p_tag < best_p.p_tag):
+                best_p, p_state = job, state
             eligible_at = min(
-                job.r_tag if math.isfinite(job.r_tag) else math.inf,
-                job.l_tag if job.l_tag > now else now,
+                r_tag if math.isfinite(r_tag) else math.inf,
+                l_tag if l_tag > now else now,
             )
             if math.isfinite(eligible_at):
                 wake_at = eligible_at if wake_at is None else min(wake_at, eligible_at)
         if best_r is not None:
-            return best_r[3], best_r[4], False, None
+            return r_state, best_r, False, None
         if best_p is not None:
-            return best_p[3], best_p[4], True, None
+            return p_state, best_p, True, None
         return None, None, False, wake_at
 
-    def _dispatch(self) -> Generator:
-        while True:
-            state, job, weight_phase, wake_at = self._pick(self.env.now)
-            if job is None:
-                self._arrival = self.env.event()
-                if wake_at is None:
-                    yield self._arrival
-                else:
-                    # Every queued head is tag-gated (limits or future
-                    # reservations): sleep to the earliest eligibility,
-                    # but wake early on a new arrival.
-                    yield self.env.any_of(
-                        [self._arrival, self.env.timeout(wake_at - self.env.now)]
-                    )
-                self._arrival = None
-                continue
-            state.queue.popleft()
-            if weight_phase and state.spec.reservation > 0:
-                # mClock tag adjustment: weight-phase service must not
-                # count against the reservation, so later R deadlines of
-                # this class move earlier by the share just consumed.
-                credit = job.cost / state.spec.reservation
-                for queued in state.queue:
-                    queued.r_tag -= credit
-                state.r_tag -= credit
-            wait = self.env.now - job.arrived
-            stats = state.stats
-            stats.total_wait += wait
-            stats.max_wait = max(stats.max_wait, wait)
-            yield self.env.timeout(job.cost)
-            stats.served += 1
-            stats.busy_time += job.cost
-            job.done.succeed()
+    def _pick_next(self, _arg: Any) -> None:
+        """Serve the best eligible head, or wait for an arrival or a wake."""
+        env = self.env
+        now = env._now
+        state, job, weight_phase, wake_at = self._pick(now)
+        if job is None:
+            self._armed = True
+            if wake_at is not None:
+                # Every queued head is tag-gated (limits or future
+                # reservations): sleep to the earliest eligibility, but
+                # wake early on a new arrival.
+                self._gate = gate = object()
+                env._schedule(now + (wake_at - now), self._wake, gate)
+            return
+        state.queue.popleft()
+        if weight_phase and state.spec.reservation > 0:
+            # mClock tag adjustment: weight-phase service must not count
+            # against the reservation, so later R deadlines of this
+            # class move earlier by the share just consumed.
+            credit = job.cost / state.spec.reservation
+            for queued in state.queue:
+                queued.r_tag -= credit
+            state.r_tag -= credit
+        wait = now - job.arrived
+        stats = job.stats
+        stats.total_wait += wait
+        stats.max_wait = max(stats.max_wait, wait)
+        env._schedule(now + job.cost, self._depart, job)
+
+    def _relay(self, _arg: Any) -> None:
+        """An arrival beat the wake entry: the ``AnyOf``'s relay hop."""
+        self.env._urgent.append((self._pick_next, None))
+
+    def _wake(self, gate: object) -> None:
+        """The gated wait's wake entry: a no-op once an arrival beat it."""
+        if gate is self._gate:
+            self._gate = None
+            self._armed = False
+            self.env._urgent.append((self._pick_next, None))
+
+    def _depart(self, job: _Job) -> None:
+        stats = job.stats
+        stats.served += 1
+        stats.busy_time += job.cost
+        job.succeed()
+        self._pick_next(None)

@@ -207,6 +207,20 @@ def test_first_entry_must_be_create():
         log.commit("obj", "full", (0, 1, 2, 3), (), at=0.0)
 
 
+def test_refused_commit_burns_no_version():
+    """A commit refused for a non-create first entry changes nothing:
+    the staged write stays in flight and the next commit takes version 1."""
+    log = PgLog(4)
+    log.stage()
+    with pytest.raises(ValueError, match="must be a create"):
+        log.commit("obj", "rmw", (0, 3), (), at=0.0)
+    assert (log.head, log.inflight, list(log.entries)) == (0, 1, [])
+    assert "obj" not in log.object_version
+    entry = log.commit("obj", "create", (0, 1, 2, 3), (), at=1.0)
+    assert entry.version == 1
+    assert (log.head, log.inflight) == (1, 0)
+
+
 def test_missing_must_be_subset_of_touched():
     log = PgLog(4)
     log.stage()
